@@ -14,7 +14,6 @@ JSONL(.gz) artifact through the same checks offline.
 from repro.audit.auditor import Auditor
 from repro.audit.digest import (
     StreamDigest,
-    callback_qualname,
     diff_digests,
     digest_events,
     parse_digest,
@@ -48,7 +47,6 @@ __all__ = [
     "SEV_WARNING",
     "StreamDigest",
     "audit_artifact",
-    "callback_qualname",
     "check_conservation",
     "diff_digests",
     "digest_events",

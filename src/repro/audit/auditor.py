@@ -1,8 +1,8 @@
 """The :class:`Auditor` — the one object the harness wires into a run.
 
 The auditor owns the :class:`~repro.audit.report.AuditReport`, the
-determinism digest state the engine's audited loop folds events into, and
-the cross-host ECN causality log the vswitch hooks feed.  Lifecycle:
+determinism digest every engine event is folded into, and the cross-host
+ECN causality log the vswitch hooks feed.  Lifecycle:
 
 ``attach()`` before the workload starts → the harness calls
 ``checkpoint()`` between simulation chunks → ``finalize()`` after the
@@ -17,10 +17,10 @@ the harness's existing chunk loop rather than on sim events.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Set, Tuple
+from typing import Any, Callable, Dict, Set, Tuple
 
 from repro.audit import invariants, ledger
-from repro.audit.digest import FNV_OFFSET, render_digest
+from repro.audit.digest import StreamDigest
 from repro.audit.report import (
     MODE_REPORT,
     SEV_CRITICAL,
@@ -36,15 +36,8 @@ class Auditor:
         self.telemetry = telemetry
         self._emitted = 0  # findings already mirrored to telemetry events
 
-        # Determinism digest state, mutated inline by the engine's audited
-        # loop (Simulator._run_audited) for speed; must stay equivalent to
-        # StreamDigest.mix — pinned by tests/test_audit.py.
-        self.digest_state = FNV_OFFSET
-        self.digest_count = 0
-        self.digest_tokens: Dict[str, int] = {}
-        #: function-object -> token fast cache for the audited loop; the
-        #: qualname-keyed ``digest_tokens`` table stays authoritative
-        self.fn_tokens: Dict[Any, int] = {}
+        #: the determinism digest :meth:`on_event` folds every event into
+        self.digest = StreamDigest()
         self.last_event_time = float("-inf")
 
         # ECN causality: (observer host ip, remote source ip, path port)
@@ -101,10 +94,19 @@ class Auditor:
                 host.vswitch._audit = None
 
     # ------------------------------------------------------------------
-    # Engine hooks (called from Simulator._run_audited)
+    # Engine hooks (called from Simulator.run, once per event)
     # ------------------------------------------------------------------
+    def on_event(self, time: float, fn: Callable[..., Any]) -> None:
+        """The engine popped the event ``fn`` due at ``time`` and is about
+        to fire it: check timestamp monotonicity, fold it into the digest."""
+        if time < self.last_event_time:
+            self.on_time_regression(
+                time, self.last_event_time, getattr(fn, "__qualname__", "?"))
+        self.last_event_time = time
+        self.digest.mix(time, fn)
+
     def on_time_regression(self, time: float, last_time: float, name: str) -> None:
-        """The audited engine loop popped an event older than its predecessor."""
+        """The engine popped an event older than its predecessor."""
         self.report.record(
             "engine.monotonic-time",
             f"event {name!r} at t={time:.9f} popped after t={last_time:.9f}",
@@ -159,9 +161,9 @@ class Auditor:
             drained=drained, chaos=self.chaos,
             workload=self.workload, collector=self.collector,
         )
-        self.report.note_checked("engine.monotonic-time", self.digest_count)
+        self.report.note_checked("engine.monotonic-time", self.digest.count)
         self.report.note_checked("ecn.causality", self._echo_checks)
-        self.report.digest = render_digest(self.digest_state, self.digest_count)
+        self.report.digest = self.digest.render()
         self._mirror_findings()
         self.detach()
         return self.report

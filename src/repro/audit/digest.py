@@ -15,14 +15,14 @@ processes, so folding each event as ``hash((state, time, token))`` is safe
 — and the tuple hash runs entirely in C, which is what keeps the audited
 dispatch loop inside its overhead budget.
 
-:class:`repro.sim.engine.Simulator._run_audited` inlines the mix for speed;
-:meth:`StreamDigest.mix` is the reference implementation the engine must
-match (pinned by tests).
+:meth:`StreamDigest.mix` is the only implementation: the auditor feeds it
+the engine's callbacks event by event, the offline checker feeds it
+telemetry event type names.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, Optional, Tuple, Union
 
 #: FNV-1a 64-bit offset basis: the digest's initial state (the chaining
 #: itself is the C tuple hash, not FNV)
@@ -48,41 +48,38 @@ def parse_digest(text: str) -> Tuple[int, int]:
 class StreamDigest:
     """Order-sensitive digest of an event stream."""
 
-    __slots__ = ("state", "count", "tokens")
+    __slots__ = ("state", "count", "tokens", "_token_of")
 
     def __init__(self) -> None:
         self.state = FNV_OFFSET
         self.count = 0
         #: qualname -> first-seen-order token (process-stable by order)
         self.tokens: Dict[str, int] = {}
+        #: name, or function object (``__func__`` of a bound method), ->
+        #: token, so the qualname lookup happens once per distinct callback
+        #: rather than once per event.  ``tokens`` stays authoritative: two
+        #: callables sharing a qualname share a token.
+        self._token_of: Dict[Any, int] = {}
 
-    def token(self, name: str) -> int:
-        """The stable integer token for one callback/event name."""
-        tok = self.tokens.get(name)
+    def mix(self, time: float, what: Union[str, Callable[..., Any]]) -> None:
+        """Fold one event into the digest: its timestamp and either its
+        name or its callback, which is named by ``__qualname__`` (that of
+        its type for ``functools.partial`` and other callable objects)."""
+        key = getattr(what, "__func__", what)
+        tok = self._token_of.get(key)
         if tok is None:
-            tok = self.tokens[name] = len(self.tokens) + 1
-        return tok
-
-    def mix(self, time: float, name: str) -> None:
-        """Fold one (timestamp, callback name) event into the digest."""
-        self.state = hash((self.state, time, self.token(name)))
+            name = key if isinstance(key, str) else (
+                getattr(key, "__qualname__", None)
+                or getattr(type(key), "__qualname__", "?")
+            )
+            tok = self._token_of[key] = self.tokens.setdefault(
+                name, len(self.tokens) + 1)
+        self.state = hash((self.state, time, tok))
         self.count += 1
 
     def render(self) -> str:
         """The digest as its canonical ``<16-hex-state>:<count>`` string."""
         return render_digest(self.state, self.count)
-
-
-def callback_qualname(fn: Any) -> str:
-    """A process-stable name for an event callback.
-
-    Bound methods and functions carry ``__qualname__``; ``functools.partial``
-    and other callables fall back to their type's qualname.
-    """
-    name = getattr(fn, "__qualname__", None)
-    if name is None:
-        name = getattr(type(fn), "__qualname__", "?")
-    return name
 
 
 def digest_events(records: Iterable[Dict[str, Any]]) -> str:

@@ -140,9 +140,9 @@ def check_reassembly(report: AuditReport, hosts: Iterable, now: float) -> None:
 def check_event_heap(report: AuditReport, sim, now: float) -> None:
     """The engine's calendar queue still satisfies the heap property.
 
-    Popped-order monotonicity is checked per event in the audited engine
-    loop; this validates the heap structure itself (a corrupted entry
-    would only surface as a mis-ordered pop much later).
+    Popped-order monotonicity is checked per event by
+    :meth:`Auditor.on_event`; this validates the heap structure itself (a
+    corrupted entry would only surface as a mis-ordered pop much later).
     """
     report.note_checked("engine.heap", 1)
     queue = sim._queue

@@ -223,11 +223,11 @@ def _run_pooled(specs, pending, results, cache, telemetry, cfg, progress) -> Non
     pool = _make_pool(state.max_workers)
 
     def submit(index: int) -> None:
-        state.attempts[index] += 1
         future = pool.submit(
             pool_worker, specs[index], state.want_telemetry, state.profile,
             state.trace,
         )
+        state.attempts[index] += 1
         state.inflight[future] = (index, time.monotonic())
 
     def retry_or_fail(index: int, reason: str) -> None:
@@ -258,8 +258,14 @@ def _run_pooled(specs, pending, results, cache, telemetry, cfg, progress) -> Non
 
     try:
         while state.queue or state.inflight:
-            while state.queue and len(state.inflight) < state.max_workers:
-                submit(state.queue.popleft())
+            try:
+                while state.queue and len(state.inflight) < state.max_workers:
+                    submit(state.queue[0])
+                    state.queue.popleft()
+            except BrokenProcessPool:
+                # A worker died between two submits; the future already in
+                # flight reports the crash below and the pool is rebuilt.
+                pass
 
             done, _ = wait(
                 list(state.inflight), timeout=_TICK, return_when=FIRST_COMPLETED

@@ -13,9 +13,13 @@ Design notes
 * Events carry a monotonically increasing sequence number so that events
   scheduled for the same instant fire in FIFO order.  This keeps runs
   deterministic for a given seed regardless of heap tie-breaking.
+* An :class:`Event` is its own heap entry — a ``(time, seq, fn, args)``
+  tuple, so the heap orders entries with C-level tuple comparison and,
+  ``seq`` being unique, never looks past it — and its own cancel handle.
 * Events may be cancelled in O(1) (lazy deletion): cancellation marks the
-  event and the main loop skips it when popped.  TCP retransmission timers
-  rely on this heavily.
+  entry and the run loop skips it when popped.  Cancels are rare
+  (TCP's deadline timers re-arm without them; about one event in 200 is
+  ever cancelled), so dead entries do not accumulate.
 """
 
 from __future__ import annotations
@@ -23,31 +27,31 @@ from __future__ import annotations
 import heapq
 import itertools
 import sys
-import time as _time
-from typing import Any, Callable, List, Optional, TYPE_CHECKING, Tuple
+from operator import itemgetter
+from time import perf_counter
+from typing import Any, Callable, List, Optional, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.audit.auditor import Auditor
     from repro.telemetry.profiler import SimProfiler
 
 _INFINITY = float("inf")
 _NO_BUDGET = sys.maxsize
 
 
-class Event:
-    """A scheduled callback.
+class Event(tuple):
+    """A scheduled callback: the heap entry ``(time, seq, fn, args)``.
 
     Instances are returned by :meth:`Simulator.schedule` / :meth:`Simulator.at`
     and can be cancelled via :meth:`cancel`.  An event fires exactly once.
     """
 
-    __slots__ = ("time", "seq", "fn", "args", "cancelled")
+    # No __slots__: the one mutable bit, ``cancelled``, lives in an instance
+    # dict that only a cancelled event ever allocates.
 
-    def __init__(self, time: float, seq: int, fn: Callable[..., Any], args: tuple):
-        self.time = time
-        self.seq = seq
-        self.fn = fn
-        self.args = args
-        self.cancelled = False
+    #: whether :meth:`cancel` was called
+    cancelled = False
+    time = property(itemgetter(0), doc="The simulation time the event is due at.")
 
     def cancel(self) -> None:
         """Prevent the event from firing.  Safe to call more than once."""
@@ -55,7 +59,7 @@ class Event:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
-        return f"Event(t={self.time:.9f}, fn={getattr(self.fn, '__name__', self.fn)!r}, {state})"
+        return f"Event(t={self[0]:.9f}, fn={getattr(self[2], '__name__', self[2])!r}, {state})"
 
 
 class Simulator:
@@ -70,21 +74,17 @@ class Simulator:
 
     def __init__(self) -> None:
         self.now: float = 0.0
-        # The heap holds (time, seq, event) tuples so ordering uses fast
-        # C-level tuple comparison instead of a Python __lt__ (the hottest
-        # call in packet-level runs otherwise).
-        self._queue: List[Tuple[float, int, Event]] = []
+        self._queue: List[Event] = []
         self._seq = itertools.count()
         self._running = False
         self._events_processed = 0
-        #: when set (see :class:`repro.telemetry.SimProfiler`), ``run`` takes
-        #: an instrumented loop that times every callback; None keeps the
-        #: original unmeasured fast path.
+        #: when set (see :class:`repro.telemetry.SimProfiler`), every event
+        #: callback is timed and every ``run`` accounted; None costs nothing.
         self.profiler: Optional["SimProfiler"] = None
-        #: when set (see :class:`repro.audit.Auditor`), ``run`` takes a loop
-        #: that checks timestamp monotonicity and folds every event into the
-        #: auditor's determinism digest; None keeps the fast path.
-        self.auditor: Optional[Any] = None
+        #: when set (see :class:`repro.audit.Auditor`), every event is shown
+        #: to the auditor (timestamp monotonicity, determinism digest)
+        #: before it fires; None costs nothing.
+        self.auditor: Optional["Auditor"] = None
 
     # ------------------------------------------------------------------
     # Scheduling primitives
@@ -92,22 +92,22 @@ class Simulator:
     def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` to run ``delay`` seconds from now.
 
-        ``delay`` must be non-negative; a zero delay runs the callback after
-        all events already scheduled for the current instant.
+        ``delay`` must be non-negative (NaN is rejected too); a zero delay
+        runs the callback after all events already scheduled for the
+        current instant.
         """
-        if delay < 0:
+        if not delay >= 0:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
-        time = self.now + delay
-        event = Event(time, next(self._seq), fn, args)
-        heapq.heappush(self._queue, (time, event.seq, event))
+        event = Event((self.now + delay, next(self._seq), fn, args))
+        heapq.heappush(self._queue, event)
         return event
 
     def at(self, time: float, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` at an absolute simulation time."""
-        if time < self.now:
+        if not time >= self.now:
             raise ValueError(f"cannot schedule at t={time} < now={self.now}")
-        event = Event(time, next(self._seq), fn, args)
-        heapq.heappush(self._queue, (time, event.seq, event))
+        event = Event((time, next(self._seq), fn, args))
+        heapq.heappush(self._queue, event)
         return event
 
     # ------------------------------------------------------------------
@@ -124,174 +124,60 @@ class Simulator:
         :meth:`stop` — ``now`` stays at the last processed event, so events
         still queued at or after ``now`` remain valid for a later ``run()``.
 
-        The loop variant (plain / profiled / audited) is dispatched *once*
-        per call; the optional bounds are folded into sentinels
-        (``inf`` / ``sys.maxsize``) so the per-event body carries no
-        ``is not None`` branches.
+        Whether an :attr:`auditor` and/or :attr:`profiler` observes the
+        events is decided once per call; an unobserved run pays one
+        ``is None`` test per event for the possibility.
         """
         limit = _INFINITY if until is None else until
         budget = _NO_BUDGET if max_events is None else max_events
+        observed = self.auditor is not None or self.profiler is not None
+        fire = self._fire_observed if observed else None
+        queue = self._queue
+        pop = heapq.heappop
+        processed = 0
+        started = perf_counter()
         self._running = True
         try:
-            if self.auditor is not None:
-                interrupted = self._run_audited(limit, budget)
-            elif self.profiler is not None:
-                interrupted = self._run_profiled(limit, budget)
-            else:
-                interrupted = self._run_plain(limit, budget)
+            while queue and self._running:
+                event = queue[0]
+                time = event[0]
+                if time > limit:
+                    break
+                pop(queue)
+                if event.cancelled:
+                    continue
+                self.now = time
+                if fire is None:
+                    event[2](*event[3])
+                else:
+                    fire(time, event[2], event[3])
+                processed += 1
+                if processed >= budget:
+                    self._running = False  # leave exactly as stop() would
+            interrupted = not self._running
         finally:
             self._running = False
+            self._events_processed += processed
+            if self.profiler is not None:
+                self.profiler.record_run(processed, perf_counter() - started)
         if not interrupted and until is not None and self.now < until:
             self.now = until
 
-    def _run_plain(self, limit: float, budget: int) -> bool:
-        """The unmeasured fast path.  Returns ``interrupted``."""
-        queue = self._queue
-        pop = heapq.heappop
-        processed = 0
-        interrupted = False
-        try:
-            while queue and self._running:
-                entry = queue[0]
-                time = entry[0]
-                if time > limit:
-                    break
-                pop(queue)
-                event = entry[2]
-                if event.cancelled:
-                    continue
-                self.now = time
-                event.fn(*event.args)
-                processed += 1
-                if processed >= budget:
-                    interrupted = True
-                    break
-            interrupted = interrupted or not self._running
-        finally:
-            self._events_processed += processed
-        return interrupted
-
-    def _run_profiled(self, limit: float, budget: int) -> bool:
-        """The :meth:`run` loop with per-callback wall-clock accounting.
-
-        Kept separate so unprofiled runs (the normal case) pay nothing for
-        the timing calls.  Returns ``interrupted``.
-        """
-        from repro.telemetry.profiler import callback_name
-
-        profiler = self.profiler
-        queue = self._queue
-        pop = heapq.heappop
-        perf = _time.perf_counter
-        processed = 0
-        interrupted = False
-        run_start = perf()
-        try:
-            while queue and self._running:
-                entry = queue[0]
-                time = entry[0]
-                if time > limit:
-                    break
-                if len(queue) > profiler.heap_high_water:
-                    profiler.heap_high_water = len(queue)
-                pop(queue)
-                event = entry[2]
-                if event.cancelled:
-                    continue
-                self.now = time
-                started = perf()
-                event.fn(*event.args)
-                profiler.record_callback(callback_name(event.fn), perf() - started)
-                processed += 1
-                if processed >= budget:
-                    interrupted = True
-                    break
-            interrupted = interrupted or not self._running
-        finally:
-            self._events_processed += processed
-            profiler.record_run(processed, perf() - run_start)
-        return interrupted
-
-    def _run_audited(self, limit: float, budget: int) -> bool:
-        """The :meth:`run` loop with monotonicity checks and a streaming
-        determinism digest (see :mod:`repro.audit.digest`).
-
-        The digest mix is inlined for speed but must stay equivalent to
-        :meth:`repro.audit.digest.StreamDigest.mix` — pinned by tests.
-        Callback tokens are cached per *function object* (``__func__`` of a
-        bound method) so the qualname lookup happens once per distinct
-        callback, not once per event; the canonical qualname-keyed token
-        table stays authoritative, so two callables sharing a qualname
-        share a token.  Returns ``interrupted``.
-        """
-        auditor = self.auditor
-        queue = self._queue
-        pop = heapq.heappop
-        processed = 0
-        interrupted = False
-        # Localize the digest state; written back after the loop.
-        digest = auditor.digest_state
-        tokens = auditor.digest_tokens
-        fn_tokens = auditor.fn_tokens
-        last_time = auditor.last_event_time
-        try:
-            while queue and self._running:
-                entry = queue[0]
-                time = entry[0]
-                if time > limit:
-                    break
-                pop(queue)
-                event = entry[2]
-                if event.cancelled:
-                    continue
-                if time < last_time:
-                    auditor.on_time_regression(
-                        time, last_time,
-                        getattr(event.fn, "__qualname__", "?"),
-                    )
-                last_time = time
-                fn = event.fn
-                f = getattr(fn, "__func__", fn)
-                tok = fn_tokens.get(f)
-                if tok is None:
-                    name = (
-                        getattr(f, "__qualname__", None)
-                        or getattr(type(f), "__qualname__", "?")
-                    )
-                    tok = tokens.get(name)
-                    if tok is None:
-                        tok = tokens[name] = len(tokens) + 1
-                    fn_tokens[f] = tok
-                digest = hash((digest, time, tok))
-                self.now = time
-                fn(*event.args)
-                processed += 1
-                if processed >= budget:
-                    interrupted = True
-                    break
-            interrupted = interrupted or not self._running
-        finally:
-            self._events_processed += processed
-            auditor.digest_state = digest
-            # Every executed event was mixed exactly once (a callback that
-            # raised mid-event may leave the count one short of the state;
-            # such a run aborts before its report finalizes as a pass).
-            auditor.digest_count += processed
-            auditor.last_event_time = last_time
-        return interrupted
+    def _fire_observed(self, time: float, fn: Callable[..., Any], args: tuple) -> None:
+        """Fire one event under the attached auditor and/or profiler."""
+        if self.auditor is not None:
+            self.auditor.on_event(time, fn)
+        if self.profiler is None:
+            fn(*args)
+        else:
+            # +1: the event being fired has already been popped
+            self.profiler.fire(fn, args, len(self._queue) + 1)
 
     def step(self) -> bool:
         """Process a single event.  Returns ``False`` when the queue is empty."""
-        queue = self._queue
-        while queue:
-            time, _seq, event = heapq.heappop(queue)
-            if event.cancelled:
-                continue
-            self.now = time
-            event.fn(*event.args)
-            self._events_processed += 1
-            return True
-        return False
+        before = self._events_processed
+        self.run(max_events=1)
+        return self._events_processed > before
 
     def stop(self) -> None:
         """Request that :meth:`run` return after the current event."""
@@ -313,6 +199,6 @@ class Simulator:
     def peek_time(self) -> Optional[float]:
         """Time of the next live event, or ``None`` if the queue is empty."""
         queue = self._queue
-        while queue and queue[0][2].cancelled:
+        while queue and queue[0].cancelled:
             heapq.heappop(queue)
         return queue[0][0] if queue else None

@@ -8,13 +8,13 @@ and records, per callback type:
 * their cumulative wall-clock time,
 
 plus run-level aggregates: total events, total wall time, events/second and
-the heap-depth high-water mark.  When no profiler is attached the engine
-takes its original unmeasured fast path, so profiling costs nothing unless
-requested.
+the heap-depth high-water mark.  When no profiler is attached the engine's
+run loop calls nothing here, so profiling costs nothing unless requested.
 """
 
 from __future__ import annotations
 
+from time import perf_counter
 from typing import Any, Callable, Dict, List
 
 
@@ -53,8 +53,17 @@ class SimProfiler:
         self.runs = 0
 
     # ------------------------------------------------------------------
-    # Engine-facing recording API (hot; called from the profiled run loop)
+    # Engine-facing recording API (hot; called once per event)
     # ------------------------------------------------------------------
+    def fire(self, fn: Callable[..., Any], args: tuple, heap_depth: int) -> None:
+        """Run one event callback under the clock; ``heap_depth`` is the
+        engine's queue length as the event was popped."""
+        if heap_depth > self.heap_high_water:
+            self.heap_high_water = heap_depth
+        started = perf_counter()
+        fn(*args)
+        self.record_callback(callback_name(fn), perf_counter() - started)
+
     def record_callback(self, name: str, elapsed_s: float) -> None:
         """Account one fired event to its callback type."""
         stats = self.callbacks.get(name)

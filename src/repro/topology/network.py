@@ -8,10 +8,9 @@ populate a ``Network``; experiments then attach hosts and inject failures.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
-
-import networkx as nx
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.net.link import Link
 from repro.net.packet import Packet
@@ -32,6 +31,19 @@ class LinkSpec:
     def make_queue(self) -> DropTailQueue:
         """Build a queue configured per this spec."""
         return DropTailQueue(self.queue_capacity_packets, self.ecn_threshold_packets)
+
+
+def _hop_counts(adjacency: Dict[str, Set[str]], source: str) -> Dict[str, int]:
+    """Breadth-first hop count from ``source`` to every node it reaches."""
+    dist = {source: 0}
+    frontier = deque([source])
+    while frontier:
+        node = frontier.popleft()
+        for nbr in adjacency[node]:
+            if nbr not in dist:
+                dist[nbr] = dist[node] + 1
+                frontier.append(nbr)
+    return dist
 
 
 class Network:
@@ -149,15 +161,17 @@ class Network:
     # ------------------------------------------------------------------
     # Routing
     # ------------------------------------------------------------------
-    def graph(self, live_only: bool = True) -> "nx.Graph":
-        """Node-level undirected connectivity graph (parallel links collapsed)."""
-        g = nx.Graph()
-        g.add_nodes_from(self.switches)
-        g.add_nodes_from(self.hosts)
+    def graph(self, live_only: bool = True) -> Dict[str, Set[str]]:
+        """Node-level undirected connectivity (parallel links collapsed):
+        every switch and host mapped to the set of its neighbours."""
+        adjacency: Dict[str, Set[str]] = {
+            node: set() for nodes in (self.switches, self.hosts) for node in nodes
+        }
         for (src, dst), group in self.links.items():
             if any(link.up for link in group) or not live_only:
-                g.add_edge(src, dst)
-        return g
+                adjacency.setdefault(src, set()).add(dst)
+                adjacency.setdefault(dst, set()).add(src)
+        return adjacency
 
     def compute_routes(self) -> None:
         """Install shortest-path ECMP groups for every host destination.
@@ -170,13 +184,13 @@ class Network:
         """
         g = self.graph(live_only=False)
         for host, (ip, _leaf) in self.hosts.items():
-            dist = nx.single_source_shortest_path_length(g, host)
+            dist = _hop_counts(g, host)
             for switch in self.switches.values():
                 if switch.name not in dist:
                     continue
                 my_dist = dist[switch.name]
                 group: List[Link] = []
-                for nbr in sorted(g.neighbors(switch.name)):
+                for nbr in sorted(g[switch.name]):
                     if dist.get(nbr, float("inf")) == my_dist - 1:
                         group.extend(self.links.get((switch.name, nbr), []))
                 if group:

@@ -30,7 +30,7 @@ from repro.chaos import FaultEvent, FaultPlan
 from repro.harness.experiment import ExperimentConfig, run_experiment
 from repro.harness.metrics import standard_metrics
 from repro.runner import JobSpec, RunnerConfig, run_jobs
-from repro.sim.engine import Event, Simulator
+from repro.sim.engine import Simulator
 from repro.telemetry import Telemetry
 
 
@@ -157,10 +157,11 @@ def test_heap_corruption_surfaces_as_time_regression():
     auditor = Auditor(mode=MODE_REPORT)
     auditor.attach(sim, net=None, hosts=())
     fired = []
+    sim.schedule(0.1, fired.append, "early")
     sim.schedule(0.5, fired.append, "late")
-    # Violate the heap property behind the engine's back: an earlier event
-    # appended at the tail pops *after* the later root.
-    sim._queue.append((0.1, 999, Event(0.1, 999, fired.append, ("early",))))
+    # Violate the heap property behind the engine's back: with the later
+    # event moved to the root, the earlier one pops *after* it.
+    sim._queue.reverse()
     sim.run()
     assert fired == ["late", "early"]
     finding = auditor.report.first("engine.monotonic-time")
@@ -181,30 +182,31 @@ def test_strict_mode_raises_on_seeded_fault():
 # ----------------------------------------------------------------------
 # Determinism digest
 # ----------------------------------------------------------------------
-def _named_callback():
-    pass
+def test_profiler_and_auditor_observe_the_same_run():
+    """`--audit report --profile`: the profiler records the run and the
+    digest is the unprofiled one (the parent's audited loop skipped the
+    profiler: "0 events in 0.000s wall")."""
+    plain = run_experiment(_config())
+    tel = Telemetry(profile=True)
+    both = run_experiment(_config(), telemetry=tel)
+    assert tel.profiler.events == both.wall_events > 0
+    assert tel.profiler.top_callbacks(1)[0]["count"] > 0
+    assert both.audit.ok
+    assert both.audit.digest == plain.audit.digest
 
 
-def test_engine_digest_matches_stream_digest_reference():
-    """The inlined engine mix must equal StreamDigest.mix, event for event."""
+def test_step_is_audited():
     sim = Simulator()
-    auditor = Auditor()
-    auditor.attach(sim, net=None, hosts=())
-    order = []
-    sim.schedule(0.2, order.append, "b")
-    sim.schedule(0.1, order.append, "a")
-    sim.schedule(0.2, _named_callback)
-    sim.schedule(0.3, order.append, "c")
+    auditor = Auditor().attach(sim, net=None, hosts=())
+    sim.schedule(0.1, lambda: None)
+    sim.schedule(0.2, lambda: None)
+    assert sim.step()
+    assert auditor.digest.count == 1
     sim.run()
-    assert order == ["a", "b", "c"]
-
     reference = StreamDigest()
-    reference.mix(0.1, "list.append")
-    reference.mix(0.2, "list.append")
-    reference.mix(0.2, "_named_callback")
-    reference.mix(0.3, "list.append")
-    assert render_digest(auditor.digest_state, auditor.digest_count) \
-        == reference.render()
+    reference.mix(0.1, "test_step_is_audited.<locals>.<lambda>")
+    reference.mix(0.2, "test_step_is_audited.<locals>.<lambda>")
+    assert auditor.digest.render() == reference.render()
 
 
 def test_run_vs_rerun_digest_identical():

@@ -121,7 +121,7 @@ class TestPodWiring:
 
 class TestPathMultiplicity:
     def _shortest_paths(self, net, a: str, b: str) -> int:
-        return sum(1 for _ in nx.all_shortest_paths(net.graph(), a, b))
+        return sum(1 for _ in nx.all_shortest_paths(nx.Graph(net.graph()), a, b))
 
     @pytest.mark.parametrize("k", [2, 4])
     def test_interpod_paths_k_squared_over_4(self, k):
@@ -161,7 +161,7 @@ class TestPathMultiplicity:
         h0 = next(h for h in ls.hosts if ls.hosts[h][1] == "L1")
         h1 = next(h for h in ls.hosts if ls.hosts[h][1] == "L2")
         # Node-level graph collapses the two parallel cables per pair.
-        node_paths = sum(1 for _ in nx.all_shortest_paths(ls.graph(), h0, h1))
+        node_paths = sum(1 for _ in nx.all_shortest_paths(nx.Graph(ls.graph()), h0, h1))
         assert node_paths == 2
         # Link-level: the leaf's ECMP group towards the remote host spans
         # spines x cables = 4 distinct egress links, matching the k=4

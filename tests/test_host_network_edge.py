@@ -75,10 +75,10 @@ class TestNetworkWiring:
         sim, net, hosts = fabric
         net.fail_cable("L2", "S2", 0)
         g = net.graph(live_only=True)
-        assert g.has_edge("L2", "S2")   # cable #1 still up
+        assert "S2" in g["L2"] and "L2" in g["S2"]   # cable #1 still up
         net.fail_cable("L2", "S2", 1)
         g = net.graph(live_only=True)
-        assert not g.has_edge("L2", "S2")
+        assert "S2" not in g["L2"] and "L2" not in g["S2"]
 
     def test_compute_routes_idempotent(self, fabric):
         sim, net, hosts = fabric

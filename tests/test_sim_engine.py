@@ -43,6 +43,13 @@ class TestScheduling:
         with pytest.raises(ValueError):
             sim.at(0.5, lambda: None)
 
+    @pytest.mark.parametrize("method", ["schedule", "at"])
+    def test_nan_time_rejected(self, method):
+        sim = Simulator()
+        with pytest.raises(ValueError):
+            getattr(sim, method)(float("nan"), lambda: None)
+        assert sim.pending == 0
+
     def test_zero_delay_runs_after_current_instant_events(self):
         sim = Simulator()
         order = []
