@@ -12,9 +12,9 @@ Run:  python examples/heterogeneous_fabric.py
 """
 
 from repro import ExperimentConfig
+from repro.chaos import degraded
 from repro.harness.experiment import run_experiment
 from repro.harness.report import render_bar_chart
-from repro.topology.scenarios import degrade_cable
 
 
 def main() -> None:
@@ -29,9 +29,7 @@ def main() -> None:
                 ExperimentConfig(
                     scheme=scheme, load=0.6, seed=seed,
                     jobs_per_client=150, flow_scale=1 / 40,
-                ),
-                on_ready=lambda sim, net, hosts: degrade_cable(
-                    net, "L2", "S2", 0, factor=0.25
+                    chaos=degraded("L2", "S2", 0, factor=0.25),
                 ),
             )
             values.append(result.avg_fct * 1000)

@@ -14,6 +14,7 @@ artifact::
     repro run clove-ecn --chaos-preset flap --telemetry-out run.jsonl.gz
     repro trace summary run.jsonl.gz
     repro trace flow run.jsonl.gz <run>:<sid>
+    repro trace paths run.jsonl.gz
     repro trace diff clove.jsonl ecmp.jsonl
     repro trace chrome run.jsonl.gz trace.json
 

@@ -31,7 +31,6 @@ from repro.core import (
 )
 from repro.baselines import EcmpPolicy, PrestoPolicy
 from repro.core.latency import CloveLatencyPolicy
-from repro.net.tracing import PathTracer
 from repro.harness import (
     ExperimentConfig,
     ExperimentResult,
@@ -61,7 +60,6 @@ __all__ = [
     "EcmpPolicy",
     "PrestoPolicy",
     "CloveLatencyPolicy",
-    "PathTracer",
     "ExperimentConfig",
     "ExperimentResult",
     "SCHEMES",

@@ -19,7 +19,6 @@ Subcommands:
   report, ``audit check`` replays a telemetry artifact through the
   offline checks, ``audit diff`` compares the determinism digests of
   two artifacts;
-* ``bench``     — render the ``benchmarks/BENCH_*.json`` trend table;
 * ``suite``     — declarative scenario matrices with statistical
   regression gates (:mod:`repro.suite`): ``suite run`` executes a bundled
   or file-loaded suite through the cached parallel runner, ``suite
@@ -318,11 +317,10 @@ def cmd_sweep(args) -> int:
         if scheme not in SCHEMES:
             print(f"unknown scheme {scheme!r}; see `schemes`", file=sys.stderr)
             return 2
-    loads = [float(x) for x in args.loads.split(",")]
     base = _config(args, scheme=schemes[0])
     tel = _make_telemetry(args)
     series = sweep_loads(
-        base, schemes, loads,
+        base, schemes, args.loads,
         seeds=tuple(args.seed + i for i in range(args.n_seeds)),
         telemetry=tel,
         runner=_make_runner(args),
@@ -338,7 +336,7 @@ def cmd_figure(args) -> int:
     from repro.harness.figures import FigureQuality
 
     quality = FigureQuality(
-        loads=tuple(float(x) for x in args.loads.split(",")),
+        loads=tuple(args.loads),
         seeds=tuple(args.seed + i for i in range(args.n_seeds)),
         jobs_per_client=args.jobs_per_client,
         chaos=_chaos_plan(args),
@@ -372,18 +370,17 @@ def cmd_figure(args) -> int:
 def cmd_incast(args) -> int:
     """Handle ``repro incast``: the Figure 7 fan-in experiment."""
     tel = _make_telemetry(args)
-    fanouts = [int(x) for x in args.fanouts.split(",")]
     specs = [
         JobSpec.incast(
             scheme=args.scheme, fanout=fanout, seed=args.seed,
             n_requests=args.requests, total_bytes=args.bytes,
         )
-        for fanout in fanouts
+        for fanout in args.fanouts
     ]
     job_results = run_jobs(specs, runner=_make_runner(args), telemetry=tel)
     _finish_telemetry(tel, args)
     results = {}
-    for fanout, job in zip(fanouts, job_results):
+    for fanout, job in zip(args.fanouts, job_results):
         if not job.ok:
             print(f"fanout {fanout} failed: {job.error}", file=sys.stderr)
             return 1
@@ -564,26 +561,6 @@ def _audit_run(args) -> int:
     return 0 if report.ok else 1
 
 
-def cmd_bench(args) -> int:
-    """Handle ``repro bench report``: the benchmark-history trend table.
-
-    With ``--check`` the latest record of every bench is also gated:
-    exit 1 (after the table) if any is outside its target ratio.
-    """
-    from repro.harness.bench import latest_failures, render_report
-
-    try:
-        print(render_report(args.dir))
-        failures = latest_failures(args.dir) if args.check else []
-    except (OSError, ValueError) as exc:
-        print(f"cannot read benchmark histories under {args.dir!r}: {exc}",
-              file=sys.stderr)
-        return 2
-    for line in failures:
-        print(line, file=sys.stderr)
-    return 1 if failures else 0
-
-
 def _suite_spec(args):
     """Resolve the suite a subcommand names (bundled or --spec FILE).
 
@@ -751,6 +728,16 @@ def cmd_cache(args) -> int:
     return 0
 
 
+def comma_separated_floats(text: str) -> List[float]:
+    """argparse ``type=`` for ``--loads``; a bad item is a usage error."""
+    return [float(item) for item in text.split(",")]
+
+
+def comma_separated_ints(text: str) -> List[int]:
+    """argparse ``type=`` for ``--fanouts``; a bad item is a usage error."""
+    return [int(item) for item in text.split(",")]
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Build the argparse tree for the `repro` CLI."""
     parser = argparse.ArgumentParser(
@@ -768,7 +755,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="scheme x load sweep")
     p_sweep.add_argument("--schemes", default="ecmp,edge-flowlet,clove-ecn")
-    p_sweep.add_argument("--loads", default="0.3,0.5,0.7")
+    p_sweep.add_argument("--loads", type=comma_separated_floats,
+                         default="0.3,0.5,0.7")
     p_sweep.add_argument("--n-seeds", type=int, default=1)
     _add_common(p_sweep)
     _add_runner_opts(p_sweep)
@@ -777,7 +765,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fig = sub.add_parser("figure", help="regenerate a paper figure")
     p_fig.add_argument("name", help="fig4b|fig4c|fig5a|fig5b|fig5c|fig6|fig8a|fig8b|fig9")
-    p_fig.add_argument("--loads", default="0.3,0.5,0.7")
+    p_fig.add_argument("--loads", type=comma_separated_floats,
+                       default="0.3,0.5,0.7")
     p_fig.add_argument("--n-seeds", type=int, default=1)
     _add_common(p_fig)
     _add_runner_opts(p_fig)
@@ -785,7 +774,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_incast = sub.add_parser("incast", help="Figure 7 incast experiment")
     p_incast.add_argument("--scheme", default="clove-ecn", choices=SCHEMES)
-    p_incast.add_argument("--fanouts", default="1,2,4,8")
+    p_incast.add_argument("--fanouts", type=comma_separated_ints,
+                          default="1,2,4,8")
     p_incast.add_argument("--requests", type=int, default=8)
     p_incast.add_argument("--bytes", type=int, default=2_000_000)
     p_incast.add_argument("--seed", type=int, default=1)
@@ -885,18 +875,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_adiff.add_argument("file_a", help="first telemetry artifact")
     p_adiff.add_argument("file_b", help="second telemetry artifact")
     p_adiff.set_defaults(fn=cmd_audit)
-
-    p_bench = sub.add_parser(
-        "bench", help="benchmark-history reports (benchmarks/BENCH_*.json)")
-    bench_sub = p_bench.add_subparsers(dest="bench_command", required=True)
-    p_breport = bench_sub.add_parser(
-        "report", help="render every BENCH_*.json history as one trend table")
-    p_breport.add_argument("--dir", default="benchmarks", metavar="DIR",
-                           help="directory holding the BENCH_*.json files")
-    p_breport.add_argument("--check", action="store_true",
-                           help="exit 1 if any bench's latest record is "
-                                "outside its gate (ratio gates included)")
-    p_breport.set_defaults(fn=cmd_bench)
 
     p_suite = sub.add_parser(
         "suite", help="declarative scenario matrices with statistical "

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.audit import Auditor, AuditReport
 from repro.baselines.conga import CongaLeafSwitch, CongaSpineSwitch, configure_conga
@@ -267,28 +267,31 @@ def _make_policy(
     raise ValueError(f"unknown scheme {scheme!r} (expected one of {SCHEMES})")
 
 
-def run_experiment(
-    config: ExperimentConfig,
-    on_ready: Optional[Callable[[Simulator, Network, Dict[str, Host]], None]] = None,
-    telemetry: Optional[Telemetry] = None,
-) -> ExperimentResult:
-    """Build and run one experiment point to completion.
+class Assembly(NamedTuple):
+    """What :func:`assemble` builds: a fabric with hosts attached, idle."""
 
-    ``on_ready(sim, net, hosts)`` is invoked after everything is assembled
-    but before traffic starts — the hook instrumentation (e.g. the
-    stability sampler) attaches through.
+    sim: Simulator
+    rng: RngRegistry
+    topo: LeafSpineConfig
+    rtt: float
+    net: Network
+    hosts: Dict[str, Host]
+    #: the engine executing ``config.fault_plan()``; None when fault-free
+    chaos: Optional[ChaosEngine]
 
-    ``telemetry`` (a :class:`repro.telemetry.Telemetry` scope) instruments
-    every layer of the run: the result carries the scope plus a run manifest
-    (config, seed, git rev, wall time), and the scope's registry/event log
-    hold fabric counters and structured decision events.  Pass the same
-    scope to several runs (a sweep) to accumulate one artifact.
+
+def assemble(config: ExperimentConfig, tel: Telemetry) -> Assembly:
+    """Build everything a run needs short of its workload.
+
+    The one place a scheme is wired in: scheme-specific switch classes and
+    INT capability, RTT-derived Clove/switch tuning, the fault plan's
+    ChaosEngine, and per host the policy, path discovery and health
+    monitor.  :func:`run_experiment` and
+    :func:`~repro.harness.incast.run_incast` differ only in the workload
+    they drive over the result.
     """
     if config.scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {config.scheme!r}")
-    # Fail fast on a mistyped workload name, before any fabric is built.
-    validate_workload(config.workload)
-    tel = telemetry if telemetry is not None else NULL_TELEMETRY
     sim = Simulator()
     rng = RngRegistry(config.seed)
 
@@ -326,8 +329,7 @@ def run_experiment(
     # Fault injection: the effective plan (config.chaos + the asymmetric
     # sugar) runs through a ChaosEngine.  Events due at t=0 — the paper's
     # failure of one 40G S2-L2 cable — apply right here, before hosts and
-    # discovery attach, exactly as the old hard-coded path did; later
-    # events are scheduled on the simulator.
+    # discovery attach; later events are scheduled on the simulator.
     # ------------------------------------------------------------------
     plan = config.fault_plan()
     chaos_engine: Optional[ChaosEngine] = None
@@ -385,6 +387,30 @@ def run_experiment(
     if chaos_engine is not None:
         # Control-plane events target hypervisors, which only now exist.
         chaos_engine.attach_hosts(hosts, rng)
+    return Assembly(sim, rng, topo, rtt, net, hosts, chaos_engine)
+
+
+def run_experiment(
+    config: ExperimentConfig,
+    on_ready: Optional[Callable[[Simulator, Network, Dict[str, Host]], None]] = None,
+    telemetry: Optional[Telemetry] = None,
+) -> ExperimentResult:
+    """Build and run one experiment point to completion.
+
+    ``on_ready(sim, net, hosts)`` is invoked after everything is assembled
+    but before traffic starts — the hook instrumentation (e.g. the
+    stability sampler) attaches through.
+
+    ``telemetry`` (a :class:`repro.telemetry.Telemetry` scope) instruments
+    every layer of the run: the result carries the scope plus a run manifest
+    (config, seed, git rev, wall time), and the scope's registry/event log
+    hold fabric counters and structured decision events.  Pass the same
+    scope to several runs (a sweep) to accumulate one artifact.
+    """
+    # Fail fast on a mistyped workload name, before any fabric is built.
+    validate_workload(config.workload)
+    tel = telemetry if telemetry is not None else NULL_TELEMETRY
+    sim, rng, topo, rtt, net, hosts, chaos_engine = assemble(config, tel)
 
     # ------------------------------------------------------------------
     # Workload: leaf-1 hosts are clients, leaf-2 hosts are servers

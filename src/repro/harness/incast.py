@@ -5,20 +5,10 @@ from __future__ import annotations
 import time
 from typing import Dict, Optional
 
-from repro.core.clove import CloveParams
-from repro.core.discovery import DiscoveryConfig, PathDiscovery
-from repro.harness.experiment import (
-    ExperimentConfig,
-    _make_policy,
-    default_topology,
-    estimate_rtt,
-)
+from repro.harness.experiment import ExperimentConfig, assemble
 from repro.hypervisor.host import Host
 from repro.runner.job import fingerprint_payload
-from repro.sim.engine import Simulator
-from repro.sim.rng import RngRegistry
 from repro.telemetry import NULL_TELEMETRY, Telemetry
-from repro.topology.leafspine import build_leaf_spine
 from repro.transport.mptcp import open_mptcp_connection
 from repro.transport.tcp import open_connection
 from repro.workloads.incast import IncastConfig, IncastWorkload
@@ -48,38 +38,8 @@ def run_incast(
     benchmark tier.
     """
     tel = telemetry if telemetry is not None else NULL_TELEMETRY
-    sim = Simulator()
-    rng = RngRegistry(seed)
-    topo = default_topology()
-    net = build_leaf_spine(sim, rng, topo)
-    rtt = estimate_rtt(topo)
-    config = ExperimentConfig(scheme=scheme, seed=seed, mptcp_subflows=mptcp_subflows)
-    params = CloveParams(
-        flowlet_gap=config.flowlet_gap_rtt * rtt,
-        weight_reduction=config.weight_reduction,
-        congestion_expiry=config.congestion_expiry_rtt * rtt,
-        util_aging=10 * rtt,
-    )
-    discovery_cfg = DiscoveryConfig(
-        k_paths=4, n_candidate_ports=24, max_ttl=5,
-        round_timeout=max(20 * rtt, 1e-3), probe_interval=1.0,
-    )
-    hosts: Dict[str, Host] = {}
-    for index, name in enumerate(sorted(net.hosts)):
-        policy = _make_policy(config, rng, net, index, params)
-        host = Host(
-            sim, net, name, policy,
-            ecn_relay_interval=config.ecn_relay_interval_rtt * rtt,
-            reassembly_timeout=max(2 * rtt, 50e-6),
-        )
-        if policy is not None and policy.needs_discovery():
-            def _on_update(dst_ip, ports, traces, _policy=policy):
-                _policy.set_paths(dst_ip, ports, traces)
-            host.prober = PathDiscovery(
-                sim, host, rng.stream(f"discovery-{name}"),
-                config=discovery_cfg, on_update=_on_update,
-            )
-        hosts[name] = host
+    built = assemble(ExperimentConfig(scheme=scheme, seed=seed), tel)
+    sim, net, hosts = built.sim, built.net, built.hosts
 
     client = hosts["h1_0"]
     servers = [hosts[n] for n in sorted(hosts) if n.startswith("h2_")]
@@ -119,7 +79,7 @@ def run_incast(
                         seed=seed)
 
     workload = IncastWorkload(
-        sim, rng, client, servers,
+        sim, built.rng, client, servers,
         IncastConfig(
             total_bytes=total_bytes,
             fanout=fanout,

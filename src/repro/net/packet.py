@@ -103,7 +103,7 @@ class Packet:
         "flowcell_id", "flowcell_seq",
         "dsn", "subflow_id",
         "tsecr", "sack",
-        "created_at", "meta", "trace",
+        "created_at", "meta",
     )
 
     def __init__(
@@ -160,8 +160,6 @@ class Packet:
         self.created_at = created_at
         #: Free-form scratch space for protocol extensions (CONGA tags, ...).
         self.meta: Dict[str, Any] = {}
-        #: Node names traversed; populated only when tracing is enabled.
-        self.trace: Optional[List[str]] = None
 
     # ------------------------------------------------------------------
     # Encapsulation

@@ -97,8 +97,6 @@ class Switch:
     def receive(self, packet: Packet, link_in: Optional[Link]) -> None:
         """Process one arriving packet."""
         self.rx_packets += 1
-        if packet.trace is not None:
-            self.on_trace(packet, link_in)
         packet.ttl -= 1
         if packet.ttl <= 0:
             self.ttl_expired += 1
@@ -167,11 +165,6 @@ class Switch:
     # Hooks for subclasses (CONGA / LetFlow) -----------------------------
     def on_egress(self, packet: Packet, link_out: Link) -> None:
         """Called just before transmission; default is a no-op."""
-
-    def on_trace(self, packet: Packet, link_in: Optional[Link]) -> None:
-        """Record the hop when packet tracing is enabled."""
-        tag = f"{self.name}<{link_in.name}" if link_in is not None else self.name
-        packet.trace.append(tag)
 
     # ------------------------------------------------------------------
     # ICMP

@@ -89,6 +89,8 @@ class TestFaultPlan:
             FaultPlan((FaultEvent(0.0, "link_down", "L2", "L2"),))
         with pytest.raises(ValueError, match="factor"):
             FaultPlan((FaultEvent(0.0, "degrade", "L2", "S2", factor=1.5),))
+        with pytest.raises(ValueError, match="factor"):
+            degraded("L2", "S2", 0, factor=0.0)
         with pytest.raises(ValueError, match="downtime < period"):
             FaultPlan((FaultEvent(0.0, "flap", "L2", "S2",
                                   period=0.1, downtime=0.2, count=2),))
@@ -203,6 +205,20 @@ class TestChaosEngine:
         fwd, rev = net.cable("L2", "S2")
         assert not fwd.up and not rev.up
         assert [m["action"] for m in engine.markers] == ["link_down"]
+
+    def test_single_cable_down_costs_a_quarter_of_bisection(self, fabric):
+        sim, net, _hosts = fabric
+        before = net.bisection_bandwidth_bps()
+        ChaosEngine(sim, net, single_cable("L2", "S2")).start()
+        assert net.bisection_bandwidth_bps() == pytest.approx(before * 0.75)
+
+    def test_spine_losing_both_downlinks_halves_bisection(self, fabric):
+        sim, net, _hosts = fabric
+        plan = multi_failure_plan((("L2", "S2", 0), ("L2", "S2", 1)))
+        ChaosEngine(sim, net, plan).start()
+        assert not any(link.up for link in net.links[("S2", "L2")])
+        # S2 is now fully cut off from L2; S1 still has both cables.
+        assert net.bisection_bandwidth_bps() == pytest.approx(2 * 40e9)
 
     def test_future_events_apply_at_their_time(self, fabric):
         sim, net, _hosts = fabric
@@ -404,6 +420,15 @@ class TestExperimentIntegration:
                          (("L2", "S1", 0), ("L2", "S2", 0), ("L1", "S1", 0))))
         result = run_experiment(cfg)
         assert result.collector.completion_rate == pytest.approx(1.0)
+
+    def test_clove_survives_degraded_cable(self):
+        """Traffic over a cable at quarter rate (heterogeneous equipment,
+        not a failure): ECMP still treats it as equal cost."""
+        cfg = ExperimentConfig(scheme="clove-ecn", load=0.5, seed=3,
+                               jobs_per_client=6, clients_per_leaf=3,
+                               connections_per_client=1,
+                               chaos=degraded("L2", "S2", 0, factor=0.25))
+        assert run_experiment(cfg).collector.completion_rate == 1.0
 
     def test_clove_recovers_faster_than_ecmp_under_flap(self):
         """The headline behavioural claim, at a pinned configuration: a

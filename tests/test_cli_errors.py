@@ -105,12 +105,6 @@ def test_audit_diff_unreadable_artifact_returns_2(tmp_path, capsys):
     assert "cannot read" in _assert_clean_stderr(capsys)
 
 
-def test_bench_report_missing_dir_returns_2(tmp_path, capsys):
-    assert main(["bench", "report",
-                 "--dir", str(tmp_path / "no-such-dir")]) == 2
-    _assert_clean_stderr(capsys)
-
-
 # ----------------------------------------------------------------------
 # argparse-level usage errors
 # ----------------------------------------------------------------------
@@ -120,6 +114,9 @@ def test_bench_report_missing_dir_returns_2(tmp_path, capsys):
     ["audit"],                       # subcommand required
     ["audit", "run", "clove-ecn", "--audit", "loudly"],
     ["no-such-command"],
+    ["sweep", "--loads", "0.5,x"],   # list flags parse inside argparse
+    ["figure", "fig4b", "--loads", "x"],
+    ["incast", "--fanouts", "1,x"],
 ])
 def test_argparse_usage_errors_exit_2(argv, capsys):
     with pytest.raises(SystemExit) as excinfo:

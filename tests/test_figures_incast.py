@@ -17,7 +17,14 @@ from repro.harness.figures import (
     fig9,
     fig9_percentiles,
 )
+from repro.harness.experiment import (
+    SCHEMES,
+    ExperimentConfig,
+    assemble,
+    run_experiment,
+)
 from repro.harness.incast import run_incast
+from repro.telemetry import NULL_TELEMETRY, Telemetry
 
 TINY = FigureQuality(loads=(0.3,), seeds=(1,), jobs_per_client=4)
 
@@ -103,3 +110,39 @@ class TestIncastHarness:
         a = run_incast("clove-ecn", fanout=2, n_requests=2, total_bytes=200_000)
         b = run_incast("clove-ecn", fanout=2, n_requests=2, total_bytes=200_000)
         assert a == pytest.approx(b)
+
+    @staticmethod
+    def _fig7_point(scheme, **kwargs):
+        """(packets, events, goodput) of one fan-in-8 point."""
+        stats = {}
+        goodput = run_incast(scheme=scheme, seed=100, fanout=8, n_requests=6,
+                             total_bytes=2_000_000, stats_out=stats, **kwargs)
+        return stats["packets"], stats["events"], goodput
+
+    def test_switch_schemes_are_not_ecmp_in_disguise(self):
+        # CONGA and LetFlow balance inside the switches; on plain switches
+        # their edge policy *is* ECMP and the three runs are identical.
+        ecmp = self._fig7_point("ecmp")
+        assert self._fig7_point("conga") != ecmp
+        assert self._fig7_point("letflow") != ecmp
+
+    def test_clove_int_echoes_carry_utilization(self):
+        tel = Telemetry()
+        self._fig7_point("clove-int", telemetry=tel)
+        echoes = tel.events.events("clove.int_echo")
+        assert any(echo.fields["util"] > 0 for echo in echoes)
+
+
+def _switches(net):
+    return {name: (type(switch), switch.int_capable)
+            for name, switch in net.switches.items()}
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_incast_and_experiment_get_the_same_fabric(scheme):
+    # run_incast hands assemble exactly this config (plus its seed).
+    incast = assemble(ExperimentConfig(scheme=scheme), NULL_TELEMETRY)
+    experiment = run_experiment(ExperimentConfig(
+        scheme=scheme, jobs_per_client=1, clients_per_leaf=1,
+        connections_per_client=1))
+    assert _switches(incast.net) == _switches(experiment.net)

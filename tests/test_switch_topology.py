@@ -2,12 +2,16 @@
 
 import pytest
 
-from repro.net.packet import FlowKey, Packet, make_data_packet
+from repro.core.clove import CloveEcnPolicy, CloveParams
+from repro.net.packet import STT_DST_PORT, FlowKey, make_data_packet
 from repro.net.switch import Switch
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
 from repro.topology.fattree import FatTreeConfig, build_fat_tree
 from repro.topology.leafspine import LeafSpineConfig, build_leaf_spine
+from repro.transport.tcp import open_connection
+
+from tests.conftest import make_fabric
 
 
 def _net(sim=None, **overrides):
@@ -141,6 +145,46 @@ class TestPacketDelivery:
         packet = make_data_packet(FlowKey(1, 9999, 1, 2), 0, 10, 0.0)
         leaf.receive(packet, None)
         assert leaf.blackholed == 1
+
+
+def _uplinks_used(net):
+    """How many of L1's four spine uplinks carried at least one packet."""
+    uplinks = net.links[("L1", "S1")] + net.links[("L1", "S2")]
+    return sum(1 for link in uplinks if link.tx_packets)
+
+
+class TestUplinkSpread:
+    def test_flow_without_policy_pins_to_one_uplink(self):
+        # Non-overlay pass-through: the inner 5-tuple is fixed, so ECMP
+        # pins the whole flow to one path.
+        sim, net, hosts = make_fabric()
+        open_connection(hosts["h1_0"], hosts["h2_0"], 1000, 80).start_flow(
+            300_000, lambda: None)
+        sim.run(until=2.0)
+        assert _uplinks_used(net) == 1
+
+    def test_flowlet_policy_spreads_over_uplinks(self):
+        sim, net, hosts = make_fabric(
+            policy_factory=lambda name, index: CloveEcnPolicy(
+                CloveParams(flowlet_gap=1e-6)))
+        # One outer source port per L1 uplink, found the way discovery
+        # would: by asking which ECMP member each candidate hashes to.
+        leaf = net.switches["L1"]
+        src_ip, dst_ip = hosts["h1_0"].ip, hosts["h2_0"].ip
+        group = leaf.routes[dst_ip]
+        port_for = {}
+        for sport in range(49152, 49152 + 400):
+            key = FlowKey(src_ip, dst_ip, sport, STT_DST_PORT)
+            port_for.setdefault(leaf.hasher.select(key, len(group)), sport)
+        ports = list(port_for.values())
+        assert len(ports) == 4
+        hosts["h1_0"].vswitch.policy.set_paths(
+            dst_ip, ports, [(f"p{i}",) for i in range(len(ports))])
+        hosts["h2_0"].vswitch.policy.set_paths(src_ip, [50001], [("r",)])
+        open_connection(hosts["h1_0"], hosts["h2_0"], 1000, 80).start_flow(
+            500_000, lambda: None)
+        sim.run(until=2.0)
+        assert _uplinks_used(net) > 1
 
 
 class TestFatTree:

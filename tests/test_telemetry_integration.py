@@ -1,5 +1,4 @@
-"""End-to-end telemetry: instrumented experiments, the CLI artifact flow,
-and the path-tracer bridge."""
+"""End-to-end telemetry: instrumented experiments and the CLI artifact flow."""
 
 import pytest
 
@@ -7,11 +6,7 @@ from repro.cli import main
 from repro.harness.experiment import ExperimentConfig, run_experiment
 from repro.harness.incast import run_incast
 from repro.harness.sweep import average_over_seeds
-from repro.net.tracing import PathTracer
-from repro.telemetry import EventLog, Telemetry, load_jsonl
-from repro.transport.tcp import open_connection
-
-from tests.conftest import make_fabric
+from repro.telemetry import Telemetry, load_jsonl
 
 
 def _small_config(**overrides):
@@ -134,39 +129,3 @@ class TestCliTelemetry:
             main(["run", "ecmp", "--telemetry-out", "/nonexistent-dir/x.jsonl"])
         assert excinfo.value.code == 2
         assert "cannot write" in capsys.readouterr().err
-
-
-class TestPathTracerBridge:
-    def _traced_fabric(self):
-        sim, net, hosts = make_fabric()
-        tracer = PathTracer(match=lambda p: p.payload_bytes > 0)
-        hosts["h1_0"].send_from_guest = tracer.wrap(hosts["h1_0"].send_from_guest)
-        connection = open_connection(hosts["h1_0"], hosts["h2_0"], 1000, 80)
-        connection.start_flow(100_000, lambda: None)
-        sim.run(until=1.0)
-        return tracer
-
-    def test_to_events_emits_into_scope(self):
-        tracer = self._traced_fabric()
-        tel = Telemetry()
-        emitted = tracer.to_events(tel)
-        assert emitted == len(tracer.paths())
-        events = tel.events.events("path.trace")
-        assert len(events) == emitted
-        sample = events[0]
-        assert sample.fields["path"][0] == "L1"
-        assert sample.fields["path"][-1] == "L2"
-        assert sample.fields["sport"] == 1000
-        assert sample.time == pytest.approx(tracer.traced[0].created_at)
-
-    def test_to_events_accepts_bare_event_log(self):
-        tracer = self._traced_fabric()
-        log = EventLog()
-        assert tracer.to_events(log) == len(tracer.paths())
-        assert log.counts_by_type()["path.trace"] == len(tracer.paths())
-
-    def test_to_events_skips_untraced_packets(self):
-        tracer = PathTracer()
-        log = EventLog()
-        assert tracer.to_events(log) == 0
-        assert len(log) == 0
