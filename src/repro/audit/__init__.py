@@ -11,46 +11,29 @@ bit-identity.  :func:`audit_artifact` replays an exported telemetry
 JSONL(.gz) artifact through the same checks offline.
 """
 
-from repro.audit.auditor import Auditor
-from repro.audit.digest import (
-    StreamDigest,
-    diff_digests,
-    digest_events,
-    parse_digest,
-    render_digest,
-)
-from repro.audit.ledger import LedgerSnapshot, check_conservation, gather
-from repro.audit.offline import audit_artifact
-from repro.audit.report import (
-    MODE_REPORT,
-    MODE_STRICT,
-    MODES,
-    SEV_CRITICAL,
-    SEV_ERROR,
-    SEV_WARNING,
-    AuditError,
-    AuditFinding,
-    AuditReport,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "Auditor",
-    "AuditError",
-    "AuditFinding",
-    "AuditReport",
-    "LedgerSnapshot",
-    "MODE_REPORT",
-    "MODE_STRICT",
-    "MODES",
-    "SEV_CRITICAL",
-    "SEV_ERROR",
-    "SEV_WARNING",
-    "StreamDigest",
-    "audit_artifact",
-    "check_conservation",
-    "diff_digests",
-    "digest_events",
-    "gather",
-    "parse_digest",
-    "render_digest",
-]
+_EXPORTS = {
+    "Auditor": "auditor",
+    "AuditError": "report",
+    "AuditFinding": "report",
+    "AuditReport": "report",
+    "LedgerSnapshot": "ledger",
+    "MODE_REPORT": "report",
+    "MODE_STRICT": "report",
+    "MODES": "report",
+    "SEV_CRITICAL": "report",
+    "SEV_ERROR": "report",
+    "SEV_WARNING": "report",
+    "StreamDigest": "digest",
+    "audit_artifact": "offline",
+    "check_conservation": "ledger",
+    "diff_digests": "digest",
+    "digest_events": "digest",
+    "gather": "ledger",
+    "parse_digest": "digest",
+    "render_digest": "digest",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

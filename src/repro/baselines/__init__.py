@@ -12,16 +12,16 @@
 MPTCP, the host-based baseline, lives in :mod:`repro.transport.mptcp`.
 """
 
-from repro.baselines.ecmp import EcmpPolicy
-from repro.baselines.presto import PrestoPolicy
-from repro.baselines.conga import CongaLeafSwitch, CongaSpineSwitch, configure_conga
-from repro.baselines.letflow import LetFlowSwitch
+from repro import lazy_exports
 
-__all__ = [
-    "EcmpPolicy",
-    "PrestoPolicy",
-    "CongaLeafSwitch",
-    "CongaSpineSwitch",
-    "configure_conga",
-    "LetFlowSwitch",
-]
+_EXPORTS = {
+    "EcmpPolicy": "ecmp",
+    "PrestoPolicy": "presto",
+    "CongaLeafSwitch": "conga",
+    "CongaSpineSwitch": "conga",
+    "configure_conga": "conga",
+    "LetFlowSwitch": "letflow",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

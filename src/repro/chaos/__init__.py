@@ -18,80 +18,44 @@ Entry points: ``ExperimentConfig(chaos=FaultPlan(...))``, the CLI's
 ``repro chaos`` subcommand.
 """
 
-from repro.chaos.engine import (
-    ChaosEngine,
-    ControlPlaneState,
-    windows_from_markers,
-)
-from repro.chaos.metrics import (
-    ControlPlaneReport,
-    FlowSample,
-    HealthReport,
-    RecoveryReport,
-    compute_recovery,
-    controlplane_from_records,
-    controlplane_from_result,
-    format_controlplane_report,
-    format_health_report,
-    format_report,
-    health_from_records,
-    health_from_result,
-    recovery_from_records,
-    recovery_from_result,
-)
-from repro.chaos.plan import (
-    ACTIONS,
-    CONTROL_ACTIONS,
-    LINK_ACTIONS,
-    PRESETS,
-    FaultEvent,
-    FaultPlan,
-    echo_storm,
-    fault_windows,
-    flap,
-    degraded,
-    iter_presets,
-    multi_failure_plan,
-    preset,
-    random_plan,
-    restart_plan,
-    single_cable,
-    split_brain,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "ACTIONS",
-    "CONTROL_ACTIONS",
-    "LINK_ACTIONS",
-    "PRESETS",
-    "ChaosEngine",
-    "ControlPlaneReport",
-    "ControlPlaneState",
-    "FaultEvent",
-    "FaultPlan",
-    "FlowSample",
-    "HealthReport",
-    "RecoveryReport",
-    "compute_recovery",
-    "controlplane_from_records",
-    "controlplane_from_result",
-    "degraded",
-    "echo_storm",
-    "fault_windows",
-    "flap",
-    "format_controlplane_report",
-    "format_health_report",
-    "format_report",
-    "health_from_records",
-    "health_from_result",
-    "iter_presets",
-    "multi_failure_plan",
-    "preset",
-    "random_plan",
-    "recovery_from_records",
-    "recovery_from_result",
-    "restart_plan",
-    "single_cable",
-    "split_brain",
-    "windows_from_markers",
-]
+_EXPORTS = {
+    "ACTIONS": "plan",
+    "CONTROL_ACTIONS": "plan",
+    "LINK_ACTIONS": "plan",
+    "PRESETS": "plan",
+    "ChaosEngine": "engine",
+    "ControlPlaneReport": "metrics",
+    "ControlPlaneState": "engine",
+    "FaultEvent": "plan",
+    "FaultPlan": "plan",
+    "FlowSample": "metrics",
+    "HealthReport": "metrics",
+    "RecoveryReport": "metrics",
+    "compute_recovery": "metrics",
+    "controlplane_from_records": "metrics",
+    "controlplane_from_result": "metrics",
+    "degraded": "plan",
+    "echo_storm": "plan",
+    "fault_windows": "plan",
+    "flap": "plan",
+    "format_controlplane_report": "metrics",
+    "format_health_report": "metrics",
+    "format_report": "metrics",
+    "health_from_records": "metrics",
+    "health_from_result": "metrics",
+    "iter_presets": "plan",
+    "multi_failure_plan": "plan",
+    "preset": "plan",
+    "random_plan": "plan",
+    "recovery_from_records": "metrics",
+    "recovery_from_result": "metrics",
+    "restart_plan": "plan",
+    "single_cable": "plan",
+    "split_brain": "plan",
+    "windows_from_markers": "engine",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

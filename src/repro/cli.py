@@ -42,35 +42,26 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from pathlib import Path
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
-from repro.audit import (
-    AuditError,
-    AuditReport,
+# The parser needs only these two leaf modules (scheme names, audit modes);
+# each ``cmd_*`` imports what it runs, so ``repro --help`` or ``repro cache
+# list`` never loads the simulator (DESIGN.md, "Import layering").
+from repro.audit.report import (
     MODE_REPORT,
     MODE_STRICT,
     MODES,
-    audit_artifact,
-    diff_digests,
-    digest_events,
+    AuditError,
+    AuditReport,
 )
-from repro.chaos import FaultPlan, iter_presets, preset
-from repro.harness.experiment import ExperimentConfig, SCHEMES
-from repro.harness.report import render_bar_chart, render_cdf, render_table
-from repro.harness.sweep import sweep_loads
-from repro.runner import JobSpec, ResultCache, RunnerConfig, run_jobs
-from repro.telemetry import Telemetry, load_jsonl, open_text
-from repro.telemetry.render import render_dump
-from repro.telemetry.trace import (
-    TraceView,
-    export_chrome,
-    render_critical,
-    render_diff,
-    render_flow,
-    render_paths,
-    render_summary,
-)
+from repro.harness.schemes import SCHEMES
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.chaos.plan import FaultPlan
+    from repro.harness.experiment import ExperimentConfig
+    from repro.runner.pool import RunnerConfig
+    from repro.telemetry.core import Telemetry
+    from repro.telemetry.trace import TraceView
 
 
 def _add_telemetry_opts(parser: argparse.ArgumentParser) -> None:
@@ -99,6 +90,8 @@ def _add_runner_opts(parser: argparse.ArgumentParser) -> None:
 
 def _make_runner(args, progress: bool = True) -> RunnerConfig:
     """Build the RunnerConfig a subcommand's flags describe."""
+    from repro.runner.pool import RunnerConfig
+
     return RunnerConfig(
         jobs=args.jobs,
         cache_dir=args.cache_dir,
@@ -115,6 +108,9 @@ def _make_telemetry(args) -> Optional[Telemetry]:
     trace_out = getattr(args, "trace_out", None)
     if args.telemetry_out is None and trace_out is None and not args.profile:
         return None
+    from repro.telemetry.core import Telemetry
+    from repro.telemetry.events import open_text
+
     for path in (args.telemetry_out, trace_out):
         if path is None:
             continue
@@ -136,6 +132,8 @@ def _finish_telemetry(tel: Optional[Telemetry], args) -> None:
         print(f"telemetry written to {args.telemetry_out}", file=sys.stderr)
     trace_out = getattr(args, "trace_out", None)
     if trace_out is not None:
+        from repro.telemetry.trace import export_chrome
+
         n = export_chrome(tel.trace.view(), trace_out)
         print(f"chrome trace ({n} events) written to {trace_out}",
               file=sys.stderr)
@@ -182,6 +180,8 @@ def _chaos_plan(args) -> Optional[FaultPlan]:
     before any simulation time is spent.
     """
     if getattr(args, "chaos", None) is not None:
+        from repro.chaos.plan import FaultPlan
+
         try:
             with open(args.chaos, "r", encoding="utf-8") as fh:
                 return FaultPlan.from_json(fh.read())
@@ -190,6 +190,8 @@ def _chaos_plan(args) -> Optional[FaultPlan]:
                   file=sys.stderr)
             raise SystemExit(2)
     if getattr(args, "chaos_preset", None) is not None:
+        from repro.chaos.plan import preset
+
         try:
             return preset(args.chaos_preset)
         except KeyError as exc:
@@ -199,6 +201,8 @@ def _chaos_plan(args) -> Optional[FaultPlan]:
 
 
 def _config(args, scheme: Optional[str] = None) -> ExperimentConfig:
+    from repro.harness.experiment import ExperimentConfig
+
     return ExperimentConfig(
         scheme=scheme or args.scheme,
         load=args.load,
@@ -215,6 +219,9 @@ def _config(args, scheme: Optional[str] = None) -> ExperimentConfig:
 
 def cmd_run(args) -> int:
     """Handle ``repro run``: one experiment point, print its summary."""
+    from repro.runner.job import JobSpec
+    from repro.runner.pool import run_jobs
+
     tel = _make_telemetry(args)
     (result,) = run_jobs(
         [JobSpec.experiment(_config(args))],
@@ -312,6 +319,9 @@ def _print_health_metrics(m) -> None:
 
 def cmd_sweep(args) -> int:
     """Handle ``repro sweep``: scheme x load grid as a text table."""
+    from repro.harness.report import render_table
+    from repro.harness.sweep import sweep_loads
+
     schemes = args.schemes.split(",")
     for scheme in schemes:
         if scheme not in SCHEMES:
@@ -334,6 +344,7 @@ def cmd_figure(args) -> int:
     """Handle ``repro figure``: regenerate one paper figure."""
     from repro.harness import figures
     from repro.harness.figures import FigureQuality
+    from repro.harness.report import render_cdf, render_table
 
     quality = FigureQuality(
         loads=tuple(args.loads),
@@ -369,6 +380,10 @@ def cmd_figure(args) -> int:
 
 def cmd_incast(args) -> int:
     """Handle ``repro incast``: the Figure 7 fan-in experiment."""
+    from repro.harness.report import render_bar_chart
+    from repro.runner.job import JobSpec
+    from repro.runner.pool import run_jobs
+
     tel = _make_telemetry(args)
     specs = [
         JobSpec.incast(
@@ -398,6 +413,9 @@ def cmd_schemes(_args) -> int:
 
 def cmd_telemetry(args) -> int:
     """Handle ``repro telemetry``: render a JSONL telemetry artifact."""
+    from repro.telemetry.core import load_jsonl
+    from repro.telemetry.render import render_dump
+
     try:
         dump = load_jsonl(args.file)
     except (OSError, ValueError) as exc:  # ValueError covers malformed JSON
@@ -413,6 +431,9 @@ def _load_trace_view(path: str) -> TraceView:
     Exits 2 on an unreadable/malformed artifact (usage error), 1 on a
     readable artifact that simply holds no spans.
     """
+    from repro.telemetry.core import load_jsonl
+    from repro.telemetry.trace import TraceView
+
     try:
         dump = load_jsonl(path)
     except (OSError, ValueError) as exc:
@@ -428,6 +449,15 @@ def _load_trace_view(path: str) -> TraceView:
 
 def cmd_trace(args) -> int:
     """Handle ``repro trace``: offline analysis of causal span artifacts."""
+    from repro.telemetry.trace import (
+        export_chrome,
+        render_critical,
+        render_diff,
+        render_flow,
+        render_paths,
+        render_summary,
+    )
+
     if args.trace_command == "diff":
         view_a = _load_trace_view(args.file_a)
         view_b = _load_trace_view(args.file_b)
@@ -451,14 +481,7 @@ def cmd_trace(args) -> int:
 
 def cmd_chaos(args) -> int:
     """Handle ``repro chaos``: presets, plan dumps, offline reports."""
-    from repro.chaos.metrics import (
-        controlplane_from_records,
-        format_controlplane_report,
-        format_health_report,
-        format_report,
-        health_from_records,
-        recovery_from_records,
-    )
+    from repro.chaos.plan import iter_presets, preset
 
     if args.chaos_command == "presets":
         for name, description in iter_presets():
@@ -473,6 +496,16 @@ def cmd_chaos(args) -> int:
         print(plan.to_json(indent=2))
         return 0
     # report: recompute recovery metrics from a telemetry JSONL artifact.
+    from repro.chaos.metrics import (
+        controlplane_from_records,
+        format_controlplane_report,
+        format_health_report,
+        format_report,
+        health_from_records,
+        recovery_from_records,
+    )
+    from repro.telemetry.core import load_jsonl
+
     try:
         dump = load_jsonl(args.file)
     except (OSError, ValueError) as exc:
@@ -505,6 +538,8 @@ def cmd_audit(args) -> int:
     if args.audit_command == "run":
         return _audit_run(args)
     if args.audit_command == "check":
+        from repro.audit.offline import audit_artifact
+
         mode = MODE_STRICT if args.strict else MODE_REPORT
         try:
             report = audit_artifact(args.file, mode=mode)
@@ -517,6 +552,9 @@ def cmd_audit(args) -> int:
         print(report.summary())
         return 0 if report.ok else 1
     # diff: compare the determinism digests of two artifacts.
+    from repro.audit.digest import diff_digests
+    from repro.telemetry.core import load_jsonl
+
     digests = []
     for path in (args.file_a, args.file_b):
         try:
@@ -533,6 +571,8 @@ def cmd_audit(args) -> int:
 def _artifact_digest(dump) -> str:
     """An artifact's determinism digest: the audited-run digest stamped in
     its manifest when present, else a digest over the recorded events."""
+    from repro.audit.digest import digest_events
+
     digest = None
     for manifest in dump.get("manifests", ()):
         audit_info = manifest.get("audit")
@@ -567,7 +607,7 @@ def _suite_spec(args):
     Exits 2 — before any simulation time is spent — on a missing name, an
     unreadable/invalid spec file or an unknown bundled suite.
     """
-    from repro.suite import bundled_suite, load_suite
+    from repro import suite
 
     name = getattr(args, "name", None)
     spec_file = getattr(args, "spec", None)
@@ -577,13 +617,13 @@ def _suite_spec(args):
         raise SystemExit(2)
     if spec_file is not None:
         try:
-            return load_suite(spec_file)
+            return suite.load_suite(spec_file)
         except (OSError, ValueError) as exc:
             print(f"cannot load suite spec {spec_file!r}: {exc}",
                   file=sys.stderr)
             raise SystemExit(2)
     try:
-        return bundled_suite(name)
+        return suite.bundled_suite(name)
     except KeyError as exc:
         print(exc.args[0], file=sys.stderr)
         raise SystemExit(2)
@@ -597,7 +637,7 @@ def _suite_baseline_path(args, spec) -> str:
 
 
 def _load_suite_result(path: str):
-    from repro.suite import load_result
+    from repro.suite.execute import load_result
 
     try:
         return load_result(path)
@@ -608,22 +648,13 @@ def _load_suite_result(path: str):
 
 def cmd_suite(args) -> int:
     """Handle ``repro suite``: scenario matrices and regression gates."""
-    from repro.suite import (
-        baselines_from_result,
-        bundled_suite,
-        check_result,
-        diff_results,
-        iter_bundles,
-        load_baselines,
-        render_markdown,
-        report_dict,
-        run_suite,
-        save_baselines,
-    )
+    # the package resolves each name on first use: a subcommand loads only
+    # the suite modules it calls into
+    from repro import suite
     import json as _json
 
     if args.suite_command == "list":
-        for name, spec in iter_bundles():
+        for name, spec in suite.iter_bundles():
             scenarios = spec.expand()
             points = len(scenarios) * len(spec.seeds)
             print(f"{name:<14} {len(scenarios):>3} scenario(s) x "
@@ -632,7 +663,7 @@ def cmd_suite(args) -> int:
         return 0
     if args.suite_command == "show":
         try:
-            spec = bundled_suite(args.name)
+            spec = suite.bundled_suite(args.name)
         except KeyError as exc:
             print(exc.args[0], file=sys.stderr)
             return 2
@@ -641,15 +672,15 @@ def cmd_suite(args) -> int:
     if args.suite_command == "report":
         result = _load_suite_result(args.file)
         if args.format == "json":
-            print(_json.dumps(report_dict(result), indent=2, sort_keys=True))
+            print(_json.dumps(suite.report_dict(result), indent=2, sort_keys=True))
         else:
-            print(render_markdown(result))
+            print(suite.render_markdown(result))
         return 0
     if args.suite_command == "diff":
         result_a = _load_suite_result(args.file_a)
         result_b = _load_suite_result(args.file_b)
         metrics = args.metrics.split(",") if args.metrics else None
-        report = diff_results(
+        report = suite.diff_results(
             result_a, result_b, metrics=metrics,
             tolerance_pct=args.tolerance, alpha=args.alpha,
         )
@@ -659,7 +690,7 @@ def cmd_suite(args) -> int:
     # run / record / check all execute the suite first.
     spec = _suite_spec(args)
     tel = _make_telemetry(args)
-    result = run_suite(spec, runner=_make_runner(args), telemetry=tel)
+    result = suite.run_suite(spec, runner=_make_runner(args), telemetry=tel)
     _finish_telemetry(tel, args)
     if getattr(args, "out", None):
         result.save(args.out)
@@ -667,23 +698,24 @@ def cmd_suite(args) -> int:
 
     if args.suite_command == "run":
         if args.report == "json":
-            text = _json.dumps(report_dict(result), indent=2, sort_keys=True)
+            text = _json.dumps(suite.report_dict(result), indent=2, sort_keys=True)
         else:
-            text = render_markdown(result)
+            text = suite.render_markdown(result)
         print(text)
         if getattr(args, "report_out", None):
-            Path(args.report_out).write_text(text + "\n", encoding="utf-8")
+            with open(args.report_out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
             print(f"report written to {args.report_out}", file=sys.stderr)
         return 1 if result.failed_runs else 0
 
     if args.suite_command == "record":
         try:
-            baselines = baselines_from_result(spec, result)
+            baselines = suite.baselines_from_result(spec, result)
         except ValueError as exc:
             print(f"record failed: {exc}", file=sys.stderr)
             return 1
         path = _suite_baseline_path(args, spec)
-        save_baselines(baselines, path)
+        suite.save_baselines(baselines, path)
         print(f"recorded baselines for {len(result.results)} scenario(s) "
               f"to {path}")
         return 0
@@ -691,11 +723,11 @@ def cmd_suite(args) -> int:
     # check: gate against the recorded baselines.
     path = _suite_baseline_path(args, spec)
     try:
-        baselines = load_baselines(path)
+        baselines = suite.load_baselines(path)
     except (OSError, ValueError) as exc:
         print(f"cannot load baselines {path!r}: {exc}", file=sys.stderr)
         return 2
-    report = check_result(
+    report = suite.check_result(
         spec, result, baselines,
         tolerance_pct=args.tolerance, alpha=args.alpha,
     )
@@ -705,6 +737,8 @@ def cmd_suite(args) -> int:
 
 def cmd_cache(args) -> int:
     """Handle ``repro cache``: list or clear a result-cache directory."""
+    from repro.runner.cache import ResultCache
+
     cache = ResultCache(args.cache_dir)
     if args.cache_command == "clear":
         removed = cache.clear()

@@ -11,26 +11,20 @@
   Clove-ECN and Clove-INT.
 """
 
-from repro.core.flowlet import FlowletTable
-from repro.core.weights import WeightedPathTable
-from repro.core.discovery import PathDiscovery, DiscoveryConfig
-from repro.core.health import HealthConfig, PathHealthMonitor
-from repro.core.clove import (
-    EdgeFlowletPolicy,
-    CloveEcnPolicy,
-    CloveIntPolicy,
-    CloveParams,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "FlowletTable",
-    "WeightedPathTable",
-    "PathDiscovery",
-    "DiscoveryConfig",
-    "HealthConfig",
-    "PathHealthMonitor",
-    "EdgeFlowletPolicy",
-    "CloveEcnPolicy",
-    "CloveIntPolicy",
-    "CloveParams",
-]
+_EXPORTS = {
+    "FlowletTable": "flowlet",
+    "WeightedPathTable": "weights",
+    "PathDiscovery": "discovery",
+    "DiscoveryConfig": "discovery",
+    "HealthConfig": "health",
+    "PathHealthMonitor": "health",
+    "EdgeFlowletPolicy": "clove",
+    "CloveEcnPolicy": "clove",
+    "CloveIntPolicy": "clove",
+    "CloveParams": "clove",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

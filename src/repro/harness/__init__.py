@@ -1,20 +1,16 @@
 """Experiment assembly, load sweeps and per-figure tables."""
 
-from repro.harness.experiment import (
-    ExperimentConfig,
-    ExperimentResult,
-    SCHEMES,
-    run_experiment,
-    estimate_rtt,
-)
-from repro.harness.sweep import sweep_loads, average_over_seeds
+from repro import lazy_exports
 
-__all__ = [
-    "ExperimentConfig",
-    "ExperimentResult",
-    "SCHEMES",
-    "run_experiment",
-    "estimate_rtt",
-    "sweep_loads",
-    "average_over_seeds",
-]
+_EXPORTS = {
+    "ExperimentConfig": "experiment",
+    "ExperimentResult": "experiment",
+    "SCHEMES": "schemes",
+    "run_experiment": "experiment",
+    "estimate_rtt": "experiment",
+    "sweep_loads": "sweep",
+    "average_over_seeds": "sweep",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

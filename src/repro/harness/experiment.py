@@ -23,46 +23,37 @@ from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass, field, replace
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
-from repro.audit import Auditor, AuditReport
-from repro.baselines.conga import CongaLeafSwitch, CongaSpineSwitch, configure_conga
+# Module level holds what every run touches.  A scheme or observer only some
+# runs select (CONGA/LetFlow switches, Presto, MPTCP, clove-latency; auditor,
+# chaos engine, path health, span-trace fingerprints) is imported in the
+# branch below that uses it, always before the workload starts
+# (DESIGN.md, "Import layering").
 from repro.baselines.ecmp import EcmpPolicy
-from repro.chaos.engine import ChaosEngine
-from repro.chaos.plan import FaultPlan, single_cable
-from repro.baselines.letflow import LetFlowSwitch
-from repro.baselines.presto import PrestoPolicy
 from repro.core.clove import CloveEcnPolicy, CloveIntPolicy, CloveParams, EdgeFlowletPolicy
 from repro.core.discovery import DiscoveryConfig, PathDiscovery
-from repro.core.health import HealthConfig, PathHealthMonitor
+from repro.harness.schemes import SCHEMES
 from repro.hypervisor.host import Host
 from repro.hypervisor.policy import LoadBalancer, PathTrace
 from repro.metrics.collector import MetricsCollector
-from repro.net.packet import MTU, ACK_BYTES, ENCAP_BYTES
-from repro.runner.job import fingerprint_payload
+from repro.net.packet import MSS, MTU, ACK_BYTES, ENCAP_BYTES
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
 from repro.telemetry import NULL_TELEMETRY, Telemetry
 from repro.topology.leafspine import LeafSpineConfig, build_leaf_spine
 from repro.topology.network import Network
-from repro.transport.mptcp import open_mptcp_connection
 from repro.transport.tcp import open_connection
 from repro.workloads.distributions import flow_size_distribution, validate_workload
 from repro.workloads.generator import PoissonWorkload, WorkloadConfig
 
-SCHEMES = (
-    "ecmp",
-    "edge-flowlet",
-    "clove-ecn",
-    "clove-int",
-    "clove-latency",
-    "presto",
-    "mptcp",
-    "conga",
-    "letflow",
-)
-
-_SWITCH_SCHEMES = {"conga", "letflow"}
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.audit.report import AuditReport
+    from repro.chaos.engine import ChaosEngine
+    from repro.chaos.plan import FaultPlan
+    from repro.core.health import HealthConfig
 
 
 @dataclass
@@ -122,6 +113,8 @@ class ExperimentConfig:
         ``asymmetric`` sugar (one L2-S2 cable down from t=0)."""
         plan = self.chaos
         if self.asymmetric:
+            from repro.chaos.plan import single_cable
+
             asym = single_cable()
             plan = asym if plan is None else plan + asym
         return plan if plan else None
@@ -252,12 +245,13 @@ def _make_policy(
         return CloveIntPolicy(params, hash_seed=seed)
     if scheme == "clove-latency":
         from repro.core.latency import CloveLatencyPolicy
+
         return CloveLatencyPolicy(params, hash_seed=seed)
     if scheme == "presto":
         # Flowcells scale with the flow-size scale so the flowcells-per-flow
         # ratio matches the paper's 64KB cells against full-size flows.
-        from repro.baselines.presto import FLOWCELL_BYTES
-        from repro.net.packet import MSS
+        from repro.baselines.presto import FLOWCELL_BYTES, PrestoPolicy
+
         flowcell = max(MSS, int(FLOWCELL_BYTES * config.flow_scale))
         return PrestoPolicy(
             flowcell_bytes=flowcell,
@@ -297,10 +291,16 @@ def assemble(config: ExperimentConfig, tel: Telemetry) -> Assembly:
 
     topo = config.topology if config.topology is not None else default_topology()
     if config.scheme == "conga":
+        from repro.baselines.conga import (
+            CongaLeafSwitch, CongaSpineSwitch, configure_conga,
+        )
+
         topo = replace(
             topo, leaf_switch_class=CongaLeafSwitch, spine_switch_class=CongaSpineSwitch
         )
     elif config.scheme == "letflow":
+        from repro.baselines.letflow import LetFlowSwitch
+
         topo = replace(topo, switch_class=LetFlowSwitch)
     if config.scheme == "clove-int":
         topo = replace(topo, int_capable=True)
@@ -334,6 +334,8 @@ def assemble(config: ExperimentConfig, tel: Telemetry) -> Assembly:
     plan = config.fault_plan()
     chaos_engine: Optional[ChaosEngine] = None
     if plan is not None:
+        from repro.chaos.engine import ChaosEngine
+
         chaos_engine = ChaosEngine(sim, net, plan, telemetry=tel)
         chaos_engine.start()
 
@@ -349,6 +351,8 @@ def assemble(config: ExperimentConfig, tel: Telemetry) -> Assembly:
         probe_interval=1.0,
     )
     health_cfg = config.health_config
+    if config.health:
+        from repro.core.health import HealthConfig, PathHealthMonitor
     if config.health and health_cfg is None:
         # RTT-derived defaults: cheap enough to keep probe traffic in the
         # noise (<5% engine overhead), fast enough to beat the failover
@@ -424,22 +428,23 @@ def run_experiment(
     port_counter = [20000]
     pairs: List[Tuple[Host, Host]] = []
 
-    def _tcp_factory(client: Host, server: Host, index: int):
-        port_counter[0] += 16
-        pairs.append((client, server))
-        return open_connection(
-            client, server, port_counter[0], 80, min_rto=config.min_rto
-        )
+    if config.scheme == "mptcp":
+        from repro.transport.mptcp import open_mptcp_connection
 
-    def _mptcp_factory(client: Host, server: Host, index: int):
-        port_counter[0] += 16
-        pairs.append((client, server))
-        return open_mptcp_connection(
-            client, server, port_counter[0], 80,
-            n_subflows=config.mptcp_subflows, min_rto=config.min_rto,
-        )
-
-    factory = _mptcp_factory if config.scheme == "mptcp" else _tcp_factory
+        def factory(client: Host, server: Host, index: int):
+            port_counter[0] += 16
+            pairs.append((client, server))
+            return open_mptcp_connection(
+                client, server, port_counter[0], 80,
+                n_subflows=config.mptcp_subflows, min_rto=config.min_rto,
+            )
+    else:
+        def factory(client: Host, server: Host, index: int):
+            port_counter[0] += 16
+            pairs.append((client, server))
+            return open_connection(
+                client, server, port_counter[0], 80, min_rto=config.min_rto
+            )
 
     # Bisection under asymmetry: load stays relative to the *baseline*
     # bisection, as in the paper (the failure makes high loads infeasible).
@@ -475,6 +480,8 @@ def run_experiment(
     manifest: Optional[Dict[str, object]] = None
     if tel.enabled:
         if tel.trace.enabled:
+            from repro.runner.job import fingerprint_payload
+
             # Scope spans under the config's job fingerprint: the same id
             # the runner assigns, so serial and pooled runs of identical
             # specs land in (and merge into) the same run list.
@@ -498,8 +505,10 @@ def run_experiment(
     # schedules no events and draws no randomness — an audited run pops the
     # exact event sequence an unaudited run would, so its digest describes
     # the plain run.
-    auditor: Optional[Auditor] = None
+    auditor = None
     if config.audit is not None:
+        from repro.audit.auditor import Auditor
+
         auditor = Auditor(
             mode=config.audit, telemetry=tel if tel.enabled else None
         )

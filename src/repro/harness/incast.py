@@ -7,9 +7,7 @@ from typing import Dict, Optional
 
 from repro.harness.experiment import ExperimentConfig, assemble
 from repro.hypervisor.host import Host
-from repro.runner.job import fingerprint_payload
 from repro.telemetry import NULL_TELEMETRY, Telemetry
-from repro.transport.mptcp import open_mptcp_connection
 from repro.transport.tcp import open_connection
 from repro.workloads.incast import IncastConfig, IncastWorkload
 
@@ -45,6 +43,8 @@ def run_incast(
     servers = [hosts[n] for n in sorted(hosts) if n.startswith("h2_")]
 
     port_counter = [30000]
+    if scheme == "mptcp":
+        from repro.transport.mptcp import open_mptcp_connection
 
     def factory(server: Host, dst_client: Host, index: int):
         port_counter[0] += 16
@@ -65,6 +65,8 @@ def run_incast(
     manifest = None
     if tel.enabled:
         if tel.trace.enabled:
+            from repro.runner.job import fingerprint_payload
+
             tel.trace.begin_run(fingerprint_payload("incast", dict(
                 scheme=scheme, fanout=fanout, seed=seed,
                 n_requests=n_requests, total_bytes=total_bytes,

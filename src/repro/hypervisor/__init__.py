@@ -8,8 +8,14 @@ guest traffic STT-style, lets a pluggable
 senders in the STT context bits, and masks underlay ECN from guests.
 """
 
-from repro.hypervisor.policy import LoadBalancer, PathFeedback
-from repro.hypervisor.vswitch import VSwitch
-from repro.hypervisor.host import Host
+from repro import lazy_exports
 
-__all__ = ["LoadBalancer", "PathFeedback", "VSwitch", "Host"]
+_EXPORTS = {
+    "LoadBalancer": "policy",
+    "PathFeedback": "policy",
+    "VSwitch": "vswitch",
+    "Host": "host",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

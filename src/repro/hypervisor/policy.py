@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.net.packet import FlowKey, Packet
-from repro.telemetry.trace import weights_fingerprint
 
 #: A discovered physical path: the ordered tuple of link names it traverses.
 PathTrace = Tuple[str, ...]
@@ -107,7 +106,7 @@ class LoadBalancer:
             if weights is not None:
                 snapshot = weights.weights_for(inner.dst_ip)
                 if snapshot:
-                    fields["weights"] = weights_fingerprint(snapshot)
+                    fields["weights"] = trace.weights_fingerprint(snapshot)
                 path = weights.trace_of(inner.dst_ip, port)
                 if path:
                     fields["path"] = ">".join(path)

@@ -28,7 +28,6 @@ from typing import Dict, Optional, TYPE_CHECKING
 from repro.net.packet import FlowKey, Packet, STT_DST_PORT
 from repro.hypervisor.policy import LoadBalancer, PathFeedback
 from repro.sim.engine import Simulator
-from repro.telemetry.trace import weights_fingerprint
 from repro.transport.tcp import FLAG_ECE
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -463,7 +462,7 @@ class VSwitch:
                     trace.instant(
                         "respread", "weights_respread", self.sim.now,
                         parent=reaction.sid,
-                        weights=weights_fingerprint(snapshot),
+                        weights=trace.weights_fingerprint(snapshot),
                     )
             trace.end(reaction, self.sim.now)
         if self.host.health is not None:

@@ -1,5 +1,12 @@
 """Measurement: flow-completion times and network statistics."""
 
-from repro.metrics.collector import MetricsCollector, JobRecord, FctSummary
+from repro import lazy_exports
 
-__all__ = ["MetricsCollector", "JobRecord", "FctSummary"]
+_EXPORTS = {
+    "MetricsCollector": "collector",
+    "JobRecord": "collector",
+    "FctSummary": "collector",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

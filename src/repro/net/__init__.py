@@ -6,19 +6,17 @@ above a threshold, links with serialization + propagation delay, TTL
 handling (so traceroute works), and optional In-band Network Telemetry.
 """
 
-from repro.net.packet import Packet, FlowKey
-from repro.net.hashing import EcmpHasher
-from repro.net.queue import DropTailQueue
-from repro.net.link import Link
-from repro.net.switch import Switch
-from repro.net.dre import DiscountingRateEstimator
+from repro import lazy_exports
 
-__all__ = [
-    "Packet",
-    "FlowKey",
-    "EcmpHasher",
-    "DropTailQueue",
-    "Link",
-    "Switch",
-    "DiscountingRateEstimator",
-]
+_EXPORTS = {
+    "Packet": "packet",
+    "FlowKey": "packet",
+    "EcmpHasher": "hashing",
+    "DropTailQueue": "queue",
+    "Link": "link",
+    "Switch": "switch",
+    "DiscountingRateEstimator": "dre",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -28,31 +28,24 @@ Typical use::
 or from the CLI: ``python -m repro sweep -j 8 --cache-dir .repro-cache``.
 """
 
-from repro.runner.cache import CACHE_FILENAME, ResultCache
-from repro.runner.job import (
-    JOB_KINDS,
-    JobSpec,
-    SCHEMA_VERSION,
-    canonicalize,
-    fingerprint_payload,
-)
-from repro.runner.pool import JobResult, RunnerConfig, fork_available, run_jobs
-from repro.runner.progress import ProgressReporter
-from repro.runner.worker import execute_job, pool_worker
+from repro import lazy_exports
 
-__all__ = [
-    "CACHE_FILENAME",
-    "JOB_KINDS",
-    "JobResult",
-    "JobSpec",
-    "ProgressReporter",
-    "ResultCache",
-    "RunnerConfig",
-    "SCHEMA_VERSION",
-    "canonicalize",
-    "execute_job",
-    "fingerprint_payload",
-    "fork_available",
-    "pool_worker",
-    "run_jobs",
-]
+_EXPORTS = {
+    "CACHE_FILENAME": "cache",
+    "JOB_KINDS": "job",
+    "JobResult": "pool",
+    "JobSpec": "job",
+    "ProgressReporter": "progress",
+    "ResultCache": "cache",
+    "RunnerConfig": "pool",
+    "SCHEMA_VERSION": "job",
+    "canonicalize": "job",
+    "execute_job": "worker",
+    "fingerprint_payload": "job",
+    "fork_available": "pool",
+    "pool_worker": "worker",
+    "run_jobs": "pool",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -220,6 +220,15 @@ def _run_pooled(specs, pending, results, cache, telemetry, cfg, progress) -> Non
         queue=deque(pending),
         attempts={index: 0 for index in pending},
     )
+    # Load what the jobs will run here, before the fork: workers inherit the
+    # modules instead of each importing them inside its first job.
+    kinds = {specs[index].kind for index in pending}
+    if "experiment" in kinds:
+        import repro.chaos.metrics  # noqa: F401  (standard_metrics' reports)
+        import repro.harness.experiment  # noqa: F401
+        import repro.harness.metrics  # noqa: F401
+    if "incast" in kinds:
+        import repro.harness.incast  # noqa: F401
     pool = _make_pool(state.max_workers)
 
     def submit(index: int) -> None:

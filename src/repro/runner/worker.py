@@ -1,10 +1,14 @@
 """Job execution bodies: in-process and inside pool worker processes.
 
-The heavy harness imports happen *inside* the functions, for two reasons:
-the runner package must not import :mod:`repro.harness` at module level
-(the harness imports the runner — the lazy imports keep the dependency
-one-way), and a pool worker forked before the harness was imported pays
-the import cost once, on its first job.
+Each job kind imports its harness *inside* the function.  Everything that
+only describes or stores work — :class:`~repro.runner.pool.RunnerConfig`,
+the result cache, a warm ``repro suite check`` whose every point is a cache
+hit — reaches this module through :mod:`repro.runner.pool` and must not
+load the simulator for it; and a batch of one kind never loads the other
+kind's harness.  The pooled path does not leave these imports to the
+workers: :func:`repro.runner.pool.run_jobs` imports the harness in the
+parent before it forks, so workers inherit the loaded modules instead of
+importing them inside their first job.
 """
 
 from __future__ import annotations

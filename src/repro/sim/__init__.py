@@ -6,7 +6,13 @@ and the load balancers (:mod:`repro.core`, :mod:`repro.baselines`) all run.
 It plays the role that the hardware testbed and NS2 played in the Clove paper.
 """
 
-from repro.sim.engine import Event, Simulator
-from repro.sim.rng import RngRegistry
+from repro import lazy_exports
 
-__all__ = ["Event", "Simulator", "RngRegistry"]
+_EXPORTS = {
+    "Event": "engine",
+    "Simulator": "engine",
+    "RngRegistry": "rng",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -28,82 +28,46 @@ CLI, or programmatically::
                        runner=RunnerConfig(jobs=4, cache_dir=".cache"))
 """
 
-from repro.suite.baseline import (
-    BASELINE_SCHEMA,
-    CheckReport,
-    Finding,
-    baselines_from_result,
-    check_result,
-    diff_results,
-    load_baselines,
-    save_baselines,
-)
-from repro.suite.bundles import bundle_names, bundled_suite, iter_bundles
-from repro.suite.execute import (
-    RESULT_SCHEMA,
-    ScenarioResult,
-    SuiteResult,
-    load_result,
-    results_equal,
-    run_suite,
-    spec_digest,
-)
-from repro.suite.report import render_markdown, report_dict, scheme_comparisons
-from repro.suite.spec import (
-    TOPOLOGIES,
-    Scenario,
-    ScenarioSpec,
-    SuiteSpec,
-    build_config,
-    load_suite,
-)
-from repro.suite.stats import (
-    Comparison,
-    HIGHER_IS_BETTER,
-    bootstrap_mean_ci,
-    cliffs_delta,
-    compare_by_seed,
-    compare_paired,
-    mann_whitney_u,
-    sign_test,
-    worsening,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "BASELINE_SCHEMA",
-    "Comparison",
-    "CheckReport",
-    "Finding",
-    "HIGHER_IS_BETTER",
-    "RESULT_SCHEMA",
-    "Scenario",
-    "ScenarioResult",
-    "ScenarioSpec",
-    "SuiteResult",
-    "SuiteSpec",
-    "TOPOLOGIES",
-    "baselines_from_result",
-    "bootstrap_mean_ci",
-    "build_config",
-    "bundle_names",
-    "bundled_suite",
-    "check_result",
-    "cliffs_delta",
-    "compare_by_seed",
-    "compare_paired",
-    "diff_results",
-    "iter_bundles",
-    "load_baselines",
-    "load_result",
-    "load_suite",
-    "mann_whitney_u",
-    "render_markdown",
-    "report_dict",
-    "results_equal",
-    "run_suite",
-    "save_baselines",
-    "scheme_comparisons",
-    "sign_test",
-    "spec_digest",
-    "worsening",
-]
+_EXPORTS = {
+    "BASELINE_SCHEMA": "baseline",
+    "Comparison": "stats",
+    "CheckReport": "baseline",
+    "Finding": "baseline",
+    "HIGHER_IS_BETTER": "stats",
+    "RESULT_SCHEMA": "execute",
+    "Scenario": "spec",
+    "ScenarioResult": "execute",
+    "ScenarioSpec": "spec",
+    "SuiteResult": "execute",
+    "SuiteSpec": "spec",
+    "TOPOLOGIES": "spec",
+    "baselines_from_result": "baseline",
+    "bootstrap_mean_ci": "stats",
+    "build_config": "spec",
+    "bundle_names": "bundles",
+    "bundled_suite": "bundles",
+    "check_result": "baseline",
+    "cliffs_delta": "stats",
+    "compare_by_seed": "stats",
+    "compare_paired": "stats",
+    "diff_results": "baseline",
+    "iter_bundles": "bundles",
+    "load_baselines": "baseline",
+    "load_result": "execute",
+    "load_suite": "spec",
+    "mann_whitney_u": "stats",
+    "render_markdown": "report",
+    "report_dict": "report",
+    "results_equal": "execute",
+    "run_suite": "execute",
+    "save_baselines": "baseline",
+    "scheme_comparisons": "report",
+    "sign_test": "stats",
+    "spec_digest": "execute",
+    "worsening": "stats",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -13,52 +13,32 @@ See :mod:`repro.telemetry.core` for the facade, :mod:`~.registry` /
 blocks, and :mod:`~.render` for the ``repro telemetry`` text views.
 """
 
-from repro.telemetry.core import (
-    NULL_TELEMETRY,
-    Telemetry,
-    git_revision,
-    load_jsonl,
-)
-from repro.telemetry.events import EventLog, TelemetryEvent, open_text, read_jsonl
-from repro.telemetry.profiler import SimProfiler, callback_name
-from repro.telemetry.trace import (
-    Span,
-    TraceView,
-    Tracer,
-    chrome_trace,
-    export_chrome,
-    weights_fingerprint,
-)
-from repro.telemetry.registry import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    NULL_INSTRUMENT,
-    format_key,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "Telemetry",
-    "NULL_TELEMETRY",
-    "git_revision",
-    "load_jsonl",
-    "EventLog",
-    "TelemetryEvent",
-    "open_text",
-    "read_jsonl",
-    "Span",
-    "Tracer",
-    "TraceView",
-    "chrome_trace",
-    "export_chrome",
-    "weights_fingerprint",
-    "SimProfiler",
-    "callback_name",
-    "MetricsRegistry",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "NULL_INSTRUMENT",
-    "format_key",
-]
+_EXPORTS = {
+    "Telemetry": "core",
+    "NULL_TELEMETRY": "core",
+    "git_revision": "core",
+    "load_jsonl": "core",
+    "EventLog": "events",
+    "TelemetryEvent": "events",
+    "open_text": "events",
+    "read_jsonl": "events",
+    "Span": "trace",
+    "Tracer": "trace",
+    "TraceView": "trace",
+    "chrome_trace": "trace",
+    "export_chrome": "trace",
+    "weights_fingerprint": "trace",
+    "SimProfiler": "profiler",
+    "callback_name": "profiler",
+    "MetricsRegistry": "registry",
+    "Counter": "registry",
+    "Gauge": "registry",
+    "Histogram": "registry",
+    "NULL_INSTRUMENT": "registry",
+    "format_key": "registry",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -17,7 +17,7 @@ shared, and allocation-free — so uninstrumented runs pay only a handful of
 from __future__ import annotations
 
 import json
-import subprocess
+import os
 import time
 from typing import Any, Dict, Iterable, List, Optional
 
@@ -31,13 +31,17 @@ _git_rev_known = False
 
 
 def git_revision() -> Optional[str]:
-    """The repository's HEAD commit, or None outside a git checkout."""
+    """HEAD of the checkout this package runs from, or None when it is not
+    inside one — whatever directory the caller happens to be in."""
     global _git_rev_cache, _git_rev_known
     if not _git_rev_known:
         _git_rev_known = True
+        import subprocess  # only the first manifest of a process needs it
+
         try:
             _git_rev_cache = subprocess.run(
                 ["git", "rev-parse", "HEAD"],
+                cwd=os.path.dirname(os.path.abspath(__file__)),
                 capture_output=True, text=True, timeout=5.0, check=True,
             ).stdout.strip() or None
         except Exception:

@@ -108,6 +108,10 @@ class Tracer:
     what makes serial and pooled execution bit-identical.
     """
 
+    #: reachable through the bound tracer, so the datapath layers that
+    #: stamp it on spans need not import this module
+    weights_fingerprint = staticmethod(weights_fingerprint)
+
     def __init__(self, capacity: int = 200_000, enabled: bool = True) -> None:
         if capacity <= 0:
             raise ValueError("trace capacity must be positive")

@@ -1,13 +1,14 @@
 """Topology builders: leaf-spine (the paper's testbed) and fat-tree."""
 
-from repro.topology.network import Network, LinkSpec
-from repro.topology.leafspine import build_leaf_spine, LeafSpineConfig
-from repro.topology.fattree import build_fat_tree
+from repro import lazy_exports
 
-__all__ = [
-    "Network",
-    "LinkSpec",
-    "build_leaf_spine",
-    "LeafSpineConfig",
-    "build_fat_tree",
-]
+_EXPORTS = {
+    "Network": "network",
+    "LinkSpec": "network",
+    "build_leaf_spine": "leafspine",
+    "LeafSpineConfig": "leafspine",
+    "build_fat_tree": "fattree",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

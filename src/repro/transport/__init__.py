@@ -6,16 +6,17 @@ and DCTCP (:mod:`repro.transport.dctcp`) model the host-based alternatives
 the paper compares against / discusses.
 """
 
-from repro.transport.tcp import TcpReceiver, TcpSender, Connection, open_connection
-from repro.transport.dctcp import DctcpSender
-from repro.transport.mptcp import MptcpConnection, open_mptcp_connection
+from repro import lazy_exports
 
-__all__ = [
-    "TcpSender",
-    "TcpReceiver",
-    "Connection",
-    "open_connection",
-    "DctcpSender",
-    "MptcpConnection",
-    "open_mptcp_connection",
-]
+_EXPORTS = {
+    "TcpSender": "tcp",
+    "TcpReceiver": "tcp",
+    "Connection": "tcp",
+    "open_connection": "tcp",
+    "DctcpSender": "dctcp",
+    "MptcpConnection": "mptcp",
+    "open_mptcp_connection": "mptcp",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

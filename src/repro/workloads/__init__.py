@@ -1,27 +1,20 @@
 """Traffic generation: empirical flow sizes and arrival processes."""
 
-from repro.workloads.distributions import (
-    WORKLOADS,
-    EmpiricalCdf,
-    data_mining_distribution,
-    enterprise_distribution,
-    flow_size_distribution,
-    validate_workload,
-    web_search_distribution,
-)
-from repro.workloads.generator import PoissonWorkload, WorkloadConfig
-from repro.workloads.incast import IncastWorkload, IncastConfig
+from repro import lazy_exports
 
-__all__ = [
-    "WORKLOADS",
-    "EmpiricalCdf",
-    "data_mining_distribution",
-    "enterprise_distribution",
-    "flow_size_distribution",
-    "validate_workload",
-    "web_search_distribution",
-    "PoissonWorkload",
-    "WorkloadConfig",
-    "IncastWorkload",
-    "IncastConfig",
-]
+_EXPORTS = {
+    "WORKLOADS": "distributions",
+    "EmpiricalCdf": "distributions",
+    "data_mining_distribution": "distributions",
+    "enterprise_distribution": "distributions",
+    "flow_size_distribution": "distributions",
+    "validate_workload": "distributions",
+    "web_search_distribution": "distributions",
+    "PoissonWorkload": "generator",
+    "WorkloadConfig": "generator",
+    "IncastWorkload": "incast",
+    "IncastConfig": "incast",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

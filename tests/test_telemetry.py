@@ -2,10 +2,13 @@
 manifests, JSONL round-trips, rendering)."""
 
 import json
+import os
+import subprocess
 
 import pytest
 
 from repro.sim.engine import Simulator
+from repro.telemetry import core as telemetry_core
 from repro.telemetry import (
     NULL_INSTRUMENT,
     NULL_TELEMETRY,
@@ -214,6 +217,23 @@ class TestTelemetryScope:
         assert manifest["scheme"] == "clove-ecn"
         assert manifest["git_rev"] == git_revision()
         assert "recorded_unix" in manifest
+
+    def test_git_revision_is_this_checkout_whatever_the_cwd(
+            self, tmp_path, monkeypatch):
+        here = os.path.dirname(os.path.abspath(__file__))
+        try:
+            head = subprocess.run(
+                ["git", "rev-parse", "HEAD"], cwd=here, capture_output=True,
+                text=True, timeout=5.0, check=True,
+            ).stdout.strip()
+        except (OSError, subprocess.SubprocessError):
+            pytest.skip("not running from a git checkout")
+        # tmp_path is outside any repository: asking git there says nothing
+        # about the code that is running
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(telemetry_core, "_git_rev_known", False)
+        monkeypatch.setattr(telemetry_core, "_git_rev_cache", None)
+        assert git_revision() == head
 
     def test_profiler_only_when_requested(self):
         assert Telemetry().profiler is None
