@@ -35,7 +35,7 @@ def check_queues(report: AuditReport, net, now: float) -> None:
                 link=link.name, depth=depth,
                 capacity=queue.capacity_packets,
             )
-        actual_bytes = sum(packet.size for packet, _ in queue._items)
+        actual_bytes = sum(entry[0].size for entry in queue._items)
         if queue.byte_count != actual_bytes or queue.byte_count < 0:
             report.record(
                 "queue.occupancy",

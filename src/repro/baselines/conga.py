@@ -38,6 +38,15 @@ FB_METRIC = "conga_fbmetric"
 SRC_LEAF = "conga_srcleaf"
 
 
+def _stamp_ce(switch: Switch, packet: Packet, link_out: Link) -> None:
+    """Egress hook of every CONGA switch: fold the egress link's DRE into
+    the running max a tagged packet carries."""
+    if CE in packet.meta:
+        util = link_out.dre.utilization(switch.sim.now)
+        if util > packet.meta[CE]:
+            packet.meta[CE] = util
+
+
 class CongaLeafSwitch(Switch):
     """A leaf running CONGA's source/destination logic."""
 
@@ -93,7 +102,7 @@ class CongaLeafSwitch(Switch):
 
     # ------------------------------------------------------------------
     def forward(self, packet: Packet, link_in) -> None:
-        key = packet.route_key
+        key = packet.outer if packet.outer is not None else packet.inner
         if key.dst_ip in self.local_ips:
             self._as_destination_leaf(packet)
             super().forward(packet, link_in)
@@ -197,11 +206,7 @@ class CongaLeafSwitch(Switch):
             if fbtag < len(row):
                 self._store_metric(row, fbtag, fbmetric)
 
-    def on_egress(self, packet: Packet, link_out: Link) -> None:
-        if CE in packet.meta:
-            util = link_out.dre.utilization(self.sim.now)
-            if util > packet.meta[CE]:
-                packet.meta[CE] = util
+    on_egress = _stamp_ce
 
 
 class CongaSpineSwitch(Switch):
@@ -217,11 +222,7 @@ class CongaSpineSwitch(Switch):
             return live[lbtag % len(live)]
         return super().select_port(packet, key, live, link_in)
 
-    def on_egress(self, packet: Packet, link_out: Link) -> None:
-        if CE in packet.meta:
-            util = link_out.dre.utilization(self.sim.now)
-            if util > packet.meta[CE]:
-                packet.meta[CE] = util
+    on_egress = _stamp_ce
 
 
 def configure_conga(net: Network, flowlet_gap: Optional[float] = None) -> None:
@@ -229,7 +230,8 @@ def configure_conga(net: Network, flowlet_gap: Optional[float] = None) -> None:
 
     Expects leaves named ``L*`` (built with ``switch_class=CongaLeafSwitch``)
     and spines named ``S*`` (``CongaSpineSwitch``); fills in uplink lists,
-    local/remote IP maps and cable counts.
+    local/remote IP maps and cable counts, and gives every switch egress
+    link the DRE the switches read.
     """
     leaves = {n: s for n, s in net.switches.items() if isinstance(s, CongaLeafSwitch)}
     spines = {n: s for n, s in net.switches.items() if isinstance(s, CongaSpineSwitch)}
@@ -253,3 +255,7 @@ def configure_conga(net: Network, flowlet_gap: Optional[float] = None) -> None:
         spine.cables_per_pair = max(
             len(net.links_between(spine.name, leaf_name)) for leaf_name in leaves
         )
+    for (src, _dst), group in net.links.items():
+        if src in net.switches:
+            for link in group:
+                link.track_utilization()

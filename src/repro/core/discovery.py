@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Set, Tuple, TYPE_CHECKING
 
-from repro.net.packet import FlowKey, Packet, STT_DST_PORT
+from repro.net.packet import Packet
 from repro.hypervisor.policy import PathTrace
 from repro.sim.engine import Simulator
 
@@ -245,7 +245,7 @@ class PathDiscovery:
     def _send_probe(self, dst_ip: int, port: int, ttl: int) -> None:
         pid = next_probe_id(self.sim)
         self._probe_index[pid] = (dst_ip, port, ttl)
-        key = FlowKey(self.host.ip, dst_ip, port, STT_DST_PORT)
+        key = self.host.vswitch.outer_key(dst_ip, port)
         probe = Packet(key, payload_bytes=28, created_at=self.sim.now)
         probe.ttl = ttl
         probe.meta["probe"] = pid

@@ -50,7 +50,7 @@ from repro.core.weights import (
     STATE_QUARANTINED,
     WeightedPathTable,
 )
-from repro.net.packet import FlowKey, Packet, STT_DST_PORT
+from repro.net.packet import Packet
 from repro.sim.engine import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -281,7 +281,7 @@ class PathHealthMonitor:
         self._outstanding[pid] = (dst_ip, port, self.sim.now)
         # Same outer 5-tuple shape as data traffic, so fabric ECMP hashes
         # the probe onto exactly the path this port's flowlets take.
-        key = FlowKey(self.host.ip, dst_ip, port, STT_DST_PORT)
+        key = self.host.vswitch.outer_key(dst_ip, port)
         probe = Packet(key, payload_bytes=28, created_at=self.sim.now)
         probe.meta["probe"] = pid
         probe.meta["health"] = True

@@ -18,6 +18,7 @@ from repro.topology.network import Network
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.discovery import PathDiscovery
+    from repro.net.link import Link
 
 
 class Host:
@@ -44,6 +45,8 @@ class Host:
         )
         self._uplink = net.host_link(name)
         self._endpoints: Dict[FlowKey, object] = {}
+        #: (prober ip, reply sport) -> interned probe-reply 5-tuple
+        self._reply_keys: Dict[tuple, FlowKey] = {}
         self.prober: Optional["PathDiscovery"] = None
         #: path health monitor (repro.core.health); None = no self-healing
         self.health = None
@@ -100,8 +103,9 @@ class Host:
         self.tx_nic_packets += 1
         self._uplink.send(packet)
 
-    def receive(self, packet: Packet) -> None:
-        """NIC receive path: demux control traffic, tunnels, plain packets."""
+    def receive(self, packet: Packet, link_in: Link) -> None:
+        """NIC receive path: demux control traffic, tunnels, plain packets
+        (``link_in``, the access link it arrived on, is not needed here)."""
         self.rx_packets += 1
         meta = packet.meta
         if meta:
@@ -142,8 +146,11 @@ class Host:
         sender (the equivalent of the final hop answering)."""
         key = probe.route_key
         sport = self._reply_sport(probe) if probe.meta.get("health") else 0
-        reply = Packet(FlowKey(self.ip, key.src_ip, sport, 0, 17),
-                       payload_bytes=28, created_at=self.sim.now)
+        reply_key = self._reply_keys.get((key.src_ip, sport))
+        if reply_key is None:
+            reply_key = FlowKey(self.ip, key.src_ip, sport, 0, 17)
+            self._reply_keys[(key.src_ip, sport)] = reply_key
+        reply = Packet(reply_key, payload_bytes=28, created_at=self.sim.now)
         reply.meta["probe_reply"] = probe.meta["probe"]
         reply.meta["probe_sport"] = key.src_port
         self.nic_send(reply)

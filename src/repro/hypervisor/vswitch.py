@@ -111,10 +111,7 @@ class VSwitch:
         self._wants_latency = bool(
             policy is not None and getattr(policy, "wants_latency", False)
         )
-        #: outer (dst_hyp, sport) -> interned FlowKey: the encap header for
-        #: a given path is always the same value, and reusing one object
-        #: lets every downstream hash (switch ECMP memo, flowlet tables)
-        #: hit its cached FlowKey hash
+        #: outer (dst_hyp, sport) -> interned FlowKey (see :meth:`outer_key`)
         self._outer_keys: Dict[tuple, FlowKey] = {}
         # Counters.
         self.tx_encapsulated = 0
@@ -170,11 +167,9 @@ class VSwitch:
         sport = self.policy.select_source_port(inner, packet, now)
         if self._tel_trace is not None and packet.payload_bytes:
             self._tel_trace.flowlet_bytes(inner, packet.payload_bytes)
-        outer_id = (dst_hyp, sport)
-        outer = self._outer_keys.get(outer_id)
+        outer = self._outer_keys.get((dst_hyp, sport))
         if outer is None:
-            outer = FlowKey(self.host.ip, dst_hyp, sport, STT_DST_PORT)
-            self._outer_keys[outer_id] = outer
+            outer = self.outer_key(dst_hyp, sport)
         packet.encapsulate(outer, ect=self._wants_ecn)
         if self._wants_int:
             packet.int_enabled = True
@@ -188,6 +183,21 @@ class VSwitch:
             self._attach_echo(packet, dst_hyp)
         self.tx_encapsulated += 1
         self.host.nic_send(packet)
+
+    def outer_key(self, dst_hyp: int, sport: int) -> FlowKey:
+        """The interned encapsulation 5-tuple towards ``dst_hyp`` from
+        source port ``sport``.
+
+        Data packets and the discovery / health probes that must hash onto
+        the same path all take their outer key from here, so every
+        downstream table (switch ECMP memos, flowlet tables) is hit with
+        the very same object and never falls back to comparing tuples.
+        """
+        outer = self._outer_keys.get((dst_hyp, sport))
+        if outer is None:
+            outer = FlowKey(self.host.ip, dst_hyp, sport, STT_DST_PORT)
+            self._outer_keys[(dst_hyp, sport)] = outer
+        return outer
 
     def _transmit_rewrite(self, packet: Packet) -> None:
         """Section 7 non-overlay mode: rewrite the source port in place.

@@ -70,7 +70,9 @@ class NetworkSampler:
         self.samples[name] = []
 
     def watch_link_utilization(self, link: Link, name: Optional[str] = None) -> None:
-        """Probe a link's DRE utilization."""
+        """Probe a link's DRE utilization (attaching the estimator: watch
+        before traffic starts)."""
+        link.track_utilization()
         self.add_probe(name or f"util:{link.name}", link.utilization)
 
     def watch_queue_depth(self, link: Link, name: Optional[str] = None) -> None:

@@ -9,13 +9,20 @@ We reuse the same estimator for the INT utilization that Clove-INT consumes,
 so both schemes observe the network through identical eyes (as the paper's
 NS2 setup effectively did).
 
+A link carries an estimator only when something reads it
+(:meth:`repro.net.link.Link.track_utilization`): CONGA's switches on every
+switch egress link, INT-capable switches on their route links, the
+telemetry ``link.utilization`` gauge and the time-series sampler.
+
 The decay is applied lazily on access instead of with a periodic timer, so
 idle links cost nothing.  Samples may also be *scheduled*: the virtual-clock
 link transmitter computes serialization start times ahead of the simulation
 clock, so :meth:`record` buffers samples and folds them into the register —
 in timestamp order — only when a reader catches up to them.  Readers (CONGA
 leaves call :meth:`utilization` / :meth:`quantized` directly) therefore see
-bit-identical values to an estimator fed strictly in real time.
+bit-identical values to an estimator fed strictly in real time.  When a
+rate change re-plans waiting packets, the link drops their buffered samples
+(:meth:`drop_pending_after`) and records them again at their new start.
 """
 
 from __future__ import annotations
@@ -23,9 +30,12 @@ from __future__ import annotations
 import math
 from collections import deque
 
-#: buffered samples beyond this are folded in eagerly; only ever reached on
-#: links whose estimator is never read (e.g. Clove-ECN runs, where nothing
-#: consumes utilization), so exactness vs. lazy folding is moot there
+#: buffered samples beyond this are folded in eagerly, up to the newest one.
+#: Only a link read rarely gets there — one whose sole reader is the
+#: end-of-run telemetry gauge or a sparse sampler, with a deep queue.  A
+#: later read at or after the newest folded sample (the end-of-run gauge)
+#: still sees the real-time value; an earlier one sees those bytes early,
+#: and a rate change cannot move their samples any more.
 _PENDING_CAP = 512
 
 
@@ -75,17 +85,16 @@ class DiscountingRateEstimator:
             self._decay_to(when)
             self._x += nbytes
 
-    def flush_pending(self) -> None:
-        """Fold every buffered sample in, regardless of timestamp."""
-        if self._pending:
-            self._drain(math.inf)
-
-    def drop_pending_after(self, now: float) -> None:
+    def drop_pending_after(self, now: float) -> int:
         """Discard buffered samples scheduled after ``now`` (their
-        transmissions were cancelled by a link failure)."""
+        transmissions were cancelled by a link failure, or re-planned by a
+        rate change); returns how many were dropped."""
         pending = self._pending
+        dropped = 0
         while pending and pending[-1][1] > now:
             pending.pop()
+            dropped += 1
+        return dropped
 
     def utilization(self, now: float) -> float:
         """Estimated utilization in [0, ~saturation]; ~1.0 means line rate."""

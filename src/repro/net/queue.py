@@ -1,12 +1,15 @@
-"""Drop-tail egress queue with threshold ECN marking.
+"""Drop-tail egress buffer with threshold ECN marking.
 
 This mirrors the behaviour the paper relies on from commodity (Broadcom)
 switches: a FIFO per egress port with a fixed capacity, marking CE on
 packets that arrive to find the instantaneous queue length above a
 configured threshold (DCTCP-style marking-on-enqueue).
 
-The queue also keeps the counters the experiments report: drops, ECN marks,
-peak occupancy, and cumulative queueing delay.
+A :class:`DropTailQueue` is the port's configuration, its FIFO and its
+counters (drops, ECN marks, peak occupancy, cumulative queueing delay).
+The rules that fill and drain it — admission at enqueue, eviction when
+serialization starts — live once, in :class:`~repro.net.link.Link`, which
+owns the queue: each FIFO entry also carries the packet's transmit plan.
 """
 
 from __future__ import annotations
@@ -15,6 +18,11 @@ from collections import deque
 from typing import Deque, Optional, Tuple
 
 from repro.net.packet import Packet
+from repro.sim.engine import Event
+
+#: one queued packet: (packet, enqueued at, serialization start,
+#: serialization end, delivery event)
+Entry = Tuple[Packet, float, float, float, Event]
 
 
 class QueueStats:
@@ -58,7 +66,7 @@ class DropTailQueue:
             raise ValueError("queue capacity must be positive")
         self.capacity_packets = capacity_packets
         self.ecn_threshold_packets = ecn_threshold_packets
-        self._items: Deque[Tuple[Packet, float]] = deque()
+        self._items: Deque[Entry] = deque()
         self.byte_count = 0
         self.stats = QueueStats()
 
@@ -68,41 +76,3 @@ class DropTailQueue:
     @property
     def is_empty(self) -> bool:
         return not self._items
-
-    def enqueue(self, packet: Packet, now: float) -> bool:
-        """Add ``packet``; returns False (and counts a drop) when full.
-
-        ECN: if the packet is ECT and the queue length *before* enqueue is at
-        or above the threshold, CE is set (mark-on-enqueue, as DCTCP
-        recommends and the paper's switches were configured to do).
-        """
-        items = self._items
-        stats = self.stats
-        depth = len(items)
-        if depth >= self.capacity_packets:
-            stats.dropped += 1
-            return False
-        threshold = self.ecn_threshold_packets
-        if threshold is not None and packet.ect and depth >= threshold:
-            packet.ce = True
-            stats.ecn_marked += 1
-        items.append((packet, now))
-        depth += 1
-        byte_count = self.byte_count + packet.size
-        self.byte_count = byte_count
-        stats.enqueued += 1
-        if depth > stats.peak_packets:
-            stats.peak_packets = depth
-        if byte_count > stats.peak_bytes:
-            stats.peak_bytes = byte_count
-        return True
-
-    def dequeue(self, now: float) -> Optional[Packet]:
-        """Remove and return the head packet, or None when empty."""
-        if not self._items:
-            return None
-        packet, enqueued_at = self._items.popleft()
-        self.byte_count -= packet.size
-        self.stats.dequeued += 1
-        self.stats.total_queue_delay += now - enqueued_at
-        return packet

@@ -14,8 +14,8 @@ hardware:
 * **INT stamping** — when a packet requests telemetry, the switch folds the
   egress link's DRE utilization into ``int_max_util`` (Clove-INT).
 
-Switches intended to run CONGA subclass this and override
-:meth:`select_port`; everything else is shared.
+Switches intended to run CONGA subclass this, override :meth:`select_port`
+and set the :attr:`Switch.on_egress` hook; everything else is shared.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ ICMP_TIME_EXCEEDED = "time_exceeded"
 
 
 class Switch:
-    """An L3 ECMP switch.  One ingress handler per attached link."""
+    """An L3 ECMP switch; every ingress link calls :meth:`receive`."""
 
     def __init__(
         self,
@@ -49,6 +49,8 @@ class Switch:
         self.name = name
         self.ip = ip
         self.hasher = EcmpHasher(hash_seed)
+        #: the hasher's per-key memo, read directly on the forward path
+        self._hash_memo = self.hasher._memo
         self.int_capable = int_capable
         #: dst_ip -> ordered ECMP group of egress links.
         self.routes: Dict[int, List[Link]] = {}
@@ -63,6 +65,9 @@ class Switch:
         #: bypassed entirely while ``failover_delay`` is non-zero (liveness
         #: is then a function of time, not just of up/down flips)
         self._live_cache: Dict[int, tuple] = {}
+        #: reply destination -> interned ICMP 5-tuple (ECMP memo hits by
+        #: identity, as for the vswitch's outer keys)
+        self._icmp_keys: Dict[int, FlowKey] = {}
         self.rx_packets = 0
         self.blackholed = 0
         #: packets consumed here because their TTL hit zero
@@ -84,18 +89,17 @@ class Switch:
         """Install/replace the ECMP group towards ``dst_ip``."""
         self.routes[dst_ip] = list(links)
         self._live_cache.pop(dst_ip, None)
-
-    def ingress_handler(self, link_in: Optional[Link]) -> Callable[[Packet], None]:
-        """Return the receive callback for packets arriving over ``link_in``."""
-        def _receive(packet: Packet) -> None:
-            self.receive(packet, link_in)
-        return _receive
+        if self.int_capable:
+            # INT stamping reads the egress link's utilization.
+            for link in links:
+                link.track_utilization()
 
     # ------------------------------------------------------------------
     # Data plane
     # ------------------------------------------------------------------
     def receive(self, packet: Packet, link_in: Optional[Link]) -> None:
-        """Process one arriving packet."""
+        """Process one packet arriving over ``link_in`` (the handler every
+        ingress link calls directly)."""
         self.rx_packets += 1
         packet.ttl -= 1
         if packet.ttl <= 0:
@@ -110,14 +114,17 @@ class Switch:
 
     def forward(self, packet: Packet, link_in: Optional[Link]) -> None:
         """Route ``packet`` towards its (outer) destination IP."""
-        key = packet.route_key
-        group = self.routes.get(key.dst_ip)
+        key = packet.outer
+        if key is None:
+            key = packet.inner
+        dst_ip = key.dst_ip
+        group = self.routes.get(dst_ip)
         if not group:
             self.blackholed += 1
             if self._tel_events is not None:
                 self._tel_events.emit("switch.drop", self.sim.now,
                                       switch=self.name, reason="no_route",
-                                      dst=key.dst_ip)
+                                      dst=dst_ip)
             return
         if self.failover_delay > 0.0:
             # Stale-group window: a link that died less than failover_delay
@@ -131,25 +138,26 @@ class Switch:
             ]
         else:
             gen = Link.state_gen
-            cached = self._live_cache.get(key.dst_ip)
+            cached = self._live_cache.get(dst_ip)
             if cached is not None and cached[1] == gen:
                 live = cached[0]
             else:
                 live = [link for link in group if link.up]
-                self._live_cache[key.dst_ip] = (live, gen)
+                self._live_cache[dst_ip] = (live, gen)
         if not live:
             self.blackholed += 1
             if self._tel_events is not None:
                 self._tel_events.emit("switch.drop", self.sim.now,
                                       switch=self.name, reason="all_links_down",
-                                      dst=key.dst_ip)
+                                      dst=dst_ip)
             return
         link_out = self.select_port(packet, key, live, link_in)
         if self.int_capable and packet.int_enabled:
             util = link_out.utilization()
             if util > packet.int_max_util:
                 packet.int_max_util = util
-        self.on_egress(packet, link_out)
+        if self.on_egress is not None:
+            self.on_egress(packet, link_out)
         link_out.send(packet)
 
     def select_port(
@@ -160,11 +168,14 @@ class Switch:
         link_in: Optional[Link],
     ) -> Link:
         """Default policy: static ECMP hash over the live next hops."""
-        return live[self.hasher.select(key, len(live))]
+        hashed = self._hash_memo.get(key)
+        if hashed is None:
+            hashed = self.hasher.hash_key(key)
+        return live[hashed % len(live)]
 
-    # Hooks for subclasses (CONGA / LetFlow) -----------------------------
-    def on_egress(self, packet: Packet, link_out: Link) -> None:
-        """Called just before transmission; default is a no-op."""
+    #: hook called just before transmission as ``on_egress(packet,
+    #: link_out)``; None (no call at all) unless a subclass sets one (CONGA)
+    on_egress: Optional[Callable[[Packet, Link], None]] = None
 
     # ------------------------------------------------------------------
     # ICMP
@@ -177,8 +188,11 @@ class Switch:
         paths that traverse the same switch via different links — exactly
         what Paris-style traceroute observes from interface IPs.
         """
-        key = packet.route_key
-        reply_key = FlowKey(self.ip, key.src_ip, 0, 0, PROTO_ICMP)
+        key = packet.outer if packet.outer is not None else packet.inner
+        reply_key = self._icmp_keys.get(key.src_ip)
+        if reply_key is None:
+            reply_key = FlowKey(self.ip, key.src_ip, 0, 0, PROTO_ICMP)
+            self._icmp_keys[key.src_ip] = reply_key
         reply = Packet(reply_key, payload_bytes=28, created_at=self.sim.now)
         reply.meta["icmp"] = ICMP_TIME_EXCEEDED
         reply.meta["hop_switch"] = self.name

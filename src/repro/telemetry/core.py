@@ -98,7 +98,9 @@ class Telemetry:
 
         ``sim`` gains the profiler (when profiling was requested); every
         link, switch and host (vswitch + policy + weight table) gains bound
-        event/counter hooks on its hot paths.
+        event/counter hooks on its hot paths, and every link a utilization
+        estimator for the end-of-run ``link.utilization`` gauge — so call
+        this before the first packet moves.
         """
         if not self.enabled:
             return
@@ -109,6 +111,7 @@ class Telemetry:
                 switch.attach_telemetry(self)
             for link in net.all_links():
                 link.attach_telemetry(self)
+                link.track_utilization()
         if hosts is not None:
             for host in _values(hosts):
                 host.attach_telemetry(self)

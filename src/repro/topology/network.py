@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
-from repro.net.link import Link
+from repro.net.link import Link, ReceiveFn
 from repro.net.packet import Packet
 from repro.net.queue import DropTailQueue
 from repro.net.switch import Switch
@@ -57,8 +57,9 @@ class Network:
         #: host name -> (ip, leaf switch name)
         self.hosts: Dict[str, Tuple[int, str]] = {}
         self.host_ips: Dict[int, str] = {}
-        #: handler called when a packet reaches a host NIC.
-        self._host_rx: Dict[str, Callable[[Packet], None]] = {}
+        #: handler called as ``handler(packet, link)`` when a packet
+        #: reaches a host NIC
+        self._host_rx: Dict[str, ReceiveFn] = {}
         self._next_ip = 1
 
     # ------------------------------------------------------------------
@@ -93,7 +94,7 @@ class Network:
 
     def _wire_receiver(self, link: Link, dst: str) -> None:
         if dst in self.switches:
-            link.connect(self.switches[dst].ingress_handler(link))
+            link.connect(self.switches[dst].receive)
             return
         handler = self._host_rx.get(dst)
         if handler is not None:
@@ -102,10 +103,10 @@ class Network:
         # Host NICs are usually registered after links are created;
         # register_host_receiver rebinds the link straight to the handler
         # then.  Until that happens, fall back to a registry lookup.
-        def _deliver(packet: Packet, _dst: str = dst) -> None:
+        def _deliver(packet: Packet, link_in: Link, _dst: str = dst) -> None:
             live = self._host_rx.get(_dst)
             if live is not None:
-                live(packet)
+                live(packet, link_in)
         link.connect(_deliver)
 
     def add_host(
@@ -126,7 +127,7 @@ class Network:
         self._add_simplex(leaf, name, spec)
         return ip
 
-    def register_host_receiver(self, name: str, handler: Callable[[Packet], None]) -> None:
+    def register_host_receiver(self, name: str, handler: ReceiveFn) -> None:
         """Install the NIC receive callback for a host (done by hypervisors)."""
         if name not in self.hosts:
             raise KeyError(f"unknown host {name}")

@@ -320,7 +320,7 @@ def open_mptcp_connection(
         )
         receiver = MptcpSubflowReceiver(connection, dst_host.sim, dst_host, flow)
         dst_host.register_endpoint(flow, receiver)
-        src_host.register_endpoint(flow.reversed(), sender)
+        src_host.register_endpoint(receiver.reverse, sender)
         connection.senders.append(sender)
         connection.receivers.append(receiver)
     return connection

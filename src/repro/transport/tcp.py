@@ -117,8 +117,10 @@ class TcpSender:
         self._tlp_deadline: Optional[float] = None
         self._tlp_pending = False
         self.tlp_probes = 0
-        # (seq_end, sent_time) samples for non-retransmitted segments.
-        self._rtt_samples: Deque[Tuple[int, float]] = deque()
+        # (seq_end, sent_time) samples for non-retransmitted segments; only
+        # kept when timestamps are off (ACK timestamps sample RTT instead).
+        self._rtt_samples: Optional[Deque[Tuple[int, float]]] = (
+            None if timestamps else deque())
 
         # Counters.
         self.fast_retransmits = 0
@@ -171,17 +173,17 @@ class TcpSender:
             self.cwr_pending = False
         packet = make_data_packet(self.flow, seq, payload, self.sim.now, flags)
         self._decorate_packet(packet)
-        if not retransmit:
-            self._rtt_samples.append((seq + payload, self.sim.now))
-        else:
-            # Karn's rule: the ACK for a retransmitted range is ambiguous
-            # (original or retransmission?), so its sample must not feed the
-            # RTT estimator — otherwise recovery time leaks into SRTT and
-            # the RTO snowballs.
-            end = seq + payload
-            self._rtt_samples = deque(
-                (e, t) for (e, t) in self._rtt_samples if e > end
-            )
+        samples = self._rtt_samples
+        if samples is not None:
+            if not retransmit:
+                samples.append((seq + payload, self.sim.now))
+            else:
+                # Karn's rule: the ACK for a retransmitted range is
+                # ambiguous (original or retransmission?), so its sample
+                # must not feed the RTT estimator — otherwise recovery time
+                # leaks into SRTT and the RTO snowballs.
+                end = seq + payload
+                self._rtt_samples = deque((e, t) for (e, t) in samples if e > end)
         self.packets_sent += 1
         self.bytes_sent += payload
         self.host.send_from_guest(packet)
@@ -327,7 +329,8 @@ class TcpSender:
         acked = ack - self.snd_una
         self.snd_una = ack
         self.backoff = 1
-        self._sample_rtt(ack)
+        if self._rtt_samples is not None:
+            self._sample_rtt(ack)
         self._advance_sack()
 
         if self._tlp_pending:
@@ -492,8 +495,9 @@ class TcpSender:
         self.in_recovery = False
         self.dupacks = 0
         self.backoff = min(self.backoff * 2, 64)
-        # Karn: invalidate outstanding samples.
-        self._rtt_samples.clear()
+        if self._rtt_samples is not None:
+            # Karn: invalidate outstanding samples.
+            self._rtt_samples.clear()
         self._transmit(
             self.snd_una,
             min(self.mss, self.snd_nxt - self.snd_una),
@@ -511,9 +515,8 @@ class TcpSender:
         while samples and samples[0][0] <= ack:
             _seq_end, sent_at = samples.popleft()
             sample = self.sim.now - sent_at
-        if self.timestamps or sample is None:
-            return
-        self._record_rtt(sample)
+        if sample is not None:
+            self._record_rtt(sample)
 
     def _record_rtt(self, sample: float) -> None:
         """Fold one RTT sample into SRTT/RTTVAR (RFC 6298)."""
@@ -651,5 +654,7 @@ def open_connection(
     # Demux: data arrives at dst keyed by the forward tuple; ACKs arrive at
     # src keyed by the reverse tuple.
     dst_host.register_endpoint(flow, receiver)
-    src_host.register_endpoint(flow.reversed(), sender)
+    # Under the very key object the receiver stamps on its ACKs, so the
+    # demux lookup hits by identity.
+    src_host.register_endpoint(receiver.reverse, sender)
     return Connection(sender, receiver)

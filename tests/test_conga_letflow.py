@@ -69,7 +69,7 @@ class TestCongaDataPath:
         received = []
         orig = hosts["h2_0"].receive
         net.register_host_receiver(
-            "h2_0", lambda p: (received.append(p), orig(p))
+            "h2_0", lambda p, link: (received.append(p), orig(p, link))
         )
         connection = open_connection(hosts["h1_0"], hosts["h2_0"], 1000, 80)
         connection.start_flow(50_000, lambda: None)

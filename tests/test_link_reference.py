@@ -1,0 +1,291 @@
+"""The virtual-clock ``Link`` against a deliberately naive transmitter.
+
+``NaiveTransmitter`` is the store-and-forward port written the slow and
+obvious way: a waiting FIFO, one packet on the serializer, and one engine
+event each for *start*, *finish* and *deliver*.  Nothing is computed ahead
+of the clock and nothing is evicted lazily.  Its rate estimator is fed in
+real time, at each serialization start.
+
+Hypothesis generates small programs (sends of data and probe packets,
+``fail``, ``recover``, ``degrade``, ``restore_rate``, at times that often
+coincide with serialization boundaries) and both transmitters execute them
+in lock-step.  Before each operation at time ``t`` both simulators process
+every event due at or before ``t``.  They must agree exactly on:
+
+* delivery times and order, and the CE bit of every delivered packet;
+* which sends were refused (queue full, link down);
+* every ``QueueStats`` field, ``tx_packets``/``tx_bytes``, ``rx_delivered``,
+  and the ``fail()`` split into delivered / ``lost_in_flight`` /
+  ``flushed_packets``, including across ``set_rate`` re-planning;
+* with utilization tracking on, the estimator value read after every
+  operation — through ``degrade``/``restore_rate`` too.
+
+One rule is the ``Link``'s own and the reference states it explicitly: a
+port *releases* a packet that has started serializing at the next operation
+that touches the port at or after its start (an admission, a delivery on
+that link, or ``sync()``).  ``fail()`` loses a packet mid-serialization only
+while the port still holds it; a released one finishes and is delivered,
+and the serializer is free for the next packet as soon as the link is back
+up.  Every pinned chaos run was recorded under this rule (DESIGN.md, "Port
+and hop").
+"""
+
+from collections import deque
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.net.dre import DiscountingRateEstimator
+from repro.net.link import Link
+from repro.net.packet import FlowKey, Packet
+from repro.net.queue import DropTailQueue, QueueStats
+from repro.sim.engine import Simulator
+
+FLOW = FlowKey(1, 2, 3, 4)
+
+
+class NaiveTransmitter:
+    """The semantics of ``Link``, one event per state change."""
+
+    def __init__(self, sim, rate_bps, delay_s, capacity, threshold):
+        self.sim = sim
+        self.rate_bps = rate_bps
+        self.nominal_rate_bps = rate_bps
+        self.delay_s = delay_s
+        self.capacity = capacity
+        self.threshold = threshold
+        self.stats = QueueStats()
+        self.waiting = deque()          # (packet, enqueued_at)
+        self.byte_count = 0
+        #: [packet, finish event, released] while serializing
+        self.on_wire = None
+        self.starting = False           # a start event is scheduled
+        self.up = True
+        self.dre = DiscountingRateEstimator(rate_bps)
+        self.tx_packets = self.tx_bytes = self.rx_delivered = 0
+        self.lost_in_flight = self.flushed_packets = 0
+        self.deliveries = []
+
+    def touch(self):
+        """An operation on the port: the packet on the wire is released."""
+        if self.on_wire is not None:
+            self.on_wire[2] = True
+
+    def send(self, packet):
+        stats = self.stats
+        if not self.up:
+            if packet.meta:
+                stats.probe_dropped += 1
+            else:
+                stats.dropped += 1
+            return False
+        self.touch()
+        depth = len(self.waiting)
+        if depth >= self.capacity:
+            stats.dropped += 1
+            return False
+        if self.threshold is not None and packet.ect and depth >= self.threshold:
+            packet.ce = True
+            stats.ecn_marked += 1
+        self.waiting.append((packet, self.sim.now))
+        self.byte_count += packet.size
+        stats.enqueued += 1
+        stats.peak_packets = max(stats.peak_packets, len(self.waiting))
+        stats.peak_bytes = max(stats.peak_bytes, self.byte_count)
+        self._kick()
+        return True
+
+    def _kick(self):
+        if self.on_wire is None and not self.starting and self.waiting:
+            self.starting = True
+            self.sim.schedule(0.0, self._start)
+
+    def _start(self):
+        self.starting = False
+        if not self.up or self.on_wire is not None or not self.waiting:
+            return
+        now = self.sim.now
+        packet, enqueued_at = self.waiting.popleft()
+        self.byte_count -= packet.size
+        self.stats.dequeued += 1
+        self.stats.total_queue_delay += now - enqueued_at
+        self.tx_packets += 1
+        self.tx_bytes += packet.size
+        self.dre.record(packet.size, now)
+        finish = now + packet.size * 8.0 / self.rate_bps
+        self.on_wire = [packet, self.sim.at(finish, self._finish, packet), False]
+
+    def _finish(self, packet):
+        # The next packet starts before this one's delivery can touch the
+        # port, as on the real link, where both share this instant.
+        if self.on_wire is not None and self.on_wire[0] is packet:
+            self.on_wire = None
+            self._kick()
+        self.sim.schedule(self.delay_s, self._deliver, packet)
+
+    def _deliver(self, packet):
+        self.touch()
+        self.rx_delivered += 1
+        self.deliveries.append((packet.seq, self.sim.now, packet.ce))
+
+    def fail(self):
+        now = self.sim.now
+        self.up = False
+        if self.on_wire is not None:
+            if not self.on_wire[2]:
+                self.on_wire[1].cancel()
+                self.lost_in_flight += 1
+            # A released packet finishes on its own; the serializer is free.
+            self.on_wire = None
+        flushed = 0
+        while self.waiting:
+            packet, enqueued_at = self.waiting.popleft()
+            self.byte_count -= packet.size
+            self.stats.dequeued += 1
+            self.stats.total_queue_delay += now - enqueued_at
+            self.stats.dropped += 1
+            flushed += 1
+        self.flushed_packets += flushed
+        return flushed
+
+    def recover(self):
+        self.up = True
+
+    def set_rate(self, rate_bps):
+        self.rate_bps = rate_bps
+        self.dre.rate_bps = rate_bps
+
+    def degrade(self, factor):
+        self.set_rate(self.nominal_rate_bps * factor)
+
+    def restore_rate(self):
+        self.set_rate(self.nominal_rate_bps)
+
+    def utilization(self):
+        return self.dre.utilization(self.sim.now)
+
+    def counters(self):
+        """The observable state; like ``Link.sync()`` it touches the port."""
+        self.touch()
+        stats = self.stats
+        return (
+            [getattr(stats, name) for name in QueueStats.__slots__],
+            len(self.waiting), self.byte_count,
+            self.tx_packets, self.tx_bytes, self.rx_delivered,
+            self.lost_in_flight, self.flushed_packets,
+        )
+
+
+def link_counters(link):
+    link.sync()
+    stats = link.queue.stats
+    return (
+        [getattr(stats, name) for name in QueueStats.__slots__],
+        len(link.queue), link.queue.byte_count,
+        link.tx_packets, link.tx_bytes, link.rx_delivered,
+        link.lost_in_flight, link.flushed_packets,
+    )
+
+
+def _packet(tag, size, ect, probe):
+    packet = Packet(FLOW, payload_bytes=size - 40, seq=tag)
+    packet.ect = ect
+    if probe:
+        packet.meta["probe"] = tag
+    return packet
+
+
+# 125 B at 1 Gb/s is exactly 1 us: steps of 1 us land on serialization
+# boundaries, which is where store-and-forward off-by-ones live.
+_dt = st.sampled_from([0.0, 0.0, 1e-6, 1e-6, 2e-6, 0.5e-6, 3.3e-6, 12e-6])
+_send = st.tuples(
+    st.just("send"), _dt,
+    st.sampled_from([125, 250, 1500, 40, 94]),
+    st.booleans(),
+    st.sampled_from([False, False, False, True]),
+)
+_program = st.lists(
+    st.one_of(
+        _send, _send, _send, _send,
+        st.tuples(st.just("fail"), _dt),
+        st.tuples(st.just("recover"), _dt),
+        st.tuples(st.just("degrade"), _dt, st.sampled_from([0.5, 0.25, 0.1])),
+        st.tuples(st.just("restore_rate"), _dt),
+    ),
+    min_size=1, max_size=60,
+)
+_port = st.tuples(
+    st.sampled_from([1e9, 2e9, 10e9]),                 # rate
+    st.sampled_from([0.0, 2e-6, 1e-6]),                # propagation delay
+    st.integers(1, 8),                                 # capacity
+    st.sampled_from([None, 0, 1, 3]),                  # ECN threshold
+)
+
+
+def _run(port, program, track, check_every_op):
+    rate, delay, capacity, threshold = port
+    sim, ref_sim = Simulator(), Simulator()
+    link = Link(sim, "l", rate, delay, DropTailQueue(capacity, threshold))
+    if track:
+        link.track_utilization()
+    real_deliveries = []
+    link.connect(
+        lambda packet, *_: real_deliveries.append((packet.seq, sim.now, packet.ce)))
+    ref = NaiveTransmitter(ref_sim, rate, delay, capacity, threshold)
+
+    now = 0.0
+    for tag, op in enumerate(program):
+        now += op[1]
+        sim.run(until=now)
+        ref_sim.run(until=now)
+        kind = op[0]
+        if kind == "send":
+            _, _, size, ect, probe = op
+            accepted = link.send(_packet(tag, size, ect, probe))
+            assert accepted == ref.send(_packet(tag, size, ect, probe)), op
+        elif kind == "fail":
+            assert link.fail() == ref.fail()
+        elif kind == "degrade":
+            link.degrade(op[2])
+            ref.degrade(op[2])
+        else:
+            getattr(link, kind)()
+            getattr(ref, kind)()
+        ref_sim.run(until=now)          # zero-delay start events
+        if track:
+            assert link.utilization() == ref.utilization(), op
+        if check_every_op:
+            assert link_counters(link) == ref.counters(), op
+            assert real_deliveries == ref.deliveries, op
+    sim.run()
+    ref_sim.run()
+    assert real_deliveries == ref.deliveries
+    assert link_counters(link) == ref.counters()
+    if track:
+        assert link.utilization() == ref.utilization()
+
+
+@pytest.mark.parametrize("check_every_op", [True, False])
+@settings(max_examples=150, deadline=None)
+@given(port=_port, program=_program)
+def test_link_matches_naive_transmitter(check_every_op, port, program):
+    _run(port, program, track=False, check_every_op=check_every_op)
+
+
+@settings(max_examples=150, deadline=None)
+@given(port=_port, program=_program)
+def test_tracked_utilization_matches_real_time_estimator(port, program):
+    _run(port, program, track=True, check_every_op=True)
+
+
+def test_degrade_restore_keeps_estimator_on_the_clock():
+    """Waiting packets are re-planned by a rate change; their estimator
+    samples must move with them rather than be folded in at their old,
+    future start times."""
+    program = [("send", 0.0, 1500, False, False)] * 4 + [
+        ("degrade", 1e-6, 0.25),
+        ("restore_rate", 2e-6),
+        ("send", 1e-6, 1500, False, False),
+        ("fail", 30e-6),
+    ]
+    _run((1e9, 2e-6, 8, None), program, track=True, check_every_op=True)

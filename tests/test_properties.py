@@ -11,7 +11,10 @@ from repro.metrics.collector import percentile
 from repro.net.dre import DiscountingRateEstimator
 from repro.net.hashing import EcmpHasher
 from repro.net.packet import FlowKey
-from repro.net.queue import DropTailQueue, Packet
+from repro.net.link import Link
+from repro.net.packet import Packet
+from repro.net.queue import DropTailQueue
+from repro.sim.engine import Simulator
 from repro.workloads.distributions import EmpiricalCdf
 import random
 
@@ -101,32 +104,35 @@ class TestFlowletProperties:
 
 
 class TestQueueProperties:
-    @given(st.lists(st.sampled_from(["enq", "deq"]), min_size=1, max_size=300))
+    """The egress buffer as its link fills and drains it."""
+
+    @given(st.lists(st.sampled_from(["enq", "enq", "tick"]), min_size=1, max_size=300))
     def test_occupancy_invariants(self, ops):
+        sim = Simulator()
         queue = DropTailQueue(capacity_packets=16, ecn_threshold_packets=4)
+        link = Link(sim, "l", rate_bps=1e9, delay_s=0.0, queue=queue)
+        link.connect(lambda packet, _link: None)
         flow = FlowKey(1, 2, 3, 4)
-        model = 0
         for op in ops:
             if op == "enq":
-                packet = Packet(flow, payload_bytes=100)
-                if queue.enqueue(packet, 0.0):
-                    model += 1
+                link.send(Packet(flow, payload_bytes=100))
             else:
-                got = queue.dequeue(0.0)
-                if got is not None:
-                    model -= 1
-            assert len(queue) == model
+                sim.run(until=sim.now + 1e-6)   # ~ one serialization
+            link.sync()
             assert 0 <= len(queue) <= 16
-            assert queue.byte_count >= 0
+            assert queue.byte_count == sum(entry[0].size for entry in queue._items)
+            assert queue.stats.enqueued - queue.stats.dequeued == len(queue)
 
     @given(st.integers(1, 50), st.integers(0, 60))
     def test_never_exceeds_capacity(self, capacity, offered):
-        queue = DropTailQueue(capacity_packets=capacity, ecn_threshold_packets=None)
+        link = Link(Simulator(), "l", rate_bps=1e9, delay_s=0.0,
+                    queue=DropTailQueue(capacity, ecn_threshold_packets=None))
         flow = FlowKey(1, 2, 3, 4)
         for _ in range(offered):
-            queue.enqueue(Packet(flow, payload_bytes=10), 0.0)
-        assert len(queue) <= capacity
-        assert queue.stats.dropped == max(0, offered - capacity)
+            link.send(Packet(flow, payload_bytes=10))
+        assert len(link.queue) <= capacity
+        # the first packet is on the wire; ``capacity`` more may wait
+        assert link.queue.stats.dropped == max(0, offered - capacity - 1)
 
 
 class TestDreProperties:

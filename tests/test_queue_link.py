@@ -14,53 +14,80 @@ def _packet(payload=1460, ect=False):
     return packet
 
 
+def _port(capacity, threshold, rate_bps=1e9):
+    """A link whose queue is the one under test (its only way to fill)."""
+    link = Link(Simulator(), "l", rate_bps=rate_bps, delay_s=0.0,
+                queue=DropTailQueue(capacity, threshold))
+    link.connect(lambda p, _link: None)
+    return link
+
+
 class TestDropTailQueue:
+    """The egress buffer, filled and drained by the link that owns it.
+
+    Sends at one instant: the first packet starts serializing at once and
+    leaves the buffer at the next operation on the port; the rest wait.
+    """
+
     def test_fifo_order(self):
-        queue = DropTailQueue(capacity_packets=10, ecn_threshold_packets=None)
+        link = _port(capacity=10, threshold=None)
+        delivered = []
+        link.connect(lambda p, _link: delivered.append(p))
         first, second = _packet(), _packet()
-        queue.enqueue(first, 0.0)
-        queue.enqueue(second, 0.0)
-        assert queue.dequeue(0.0) is first
-        assert queue.dequeue(0.0) is second
-        assert queue.dequeue(0.0) is None
+        link.send(first)
+        link.send(second)
+        link.sim.run()
+        assert delivered == [first, second]
+        assert link.queue.is_empty
 
     def test_drop_when_full(self):
-        queue = DropTailQueue(capacity_packets=2, ecn_threshold_packets=None)
-        assert queue.enqueue(_packet(), 0.0)
-        assert queue.enqueue(_packet(), 0.0)
-        assert not queue.enqueue(_packet(), 0.0)
-        assert queue.stats.dropped == 1
-        assert queue.stats.enqueued == 2
+        link = _port(capacity=2, threshold=None)
+        # One on the wire, two waiting: the fourth finds the buffer full.
+        assert link.send(_packet())
+        assert link.send(_packet())
+        assert link.send(_packet())
+        assert not link.send(_packet())
+        assert link.queue.stats.dropped == 1
+        assert link.queue.stats.enqueued == 3
+        assert len(link.queue) == 2
 
     def test_ecn_marked_above_threshold_for_ect_packets(self):
-        queue = DropTailQueue(capacity_packets=100, ecn_threshold_packets=2)
-        packets = [_packet(ect=True) for _ in range(4)]
+        link = _port(capacity=100, threshold=2)
+        packets = [_packet(ect=True) for _ in range(5)]
         for packet in packets:
-            queue.enqueue(packet, 0.0)
-        # Packets 0 and 1 saw queue lengths 0 and 1 (below threshold).
-        assert not packets[0].ce and not packets[1].ce
-        assert packets[2].ce and packets[3].ce
-        assert queue.stats.ecn_marked == 2
+            link.send(packet)
+        # Packets 0-2 found 0, 0 (packet 0 had left) and 1 waiting.
+        assert not any(packet.ce for packet in packets[:3])
+        assert packets[3].ce and packets[4].ce
+        assert link.queue.stats.ecn_marked == 2
 
     def test_non_ect_packets_never_marked(self):
-        queue = DropTailQueue(capacity_packets=100, ecn_threshold_packets=0)
+        link = _port(capacity=100, threshold=0)
         packet = _packet(ect=False)
-        queue.enqueue(packet, 0.0)
+        link.send(packet)
         assert not packet.ce
+        marked = _packet(ect=True)
+        link.send(marked)
+        assert marked.ce
 
     def test_byte_count_tracks_contents(self):
-        queue = DropTailQueue(capacity_packets=10, ecn_threshold_packets=None)
+        link = _port(capacity=10, threshold=None)
         packet = _packet()
-        queue.enqueue(packet, 0.0)
-        assert queue.byte_count == packet.size
-        queue.dequeue(0.0)
-        assert queue.byte_count == 0
+        link.send(packet)
+        assert link.queue.byte_count == packet.size
+        link.sync()           # it started at once: evicted
+        assert link.queue.byte_count == 0
 
     def test_queue_delay_accounting(self):
-        queue = DropTailQueue(capacity_packets=10, ecn_threshold_packets=None)
-        queue.enqueue(_packet(), 0.0)
-        queue.dequeue(2.5)
-        assert queue.stats.total_queue_delay == pytest.approx(2.5)
+        packet = _packet()
+        # The first packet occupies the serializer for exactly 2.5 s.
+        link = _port(capacity=10, threshold=None, rate_bps=packet.size * 8 / 2.5)
+        link.send(packet)
+        link.send(_packet())
+        link.sim.run()
+        link.sync()
+        assert link.queue.stats.total_queue_delay == pytest.approx(2.5)
+        assert link.queue.stats.dequeued == 2
 
     def test_invalid_capacity_rejected(self):
         with pytest.raises(ValueError):
@@ -72,7 +99,7 @@ class TestLink:
         sim = Simulator()
         link = Link(sim, "l", rate_bps=1e9, delay_s=10e-6)
         arrivals = []
-        link.connect(lambda p: arrivals.append(sim.now))
+        link.connect(lambda p, _link: arrivals.append(sim.now))
         packet = _packet(payload=1460)  # 1500B on wire
         link.send(packet)
         sim.run()
@@ -83,7 +110,7 @@ class TestLink:
         sim = Simulator()
         link = Link(sim, "l", rate_bps=1e9, delay_s=0.0)
         arrivals = []
-        link.connect(lambda p: arrivals.append(sim.now))
+        link.connect(lambda p, _link: arrivals.append(sim.now))
         a, b = _packet(), _packet()
         link.send(a)
         link.send(b)
@@ -96,7 +123,7 @@ class TestLink:
         sim = Simulator()
         link = Link(sim, "l", rate_bps=1e9, delay_s=0.0)
         arrivals = []
-        link.connect(lambda p: arrivals.append(p))
+        link.connect(lambda p, _link: arrivals.append(p))
         link.fail()
         assert not link.send(_packet())
         sim.run()
@@ -105,7 +132,7 @@ class TestLink:
     def test_fail_flushes_queue(self):
         sim = Simulator()
         link = Link(sim, "l", rate_bps=1e9, delay_s=0.0)
-        link.connect(lambda p: None)
+        link.connect(lambda p, _link: None)
         link.send(_packet())
         link.send(_packet())
         link.fail()
@@ -115,7 +142,7 @@ class TestLink:
         sim = Simulator()
         link = Link(sim, "l", rate_bps=1e9, delay_s=0.0)
         arrivals = []
-        link.connect(lambda p: arrivals.append(p))
+        link.connect(lambda p, _link: arrivals.append(p))
         link.fail()
         link.recover()
         assert link.send(_packet())
@@ -125,7 +152,7 @@ class TestLink:
     def test_tx_counters(self):
         sim = Simulator()
         link = Link(sim, "l", rate_bps=1e9, delay_s=0.0)
-        link.connect(lambda p: None)
+        link.connect(lambda p, _link: None)
         packet = _packet()
         link.send(packet)
         sim.run()
@@ -135,11 +162,18 @@ class TestLink:
     def test_dre_sees_traffic(self):
         sim = Simulator()
         link = Link(sim, "l", rate_bps=1e9, delay_s=0.0)
-        link.connect(lambda p: None)
+        link.connect(lambda p, _link: None)
+        assert link.track_utilization() is link.track_utilization()
         for _ in range(50):
             link.send(_packet())
         sim.run(until=1e-5)
         assert link.utilization() > 0.0
+
+    def test_untracked_link_has_no_utilization(self):
+        link = Link(Simulator(), "S1->L2#0", rate_bps=1e9, delay_s=0.0)
+        assert link.dre is None
+        with pytest.raises(RuntimeError, match="S1->L2#0"):
+            link.utilization()
 
     def test_invalid_params(self):
         sim = Simulator()

@@ -82,7 +82,7 @@ class TestPacketDelivery:
     def test_end_to_end_delivery(self):
         sim, net = _net()
         received = []
-        net.register_host_receiver("h2_0", received.append)
+        net.register_host_receiver("h2_0", lambda packet, _link: received.append(packet))
         packet = make_data_packet(
             FlowKey(net.host_ip("h1_0"), net.host_ip("h2_0"), 1000, 80), 0, 100, 0.0
         )
@@ -94,7 +94,7 @@ class TestPacketDelivery:
     def test_ecmp_spreads_distinct_outer_ports(self):
         sim, net = _net()
         received = []
-        net.register_host_receiver("h2_0", received.append)
+        net.register_host_receiver("h2_0", lambda packet, _link: received.append(packet))
         leaf = net.switches["L1"]
         dst_ip = net.host_ip("h2_0")
         used_links = set()
@@ -109,7 +109,7 @@ class TestPacketDelivery:
         sim, net = _net()
         net.fail_cable("L2", "S2", 0)
         received = []
-        net.register_host_receiver("h2_0", received.append)
+        net.register_host_receiver("h2_0", lambda packet, _link: received.append(packet))
         # Send lots of distinct ports: some would have hashed to the dead
         # cable; all must still arrive via the surviving one.
         for sport in range(49152, 49152 + 32):
@@ -124,7 +124,7 @@ class TestPacketDelivery:
     def test_ttl_expiry_generates_icmp_to_source(self):
         sim, net = _net()
         icmp = []
-        net.register_host_receiver("h1_0", icmp.append)
+        net.register_host_receiver("h1_0", lambda packet, _link: icmp.append(packet))
         packet = make_data_packet(
             FlowKey(net.host_ip("h1_0"), net.host_ip("h2_0"), 1000, 80), 0, 28, 0.0
         )
@@ -206,7 +206,7 @@ class TestFatTree:
         sim = Simulator()
         net = build_fat_tree(sim, RngRegistry(1), FatTreeConfig(k=4))
         received = []
-        net.register_host_receiver("h3_1_1", received.append)
+        net.register_host_receiver("h3_1_1", lambda packet, _link: received.append(packet))
         packet = make_data_packet(
             FlowKey(net.host_ip("h0_0_0"), net.host_ip("h3_1_1"), 1234, 80),
             0, 100, 0.0,

@@ -273,7 +273,10 @@ class TestRttEstimation:
 
     def test_karn_rule_retransmission_sample_dropped(self, fabric):
         sim, net, hosts = fabric
-        connection = _open(hosts)
+        # Cumulative-ACK sampling (and so Karn's rule) runs only without
+        # timestamps; with them, ACKs carry the sample.
+        assert _open(hosts, b="h2_1").sender._rtt_samples is None
+        connection = _open(hosts, timestamps=False)
         sender = connection.sender
         sender.send(10 * MSS)
         sim.run(until=1e-5)
