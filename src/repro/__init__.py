@@ -78,7 +78,6 @@ _EXPORTS = {
     "SCHEMES": "harness.schemes",
     "run_experiment": "harness.experiment",
     "estimate_rtt": "harness.experiment",
-    "sweep_loads": "harness.sweep",
     "Host": "hypervisor.host",
     "LoadBalancer": "hypervisor.policy",
     "VSwitch": "hypervisor.vswitch",

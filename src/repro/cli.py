@@ -3,8 +3,11 @@
 Subcommands:
 
 * ``run``       — one experiment point, prints the FCT summary;
-* ``sweep``     — scheme x load grid, prints the figure-style table;
-* ``figure``    — regenerate one of the paper's figures by name;
+* ``sweep``     — scheme x load grid (an ad-hoc suite), prints the
+  figure-style table;
+* ``figure``    — render one or all of the paper's figures, and the
+  verdict on each of the paper's claims, from the ``paper-figures`` suite
+  (run on demand, or a saved ``suite run --out`` artifact);
 * ``incast``    — the Figure 7 fan-in experiment;
 * ``schemes``   — list the available load-balancing schemes;
 * ``telemetry`` — inspect a ``--telemetry-out`` JSONL artifact;
@@ -26,15 +29,17 @@ Subcommands:
   statistically significant regressions, ``suite diff`` compares two
   result artifacts offline, ``suite report`` renders markdown/JSON.
 
-``run``, ``sweep`` and ``figure`` accept ``--chaos FILE`` (a serialized
+``run`` and ``sweep`` accept ``--chaos FILE`` (a serialized
 :class:`~repro.chaos.plan.FaultPlan`) or ``--chaos-preset NAME`` to inject
 faults mid-run; ``run`` then also reports time-to-recover and fault-window
 FCT inflation (:mod:`repro.chaos.metrics`).  They also accept
 ``--audit strict|report`` to run under the invariant auditor.
 
-``run``, ``sweep`` and ``incast`` take ``-j/--jobs`` (parallel worker
-processes) and ``--cache-dir`` (resumable result cache) — the
-:mod:`repro.runner` execution layer.
+``run``, ``sweep``, ``figure``, ``incast`` and ``suite`` take ``-j/--jobs``
+(parallel worker processes) and ``--cache-dir`` (resumable result cache)
+— the :mod:`repro.runner` execution layer.
+
+A usage error is one line on stderr and exit status 2.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 # The parser needs only these two leaf modules (scheme names, audit modes);
 # each ``cmd_*`` imports what it runs, so ``repro --help`` or ``repro cache
@@ -200,11 +205,9 @@ def _chaos_plan(args) -> Optional[FaultPlan]:
     return None
 
 
-def _config(args, scheme: Optional[str] = None) -> ExperimentConfig:
-    from repro.harness.experiment import ExperimentConfig
-
-    return ExperimentConfig(
-        scheme=scheme or args.scheme,
+def _config_fields(args) -> Dict[str, Any]:
+    """The ExperimentConfig fields the common flags set (all but scheme)."""
+    return dict(
         load=args.load,
         seed=args.seed,
         jobs_per_client=args.jobs_per_client,
@@ -215,6 +218,12 @@ def _config(args, scheme: Optional[str] = None) -> ExperimentConfig:
         failover_delay_s=args.failover_delay,
         audit=getattr(args, "audit", None),
     )
+
+
+def _config(args) -> ExperimentConfig:
+    from repro.harness.experiment import ExperimentConfig
+
+    return ExperimentConfig(scheme=args.scheme, **_config_fields(args))
 
 
 def cmd_run(args) -> int:
@@ -320,62 +329,60 @@ def _print_health_metrics(m) -> None:
 def cmd_sweep(args) -> int:
     """Handle ``repro sweep``: scheme x load grid as a text table."""
     from repro.harness.report import render_table
-    from repro.harness.sweep import sweep_loads
+    from repro.suite.execute import run_suite
+    from repro.suite.figures import line_series
+    from repro.suite.spec import ScenarioSpec, SuiteSpec
 
     schemes = args.schemes.split(",")
     for scheme in schemes:
         if scheme not in SCHEMES:
             print(f"unknown scheme {scheme!r}; see `schemes`", file=sys.stderr)
             return 2
-    base = _config(args, scheme=schemes[0])
-    tel = _make_telemetry(args)
-    series = sweep_loads(
-        base, schemes, args.loads,
+    base = _config_fields(args)
+    del base["load"], base["seed"]
+    spec = SuiteSpec(
+        name="sweep",
         seeds=tuple(args.seed + i for i in range(args.n_seeds)),
-        telemetry=tel,
-        runner=_make_runner(args),
+        scenarios=[ScenarioSpec(
+            "sweep", base=base, matrix={"scheme": schemes, "load": args.loads},
+        )],
     )
+    tel = _make_telemetry(args)
+    result = run_suite(spec, runner=_make_runner(args), telemetry=tel)
     _finish_telemetry(tel, args)
-    print(render_table(series))
+    lines = [(scheme, "sweep", (("scheme", scheme),)) for scheme in schemes]
+    print(render_table(line_series(lines, "load", "avg_fct", spec.expand(), result)))
     return 0
 
 
 def cmd_figure(args) -> int:
-    """Handle ``repro figure``: regenerate one paper figure."""
-    from repro.harness import figures
-    from repro.harness.figures import FigureQuality
-    from repro.harness.report import render_cdf, render_table
+    """Handle ``repro figure``: render figures and score the paper's claims."""
+    from repro.suite import figures
+    from repro.suite.spec import SuiteSpec
 
-    quality = FigureQuality(
-        loads=tuple(args.loads),
-        seeds=tuple(args.seed + i for i in range(args.n_seeds)),
-        jobs_per_client=args.jobs_per_client,
-        chaos=_chaos_plan(args),
-    )
-    runner = _make_runner(args)
-    name = args.name
-    if name == "fig4b":
-        print(render_table(figures.fig4b(quality, runner=runner)))
-    elif name == "fig4c":
-        print(render_table(figures.fig4c(quality, runner=runner)))
-    elif name in ("fig5a", "fig5b", "fig5c"):
-        kind = {"fig5a": "mice", "fig5b": "elephants", "fig5c": "p99"}[name]
-        print(render_table(figures.fig5(kind, quality, runner=runner)))
-    elif name == "fig6":
-        print(render_table(figures.fig6(quality, runner=runner)))
-    elif name == "fig8a":
-        print(render_table(figures.fig8a(quality, runner=runner)))
-    elif name == "fig8b":
-        print(render_table(figures.fig8b(quality, runner=runner)))
-    elif name == "fig9":
-        cdfs = figures.fig9(load=args.load, seed=args.seed,
-                            jobs_per_client=args.jobs_per_client,
-                            chaos=quality.chaos)
-        print(render_cdf(cdfs))
-    else:
-        print(f"unknown figure {name!r}", file=sys.stderr)
+    names = list(figures.FIGURES) if args.name == "all" else [args.name]
+    if names[0] not in figures.FIGURES:
+        print(f"unknown figure {args.name!r} (valid: "
+              f"{', '.join(figures.FIGURES)}, all)", file=sys.stderr)
         return 2
-    return 0
+    try:
+        if args.result is not None:
+            result = _load_suite_result(args.result)
+            spec = SuiteSpec.from_dict(result.spec)
+        else:
+            from repro.suite.bundles import paper_figures
+            from repro.suite.execute import run_suite
+
+            spec = paper_figures()
+            needed = figures.suite_for(names, spec)
+            result = None
+            if needed.scenarios:
+                result = run_suite(needed, runner=_make_runner(args))
+        print(figures.report(names, spec, result))
+    except (KeyError, ValueError) as exc:  # an artifact lacking its points
+        print(f"cannot render {args.name}: {exc}", file=sys.stderr)
+        return 2
+    return 1 if result is not None and result.failed_runs else 0
 
 
 def cmd_incast(args) -> int:
@@ -772,9 +779,17 @@ def comma_separated_ints(text: str) -> List[int]:
     return [int(item) for item in text.split(",")]
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are one stderr line."""
+
+    def error(self, message):
+        """Exit 2 with ``<prog>: error: <message>`` (no usage dump)."""
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Build the argparse tree for the `repro` CLI."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="repro",
         description="Clove (CoNEXT'17) reproduction toolkit",
     )
@@ -797,12 +812,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_telemetry_opts(p_sweep)
     p_sweep.set_defaults(fn=cmd_sweep, scheme="ecmp")
 
-    p_fig = sub.add_parser("figure", help="regenerate a paper figure")
-    p_fig.add_argument("name", help="fig4b|fig4c|fig5a|fig5b|fig5c|fig6|fig8a|fig8b|fig9")
-    p_fig.add_argument("--loads", type=comma_separated_floats,
-                       default="0.3,0.5,0.7")
-    p_fig.add_argument("--n-seeds", type=int, default=1)
-    _add_common(p_fig)
+    p_fig = sub.add_parser(
+        "figure", help="render paper figures and score the paper's claims "
+                       "(the paper-figures suite)")
+    p_fig.add_argument("name", help="fig4b ... fig9, ablation-..., or all "
+                                    "(an unknown name lists them)")
+    p_fig.add_argument("--result", metavar="FILE", default=None,
+                       help="render from a saved `suite run --out` artifact "
+                            "instead of running the suite")
     _add_runner_opts(p_fig)
     p_fig.set_defaults(fn=cmd_figure)
 

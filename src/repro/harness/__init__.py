@@ -1,4 +1,5 @@
-"""Experiment assembly, load sweeps and per-figure tables."""
+"""Experiment assembly: one run, one incast run, their metric payload and
+text rendering (grids of runs are :mod:`repro.suite` scenarios)."""
 
 from repro import lazy_exports
 
@@ -8,8 +9,6 @@ _EXPORTS = {
     "SCHEMES": "schemes",
     "run_experiment": "experiment",
     "estimate_rtt": "experiment",
-    "sweep_loads": "sweep",
-    "average_over_seeds": "sweep",
 }
 
 __all__ = list(_EXPORTS)

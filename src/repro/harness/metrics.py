@@ -9,15 +9,14 @@ any figure extracts (overall mean, tail percentiles, the Figure 5 mice /
 elephant buckets) is computed up front, so a cached point can serve any
 figure later without re-running.
 
-Extractors in :mod:`repro.harness.sweep` and :mod:`repro.harness.figures`
-resolve to keys of this payload (see ``metric_key`` there); add a key here
-— and bump :data:`repro.runner.job.SCHEMA_VERSION` — when a new figure
-needs a scalar the payload does not yet carry.
+Suite metrics and the figure rows of :mod:`repro.suite.figures` are keys
+of this payload; add a key here — and bump
+:data:`repro.runner.job.SCHEMA_VERSION` — when a new figure needs a scalar
+the payload does not yet carry.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Dict, Tuple
 
 #: Figure 5 "mice" bucket: flows below this size (paper-scale bytes; the
@@ -149,8 +148,3 @@ def standard_metrics(result) -> Dict[str, float]:
             float(result.audit.violations) if result.audit is not None else _NAN
         ),
     }
-
-
-def is_missing(value: float) -> bool:
-    """True when a payload value marks an empty bucket (NaN)."""
-    return isinstance(value, float) and math.isnan(value)

@@ -1,7 +1,8 @@
 """Plain-text rendering of experiment results: tables and ASCII charts.
 
-The benchmarks and examples print their series through this module so the
-reproduction report is readable without any plotting dependency.
+``repro figure``, ``repro sweep`` and the examples print their series
+through this module so the reproduction report is readable without any
+plotting dependency.
 """
 
 from __future__ import annotations
@@ -18,19 +19,34 @@ def render_table(
     unit: str = "ms",
     x_format: str = "{:.2f}",
 ) -> str:
-    """Render {name: [(x, y), ...]} as an aligned text table."""
+    """Render {name: [(x, y), ...]} as an aligned text table.
+
+    Raises :class:`ValueError` when a series has no points or the series do
+    not share one x grid (a ragged table would silently misalign rows).
+    """
     if not series:
         return "(no data)"
     names = list(series)
+    empty = [name for name in names if not series[name]]
+    if empty:
+        raise ValueError(f"empty series: {empty} have no points")
     xs = [x for x, _y in series[names[0]]]
+    for name in names[1:]:
+        other = [x for x, _y in series[name]]
+        if other != xs:
+            raise ValueError(
+                f"ragged x grids: {name!r} has {other} but {names[0]!r} "
+                f"has {xs}; every series must share one grid"
+            )
     width = max(12, max(len(n) for n in names) + 2)
-    lines = [f"{x_label:>8} " + " ".join(f"{n:>{width}}" for n in names)]
+    x_width = max(8, len(x_label))
+    lines = [f"{x_label:>{x_width}} " + " ".join(f"{n:>{width}}" for n in names)]
     for i, x in enumerate(xs):
         cells = []
         for name in names:
             value = series[name][i][1] * value_scale
             cells.append(f"{value:>{width}.3f}")
-        lines.append(f"{x_format.format(x):>8} " + " ".join(cells))
+        lines.append(f"{x_format.format(x):>{x_width}} " + " ".join(cells))
     lines.append(f"(values in {unit})")
     return "\n".join(lines)
 
@@ -82,20 +98,3 @@ def render_cdf(
     lines.append(f"     0 ... {x_max * value_scale:.3f} {unit}")
     lines.append("     " + "   ".join(legend))
     return "\n".join(lines)
-
-
-def speedup_table(series: Series, baseline: str, x: float) -> Dict[str, float]:
-    """How many times faster each scheme is than ``baseline`` at ``x``."""
-    if baseline not in series:
-        raise KeyError(f"baseline {baseline!r} not in series")
-    base_value = dict(series[baseline]).get(x)
-    if base_value is None:
-        raise KeyError(f"x={x} not present for {baseline!r}")
-    out = {}
-    for name, points in series.items():
-        if name == baseline:
-            continue
-        value = dict(points).get(x)
-        if value is not None and value > 0:
-            out[name] = base_value / value
-    return out

@@ -15,13 +15,14 @@ This package supplies the execution layer:
   stderr progress reporter, and telemetry merging (workers ship their
   scope back; the parent absorbs it).
 
-Typical use::
+Typical use is through a suite, which lowers its whole grid to one
+:func:`run_jobs` batch::
 
-    from repro.harness.sweep import sweep_loads
     from repro.runner import RunnerConfig
+    from repro.suite import bundled_suite, run_suite
 
-    series = sweep_loads(
-        base, ["ecmp", "clove-ecn"], [0.3, 0.5, 0.7], seeds=(1, 2, 3),
+    result = run_suite(
+        bundled_suite("paper-smoke"),
         runner=RunnerConfig(jobs=8, cache_dir=".repro-cache", progress=True),
     )
 

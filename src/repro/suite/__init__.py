@@ -16,9 +16,12 @@ executed:
 * :mod:`repro.suite.baseline` — golden baselines (``record``) and the
   statistical regression gate (``check``/``diff``);
 * :mod:`repro.suite.bundles` — the bundled suites (``paper-smoke``,
-  ``paper-full``, ``chaos``, ``health``, ``workloads``);
+  ``paper-figures``, ``chaos``, ``control-plane``, ``health``,
+  ``workloads``);
 * :mod:`repro.suite.report` — markdown/JSON reports with paired
-  scheme-vs-baseline significance tables.
+  scheme-vs-baseline significance tables;
+* :mod:`repro.suite.figures` — the paper's figures and claims as rows
+  over ``paper-figures`` (``repro figure``).
 
 Entry point: the ``repro suite list|show|run|record|check|diff|report``
 CLI, or programmatically::

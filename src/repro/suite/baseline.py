@@ -37,8 +37,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Union
 
+from repro.harness.metrics import METRIC_KEYS
 from repro.suite.execute import SuiteResult
-from repro.suite.spec import SuiteSpec
+from repro.suite.spec import KIND_METRICS, SuiteSpec
 from repro.suite.stats import Comparison, compare_by_seed, worsening
 from repro.telemetry.core import git_revision
 
@@ -110,6 +111,18 @@ def load_baselines(path: Union[str, Path]) -> Dict[str, Any]:
 
 def _seed_values(raw: Dict[str, Any]) -> Dict[int, float]:
     return {int(s): float(v) for s, v in raw.items()}
+
+
+def _gated(metrics: Sequence[str], scenarios: Sequence[Dict[str, Any]]):
+    """``scenario_id -> the gated metrics its kind produces`` (an incast
+    scenario is gated on ``goodput_bps`` only, never on FCTs)."""
+    kinds = {s.get("name"): s.get("kind", "experiment") for s in scenarios}
+
+    def gated(scenario_id: str) -> List[str]:
+        kind = kinds.get(scenario_id.split("/", 1)[0], "experiment")
+        produced = KIND_METRICS.get(kind, METRIC_KEYS)
+        return [m for m in metrics if m in produced]
+    return gated
 
 
 @dataclass
@@ -278,6 +291,7 @@ def check_result(
         alpha=spec.alpha if alpha is None else alpha,
     )
     recorded = baselines.get("scenarios", {})
+    gated = _gated(report.metrics, spec.to_dict()["scenarios"])
     if baselines.get("spec_digest") != result.spec_digest:
         report.add(Finding(
             "drift", "*", None,
@@ -306,7 +320,7 @@ def check_result(
                 "runner fingerprints differ from the recorded baseline",
             ))
         base_metrics = base.get("metrics", {})
-        for metric in report.metrics:
+        for metric in gated(scenario_id):
             reference = _seed_values(base_metrics.get(metric, {}))
             if not reference:
                 report.add(Finding(
@@ -347,6 +361,7 @@ def diff_results(
         tolerance_pct=tolerance_pct,
         alpha=alpha,
     )
+    gated = _gated(report.metrics, b.spec.get("scenarios", []))
     for scenario_id, current in b.results.items():
         reference = a.results.get(scenario_id)
         if reference is None:
@@ -355,7 +370,7 @@ def diff_results(
                 "scenario absent from the reference artifact",
             ))
             continue
-        for metric in report.metrics:
+        for metric in gated(scenario_id):
             ref_values = reference.values(metric)
             if not ref_values:
                 report.add(Finding(

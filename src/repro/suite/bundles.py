@@ -4,13 +4,14 @@ Six suites ship with the reproduction:
 
 =================  =========================================================
 ``paper-smoke``    CI-speed slice of the paper grid (committed baselines;
-                   the ``suite-smoke`` CI job runs ``check`` against them)
-``paper-full``     the full Section 5/6 comparison grid (all schemes,
-                   symmetric + asymmetric, three seeds) — hours, not minutes
+                   CI's ``suites`` job runs ``check`` against them)
+``paper-figures``  every figure and ablation of Sections 5/6 (schemes x
+                   loads sym/asym, Fig 6 knobs, Fig 7 incast); the grid
+                   ``repro figure`` renders (~9 min cold on two workers)
 ``chaos``          scheme x fault-preset recovery matrix
 ``control-plane``  Clove vs ECMP under echo-loss sweeps and vswitch restart
-                   storms (committed baselines; the ``control-plane-smoke``
-                   CI job runs ``check`` against them)
+                   storms (committed baselines; CI's ``suites`` job runs
+                   ``check`` against them)
 ``health``         self-healing on/off under a flap, with and without the
                    stale-ECMP failover window
 ``workloads``      scheme x flow-size-distribution matrix
@@ -72,32 +73,56 @@ def paper_smoke() -> SuiteSpec:
     )
 
 
-def paper_full() -> SuiteSpec:
-    """The paper's full scheme x load comparison grid (long-running)."""
+def _ablation(name: str, knob: str, values: List[float]) -> ScenarioSpec:
+    """One Clove-ECN design knob swept on the asymmetric fabric at 70%."""
+    base = {"scheme": "clove-ecn", "asymmetric": True, "load": 0.7,
+            "jobs_per_client": 60}
+    return ScenarioSpec(name, base=base, matrix={knob: values})
+
+
+def paper_figures() -> SuiteSpec:
+    """Every figure and ablation of the evaluation (``repro figure``).
+
+    Figs 4c, 5a-c and 8b all read ``asym``, so each point runs once; a
+    longer horizon or another load is an edit of this spec.
+    """
+    loads = [0.3, 0.5, 0.7]
+    grid = {"scheme": ["ecmp", "edge-flowlet", "clove-ecn", "mptcp", "presto",
+                       "clove-int", "conga"], "load": loads}
+    fig6 = {"jobs_per_client": 200, "scheme": "clove-ecn", "asymmetric": True}
     return SuiteSpec(
-        name="paper-full",
-        description=(
-            "the paper's full comparison grid: every scheme, symmetric "
-            "and asymmetric, three seeds (long-running)"
-        ),
-        seeds=(1, 2, 3),
-        metrics=("avg_fct", "p99_fct", "mice_avg_fct", "elephant_avg_fct"),
+        name="paper-figures",
+        description="every figure and ablation of the paper's evaluation; "
+                    "`repro figure NAME|all` renders it",
+        seeds=(1,),
+        metrics=("avg_fct", "p99_fct", "mice_avg_fct", "elephant_avg_fct",
+                 "goodput_bps"),
         scenarios=[
-            ScenarioSpec(
-                name="grid",
-                base={"jobs_per_client": 150},
-                matrix={
-                    "scheme": [
-                        "ecmp", "edge-flowlet", "clove-ecn", "clove-int",
-                        "presto", "mptcp", "conga", "letflow",
-                    ],
-                    "load": [0.3, 0.5, 0.7, 0.9],
-                    "asymmetric": [False, True],
-                },
-                # Under the failed cable the bisection cannot carry 90%
-                # offered load (Section 5) — the paper stops at 80%.
-                exclude=[{"asymmetric": True, "load": 0.9}],
-            ),
+            ScenarioSpec("sym", base={"jobs_per_client": 200}, matrix=grid),
+            ScenarioSpec("asym", base={"jobs_per_client": 200,
+                                       "asymmetric": True}, matrix=grid),
+            # Fig 6: the recommended (1xRTT gap, 20-packet ECN threshold)
+            # setting and one mis-tuned knob at a time
+            ScenarioSpec("fig6-gap", base={
+                **fig6, "topology": {"ecn_threshold_packets": 20}},
+                matrix={"flowlet_gap_rtt": [1.0, 0.2, 5.0], "load": loads}),
+            ScenarioSpec("fig6-threshold", base={
+                **fig6, "flowlet_gap_rtt": 1.0,
+                "topology": {"ecn_threshold_packets": 40}},
+                matrix={"load": loads}),
+            # Fig 7: 2 MB requests (the paper's 10 MB, scaled) x 8 rounds
+            ScenarioSpec("incast", kind="incast",
+                         base={"n_requests": 8, "total_bytes": 2_000_000},
+                         matrix={"scheme": ["clove-ecn", "edge-flowlet", "mptcp"],
+                                 "fanout": [1, 2, 4, 8]}),
+            _ablation("ablation-weight-reduction", "weight_reduction",
+                      [1 / 6, 1 / 3, 1 / 2, 2 / 3]),
+            _ablation("ablation-flowlet-gap", "flowlet_gap_rtt",
+                      [0.2, 1.0, 2.0, 5.0]),
+            _ablation("ablation-congestion-expiry", "congestion_expiry_rtt",
+                      [1.0, 3.0, 10.0]),
+            _ablation("ablation-ecn-relay", "ecn_relay_interval_rtt",
+                      [0.0, 0.5, 2.0]),
         ],
     )
 
@@ -249,7 +274,7 @@ def workloads_suite() -> SuiteSpec:
 
 _BUNDLES = {
     "paper-smoke": paper_smoke,
-    "paper-full": paper_full,
+    "paper-figures": paper_figures,
     "chaos": chaos_suite,
     "control-plane": control_plane_suite,
     "health": health_suite,

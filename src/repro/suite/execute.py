@@ -160,9 +160,9 @@ def run_suite(
 ) -> SuiteResult:
     """Execute every (scenario x seed) point of ``spec``.
 
-    ``runner`` selects parallelism and caching exactly as in
-    :func:`~repro.harness.sweep.sweep_loads`; ``telemetry`` is an optional
-    scope every run reports into (the suite stamps its own manifest).
+    ``runner`` selects parallelism and caching (None: serial, uncached);
+    ``telemetry`` is an optional scope every run reports into (the suite
+    stamps its own manifest).
     """
     scenarios = spec.expand()
     jobs = [
@@ -217,7 +217,7 @@ def results_equal(a: SuiteResult, b: SuiteResult) -> bool:
     """Bit-exact equality of the deterministic portions (NaN == NaN).
 
     The serial-vs-parallel determinism guarantee is stated in these
-    terms, mirroring :func:`repro.harness.sweep.series_equal`.
+    terms.
     """
     return _canon(a.comparable()) == _canon(b.comparable())
 

@@ -24,6 +24,12 @@ Axes are ``ExperimentConfig`` field names, plus two sugar axes:
 * ``topology`` — a named preset from :data:`TOPOLOGIES` or a dict of
   :class:`~repro.topology.leafspine.LeafSpineConfig` fields.
 
+A scenario of ``"kind": "incast"`` runs the Figure 7 fan-in experiment
+instead: its axes are the :func:`~repro.harness.incast.run_incast`
+keywords (:data:`INCAST_AXES`), each point lowers to
+:meth:`JobSpec.incast <repro.runner.job.JobSpec.incast>` and its one
+metric is ``goodput_bps``.
+
 Unknown axes, scheme names, workload names, topology/chaos references and
 exclude keys are all rejected at load time with descriptive errors — a
 suite that parses will run.
@@ -62,6 +68,12 @@ TOPOLOGIES: Dict[str, Optional[LeafSpineConfig]] = {
 _CONFIG_FIELDS = {f.name for f in dataclasses.fields(ExperimentConfig)}
 #: axes resolved specially before ExperimentConfig construction
 _SUGAR_AXES = ("chaos", "topology")
+#: the ``run_incast`` keywords an incast scenario may set (seed excepted)
+INCAST_AXES = ("scheme", "fanout", "n_requests", "total_bytes",
+               "mptcp_subflows", "min_rto")
+#: scenario kind -> the payload metrics its runs produce
+KIND_METRICS: Dict[str, Tuple[str, ...]] = {
+    "experiment": METRIC_KEYS, "incast": ("goodput_bps",)}
 
 
 def _resolve_chaos(value: Any, where: str) -> Optional[FaultPlan]:
@@ -116,19 +128,30 @@ def _resolve_topology(value: Any, where: str) -> Optional[LeafSpineConfig]:
     )
 
 
-def _check_params(params: Dict[str, Any], where: str) -> None:
+def _check_params(params: Dict[str, Any], where: str,
+                  kind: str = "experiment") -> None:
     """Reject unknown axis/override names with the valid list."""
-    unknown = set(params) - _CONFIG_FIELDS - set(_SUGAR_AXES)
-    if unknown:
-        valid = sorted(_CONFIG_FIELDS | set(_SUGAR_AXES))
-        raise ValueError(
-            f"{where}: unknown axis/override {sorted(unknown)} "
-            f"(valid: {valid})"
-        )
     if "seed" in params:
         raise ValueError(
             f"{where}: 'seed' is not an axis — seeds are the suite-level "
             f"pairing protocol (SuiteSpec.seeds)"
+        )
+    names = (set(INCAST_AXES) if kind == "incast"
+             else _CONFIG_FIELDS | set(_SUGAR_AXES))
+    unknown = set(params) - names
+    if unknown:
+        valid = sorted(names)
+        raise ValueError(
+            f"{where}: unknown axis/override {sorted(unknown)} "
+            f"(valid: {valid})"
+        )
+
+
+def _check_scheme(scheme: Any, where: str) -> None:
+    if scheme not in SCHEMES:
+        raise ValueError(
+            f"{where}: unknown scheme {scheme!r} "
+            f"(valid schemes: {', '.join(SCHEMES)})"
         )
 
 
@@ -143,11 +166,7 @@ def build_config(params: Dict[str, Any], where: str = "scenario") -> ExperimentC
     chaos = _resolve_chaos(params.pop("chaos", None), where)
     topology = _resolve_topology(params.pop("topology", None), where)
     config = ExperimentConfig(**params)
-    if config.scheme not in SCHEMES:
-        raise ValueError(
-            f"{where}: unknown scheme {config.scheme!r} "
-            f"(valid schemes: {', '.join(SCHEMES)})"
-        )
+    _check_scheme(config.scheme, where)
     validate_workload(config.workload)
     if chaos is not None:
         config = dataclasses.replace(config, chaos=chaos)
@@ -177,8 +196,11 @@ class Scenario:
     #: the merged parameter dict the id was derived from
     params: Dict[str, Any]
     #: the lowered per-seed-independent experiment config (seed=0 sentinel;
-    #: :meth:`config_for_seed` stamps the real seed)
-    config: ExperimentConfig
+    #: :meth:`config_for_seed` stamps the real seed); None for incast
+    config: Optional[ExperimentConfig]
+    #: ``"experiment"`` or ``"incast"`` (then ``params`` are the
+    #: ``run_incast`` keywords)
+    kind: str = "experiment"
 
     def config_for_seed(self, seed: int) -> ExperimentConfig:
         """The scenario's config with the real seed stamped in."""
@@ -186,10 +208,10 @@ class Scenario:
 
     def job(self, seed: int) -> JobSpec:
         """The runner job for one seed of this scenario."""
-        return JobSpec.experiment(
-            self.config_for_seed(seed),
-            label=f"{self.scenario_id} seed={seed}",
-        )
+        label = f"{self.scenario_id} seed={seed}"
+        if self.kind == "incast":
+            return JobSpec.incast(label=label, seed=seed, **self.params)
+        return JobSpec.experiment(self.config_for_seed(seed), label=label)
 
 
 @dataclass
@@ -206,15 +228,20 @@ class ScenarioSpec:
     exclude: List[Dict[str, Any]] = field(default_factory=list)
     #: overrides applied after expansion (they never appear in the id)
     pin: Dict[str, Any] = field(default_factory=dict)
+    #: ``"experiment"`` (ExperimentConfig axes) or ``"incast"``
+    #: (:data:`INCAST_AXES`)
+    kind: str = "experiment"
 
     def validate(self) -> None:
         """Reject unknown axes, bad value lists and bogus exclude keys."""
         if not self.name:
             raise ValueError("scenario needs a non-empty name")
         where = f"scenario {self.name!r}"
-        _check_params(self.base, where)
-        _check_params(self.matrix, where)
-        _check_params(self.pin, where)
+        if self.kind not in KIND_METRICS:
+            raise ValueError(f"{where}: unknown kind {self.kind!r} "
+                             f"(valid: {', '.join(KIND_METRICS)})")
+        for params in (self.base, self.matrix, self.pin):
+            _check_params(params, where, self.kind)
         for axis, values in self.matrix.items():
             if not isinstance(values, (list, tuple)) or not values:
                 raise ValueError(
@@ -256,9 +283,14 @@ class ScenarioSpec:
                 f"{axis}={_axis_token(point[axis])}" for axis in sorted(axes)
             )
             scenario_id = self.name + (f"/{suffix}" if suffix else "")
-            config = build_config(
-                params, where=f"scenario {scenario_id!r}"
-            )
+            where = f"scenario {scenario_id!r}"
+            if self.kind == "incast":
+                # the keywords as given: defaults filled in here would
+                # change the job fingerprint
+                _check_scheme(params.get("scheme", "clove-ecn"), where)
+                scenarios.append(Scenario(scenario_id, params, None, "incast"))
+                continue
+            config = build_config(params, where=where)
             scenarios.append(Scenario(scenario_id, params, config))
         if not scenarios:
             raise ValueError(
@@ -267,8 +299,11 @@ class ScenarioSpec:
         return scenarios
 
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready form; empty sections are omitted."""
+        """JSON-ready form; empty sections and the default kind are
+        omitted (so experiment-only specs keep their digests)."""
         out: Dict[str, Any] = {"name": self.name}
+        if self.kind != "experiment":
+            out["kind"] = self.kind
         if self.base:
             out["base"] = dict(self.base)
         if self.matrix:
@@ -283,7 +318,7 @@ class ScenarioSpec:
     def from_dict(data: Dict[str, Any]) -> "ScenarioSpec":
         if not isinstance(data, dict):
             raise ValueError(f"scenario must be a dict, not {type(data).__name__}")
-        known = {"name", "base", "matrix", "exclude", "pin"}
+        known = {"name", "kind", "base", "matrix", "exclude", "pin"}
         unknown = set(data) - known
         if unknown:
             raise ValueError(
@@ -296,6 +331,7 @@ class ScenarioSpec:
             matrix={k: list(v) for k, v in dict(data.get("matrix", {})).items()},
             exclude=[dict(r) for r in data.get("exclude", [])],
             pin=dict(data.get("pin", {})),
+            kind=str(data.get("kind", "experiment")),
         )
         spec.validate()
         return spec
@@ -330,12 +366,6 @@ class SuiteSpec:
             raise ValueError(f"suite {self.name!r} needs at least one seed")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError(f"suite {self.name!r}: duplicate seeds")
-        for key in self.metrics:
-            if key not in METRIC_KEYS:
-                raise ValueError(
-                    f"suite {self.name!r}: unknown metric {key!r} "
-                    f"(valid: {', '.join(METRIC_KEYS)})"
-                )
         if self.tolerance_pct < 0:
             raise ValueError(f"suite {self.name!r}: negative tolerance")
         if not 0 < self.alpha < 1:
@@ -345,6 +375,15 @@ class SuiteSpec:
             raise ValueError(f"suite {self.name!r}: duplicate scenario names")
         for scenario in self.scenarios:
             scenario.validate()
+        # a metric is valid when some scenario's kind produces it
+        valid = [key for kind in dict.fromkeys(s.kind for s in self.scenarios)
+                 for key in KIND_METRICS[kind]]
+        for key in self.metrics:
+            if key not in valid:
+                raise ValueError(
+                    f"suite {self.name!r}: unknown metric {key!r} "
+                    f"(valid: {', '.join(valid)})"
+                )
 
     def expand(self) -> List[Scenario]:
         """Every concrete scenario of the suite, in declaration order."""

@@ -257,7 +257,7 @@ def compare_by_seed(
 
 #: metric keys where larger values are better (everything else: smaller is
 #: better, the FCT/latency convention)
-HIGHER_IS_BETTER = frozenset({"completion_rate", "count"})
+HIGHER_IS_BETTER = frozenset({"completion_rate", "count", "goodput_bps"})
 
 
 def worsening(metric: str, comparison: Comparison) -> float:

@@ -123,3 +123,29 @@ def test_argparse_usage_errors_exit_2(argv, capsys):
         main(argv)
     assert _exit_code(excinfo) == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+# ----------------------------------------------------------------------
+# `repro figure` takes only what it uses
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("flags", [
+    ["--audit", "strict"],
+    ["--health"],
+    ["--asymmetric"],
+    ["--flow-scale", "0.05"],
+    ["--failover-delay", "0.5"],
+    ["--chaos-preset", "flap"],
+    ["--loads", "0.3"],
+    ["--jobs-per-client", "3"],
+])
+def test_figure_rejects_the_run_flags_it_never_applied(flags, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["figure", "fig4b", *flags])
+    assert _exit_code(excinfo) == 2
+    assert "unrecognized arguments" in _assert_clean_stderr(capsys)
+
+
+def test_unknown_figure_exits_2_with_the_valid_list(capsys):
+    assert main(["figure", "fig99"]) == 2
+    err = _assert_clean_stderr(capsys)
+    assert "fig99" in err and "fig4b" in err and "all" in err

@@ -12,7 +12,9 @@ from repro.harness.experiment import (
     ideal_path_weights,
     run_experiment,
 )
-from repro.harness.sweep import average_over_seeds, format_series_table, sweep_loads
+from repro.harness.report import render_table
+from repro.suite import ScenarioSpec, SuiteSpec, run_suite
+from repro.suite.figures import line_series
 
 
 def _quick(scheme="ecmp", **overrides) -> ExperimentConfig:
@@ -126,25 +128,38 @@ class TestIdealPathWeights:
         assert weights == pytest.approx([1 / 3, 1 / 3, 1 / 6, 1 / 6], abs=0.01)
 
 
+def _sweep(loads, seeds) -> SuiteSpec:
+    """An ECMP load sweep as `repro sweep` builds it: an ad-hoc suite."""
+    return SuiteSpec(name="sweep", seeds=tuple(seeds), scenarios=[ScenarioSpec(
+        "sweep",
+        base={"jobs_per_client": 4, "clients_per_leaf": 2,
+              "connections_per_client": 1},
+        matrix={"scheme": ["ecmp"], "load": list(loads)},
+    )])
+
+
+def _series(spec):
+    line = ("ecmp", "sweep", (("scheme", "ecmp"),))
+    return line_series([line], "load", "avg_fct", spec.expand(), run_suite(spec))
+
+
 class TestSweep:
     def test_sweep_structure(self):
-        base = _quick("ecmp", jobs_per_client=4, clients_per_leaf=2)
-        series = sweep_loads(base, ["ecmp"], [0.2, 0.4], seeds=[1])
+        series = _series(_sweep([0.2, 0.4], [1]))
         assert list(series) == ["ecmp"]
         assert [load for load, _ in series["ecmp"]] == [0.2, 0.4]
         assert all(not math.isnan(v) for _, v in series["ecmp"])
 
     def test_average_over_seeds(self):
-        base = _quick("ecmp", jobs_per_client=4, clients_per_leaf=2)
-        value = average_over_seeds(base, seeds=[1, 2])
-        assert value > 0
+        (point,) = _series(_sweep([0.4], [1, 2]))["ecmp"]
+        assert point[1] > 0
 
     def test_format_series_table(self):
         series = {"ecmp": [(0.2, 0.001), (0.4, 0.002)], "clove-ecn": [(0.2, 0.001), (0.4, 0.0015)]}
-        text = format_series_table(series, scale=1000.0)
+        text = render_table(series, value_scale=1000.0)
         assert "ecmp" in text and "clove-ecn" in text
         assert "20" in text and "40" in text
 
     def test_empty_seeds_rejected(self):
         with pytest.raises(ValueError):
-            average_over_seeds(_quick(), seeds=[])
+            _sweep([0.4], []).validate()

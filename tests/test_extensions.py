@@ -1,16 +1,11 @@
 """Tests for the extension modules: CUBIC, extra workloads, time series,
-reporting helpers and the CLI."""
+the text renderers (their edge cases are in ``test_report.py``) and the CLI."""
 
 import random
 
 import pytest
 
-from repro.harness.report import (
-    render_bar_chart,
-    render_cdf,
-    render_table,
-    speedup_table,
-)
+from repro.harness.report import render_bar_chart, render_cdf, render_table
 from repro.metrics.timeseries import NetworkSampler, summarize
 from repro.net.packet import FlowKey, MSS, make_ack_packet
 from repro.sim.engine import Simulator
@@ -188,14 +183,6 @@ class TestReport:
         assert "1.0 |" in text and "0.0 +" in text
         assert "* = x" in text
 
-    def test_speedup_table(self):
-        speedups = speedup_table(self.SERIES, "ecmp", 0.7)
-        assert speedups["clove-ecn"] == pytest.approx(5.0)
-
-    def test_speedup_missing_baseline(self):
-        with pytest.raises(KeyError):
-            speedup_table(self.SERIES, "nope", 0.7)
-
 
 class TestCli:
     def test_schemes_command(self, capsys):
@@ -225,4 +212,4 @@ class TestCli:
 
     def test_figure_unknown_name(self):
         from repro.cli import main
-        assert main(["figure", "fig99", "--jobs-per-client", "3"]) == 2
+        assert main(["figure", "fig99"]) == 2

@@ -87,6 +87,14 @@ def test_run_path_imports_only_what_every_run_touches():
     assert {"repro.baselines.ecmp", "repro.core.clove"} <= modules
 
 
+def test_suite_setup_path_loads_no_figure_or_incast_harness():
+    # what `repro suite run|check` (and benchmarks.perf's suite-batch) load
+    # before the runner starts: figure rows and the incast harness are for
+    # `repro figure` and for batches that hold incast jobs
+    modules = _modules_after("import repro.suite.bundles, repro.suite.execute")
+    assert not {"repro.suite.figures", "repro.harness.incast"} & modules
+
+
 @pytest.mark.parametrize("argv", [
     ["schemes"],
     ["cache", "list", "--cache-dir", "{tmp}"],

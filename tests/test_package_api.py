@@ -16,14 +16,16 @@ import pytest
 
 import repro
 
-#: ``__all__`` of every package, as it was before the tables
+#: ``__all__`` of every package, as it was before the tables (less the
+#: grid helpers ``sweep_loads``/``average_over_seeds``, whose job is now
+#: an ad-hoc :class:`repro.suite.SuiteSpec`)
 PUBLIC_API = {
     "repro": (
         "Simulator RngRegistry CloveEcnPolicy CloveIntPolicy CloveParams "
         "EdgeFlowletPolicy FlowletTable PathDiscovery DiscoveryConfig "
         "HealthConfig PathHealthMonitor WeightedPathTable EcmpPolicy "
         "PrestoPolicy CloveLatencyPolicy ExperimentConfig ExperimentResult "
-        "SCHEMES run_experiment estimate_rtt sweep_loads Host LoadBalancer "
+        "SCHEMES run_experiment estimate_rtt Host LoadBalancer "
         "VSwitch LeafSpineConfig build_leaf_spine build_fat_tree "
         "__version__"
     ),
@@ -55,7 +57,7 @@ PUBLIC_API = {
     ),
     "repro.harness": (
         "ExperimentConfig ExperimentResult SCHEMES run_experiment "
-        "estimate_rtt sweep_loads average_over_seeds"
+        "estimate_rtt"
     ),
     "repro.hypervisor": (
         "LoadBalancer PathFeedback VSwitch Host"

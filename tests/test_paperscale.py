@@ -1,13 +1,14 @@
-"""Tests for the paper-scale presets."""
+"""The paper-scale point: the full testbed and the paper's protocol, as a
+suite expresses it (``"topology": "paper"`` plus the point's fields)."""
 
 import pytest
 
-from repro.harness.paperscale import estimated_packets, paper_config, paper_topology
+from repro.suite import TOPOLOGIES, build_config
 
 
 class TestPaperTopology:
     def test_matches_the_testbed(self):
-        topo = paper_topology()
+        topo = TOPOLOGIES["paper"]
         assert topo.hosts_per_leaf == 16
         assert topo.host_rate_bps == pytest.approx(10e9)
         assert topo.fabric_rate_bps == pytest.approx(40e9)
@@ -19,23 +20,18 @@ class TestPaperTopology:
         from repro.sim.rng import RngRegistry
         from repro.topology.leafspine import build_leaf_spine
 
-        net = build_leaf_spine(Simulator(), RngRegistry(1), paper_topology())
+        net = build_leaf_spine(Simulator(), RngRegistry(1), TOPOLOGIES["paper"])
         assert net.bisection_bandwidth_bps() == pytest.approx(160e9)
         assert len(net.hosts) == 32
 
     def test_paper_config_uses_paper_protocol(self):
-        config = paper_config("clove-ecn", 0.7, asymmetric=True)
+        config = build_config({
+            "scheme": "clove-ecn", "load": 0.7, "asymmetric": True,
+            "topology": "paper", "flow_scale": 1.0,
+            "connections_per_client": 1,    # the testbed's persistent connection
+            "pairing": "random",            # the paper's server choice
+        })
         assert config.pairing == "random"
         assert config.connections_per_client == 1
         assert config.flow_scale == 1.0
         assert config.topology.hosts_per_leaf == 16
-
-    def test_estimated_packets_scales_with_jobs(self):
-        small = estimated_packets(paper_config("ecmp", 0.7, jobs_per_client=100))
-        big = estimated_packets(paper_config("ecmp", 0.7, jobs_per_client=1000))
-        assert big == pytest.approx(small * 10, rel=0.01)
-
-    def test_a_faithful_point_is_expensive(self):
-        # Sanity guard: the docstring's warning should stay true.
-        config = paper_config("ecmp", 0.7)
-        assert estimated_packets(config) > 1e7

@@ -1,12 +1,9 @@
-"""harness.report: table/chart rendering and speedup edge cases."""
-
-import pytest
+"""harness.report: table/chart rendering edge cases."""
 
 from repro.harness.report import (
     render_bar_chart,
     render_cdf,
     render_table,
-    speedup_table,
 )
 
 
@@ -27,6 +24,14 @@ def test_table_aligns_schemes_and_scales_values():
     assert "ecmp" in lines[0] and "clove-ecn" in lines[0]
     assert "0.30" in lines[1] and "1.000" in lines[1]
     assert "(values in ms)" in lines[-1]
+
+
+def test_table_widens_the_x_column_for_a_long_label():
+    text = render_table({"clove-ecn": [(0.5, 0.001), (2.0, 0.002)]},
+                        x_label="ecn_relay_interval_rtt", x_format="{:g}")
+    header, first, second = text.splitlines()[:3]
+    assert len(header) == len(first) == len(second)
+    assert header.startswith("ecn_relay_interval_rtt ")
 
 
 # ----------------------------------------------------------------------
@@ -83,40 +88,4 @@ def test_cdf_overlays_markers_per_scheme():
     assert "* = ecmp" in text and "o = clove" in text
     assert "*" in text and "o" in text
     assert text.splitlines()[0].startswith("1.0 |")
-
-
-# ----------------------------------------------------------------------
-# speedup_table
-# ----------------------------------------------------------------------
-_SERIES = {
-    "ecmp": [(0.3, 0.002), (0.5, 0.004)],
-    "clove": [(0.3, 0.001), (0.5, 0.002)],
-    "presto": [(0.3, 0.004)],
-}
-
-
-def test_speedup_relative_to_baseline():
-    out = speedup_table(_SERIES, baseline="ecmp", x=0.3)
-    assert out == {"clove": pytest.approx(2.0), "presto": pytest.approx(0.5)}
-    assert "ecmp" not in out
-
-
-def test_speedup_missing_baseline_raises():
-    with pytest.raises(KeyError, match="baseline 'conga' not in series"):
-        speedup_table(_SERIES, baseline="conga", x=0.3)
-
-
-def test_speedup_missing_x_raises():
-    with pytest.raises(KeyError, match="x=0.9 not present"):
-        speedup_table(_SERIES, baseline="ecmp", x=0.9)
-
-
-def test_speedup_skips_schemes_without_the_point_or_zero():
-    series = {
-        "ecmp": [(0.5, 0.004)],
-        "short": [(0.3, 0.001)],     # no x=0.5 sample
-        "zero": [(0.5, 0.0)],        # guard against division blowup
-        "clove": [(0.5, 0.002)],
-    }
-    out = speedup_table(series, baseline="ecmp", x=0.5)
-    assert out == {"clove": pytest.approx(2.0)}
+    assert "0.0 +" in text

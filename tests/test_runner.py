@@ -1,5 +1,6 @@
 """Unit tests for the repro.runner subsystem: job model, cache, serial path."""
 
+import dataclasses
 import json
 import math
 
@@ -7,14 +8,7 @@ import pytest
 
 from repro.harness.experiment import ExperimentConfig, run_experiment
 from repro.harness.metrics import METRIC_KEYS, standard_metrics
-from repro.harness.sweep import (
-    average_over_seeds,
-    avg_fct,
-    format_series_table,
-    metric_key,
-    p99_fct,
-    sweep_loads,
-)
+from repro.harness.report import render_table
 from repro.runner import (
     JobSpec,
     ResultCache,
@@ -24,6 +18,10 @@ from repro.runner import (
     run_jobs,
 )
 from repro.runner import job as job_module
+from repro.suite import ScenarioSpec, SuiteSpec, results_equal, run_suite
+from repro.suite.execute import ScenarioResult, SuiteResult
+from repro.suite.figures import FIGURES, line_series
+from repro.suite.spec import KIND_METRICS
 from repro.topology.leafspine import LeafSpineConfig
 
 
@@ -216,42 +214,40 @@ class TestRunJobsSerial:
         assert [r.cached for r in results] == [False, True, False]
 
 
+def _sweep(loads=(0.3, 0.5), seeds=(1,), **base) -> SuiteSpec:
+    """The ad-hoc suite `repro sweep` builds: one scheme x load matrix."""
+    return SuiteSpec(
+        name="sweep", seeds=tuple(seeds),
+        scenarios=[ScenarioSpec(
+            "sweep",
+            base={"jobs_per_client": 4, "clients_per_leaf": 2,
+                  "connections_per_client": 1, **base},
+            matrix={"scheme": ["ecmp"], "load": list(loads)},
+        )],
+    )
+
+
+_ECMP_LINE = [("ecmp", "sweep", (("scheme", "ecmp"),))]
+
+
 class TestMetricResolution:
     def test_bundled_extractors_are_tagged(self):
-        assert metric_key(avg_fct) == "avg_fct"
-        assert metric_key(p99_fct) == "p99_fct"
-        assert metric_key("mice_avg_fct") == "mice_avg_fct"
+        # every figure row reads a payload key, so its points cross the
+        # process and cache boundaries (Fig 9 alone re-runs in-process)
+        keys = {key for kind in KIND_METRICS.values() for key in kind}
+        assert {f.metric for f in FIGURES.values() if f.name != "fig9"} <= keys
+        assert {"avg_fct", "p99_fct", "mice_avg_fct", "goodput_bps"} <= keys
 
     def test_unknown_string_key_rejected(self):
-        with pytest.raises(ValueError, match="unknown metric key"):
-            metric_key("not_a_metric")
-
-    def test_custom_callable_runs_in_process(self):
-        value = average_over_seeds(
-            _quick(), seeds=[1], metric=lambda result: 42.0
-        )
-        assert value == 42.0
-
-    def test_custom_callable_rejects_parallel_runner(self):
-        with pytest.raises(ValueError, match="custom metric"):
-            sweep_loads(
-                _quick(), ["ecmp"], [0.3], seeds=[1],
-                metric=lambda result: 0.0,
-                runner=RunnerConfig(jobs=4),
-            )
-
-    def test_custom_callable_rejects_cache(self, tmp_path):
-        with pytest.raises(ValueError, match="custom metric"):
-            average_over_seeds(
-                _quick(), seeds=[1], metric=lambda result: 0.0,
-                runner=RunnerConfig(cache_dir=str(tmp_path)),
-            )
+        spec = dataclasses.replace(_sweep(), metrics=("not_a_metric",))
+        with pytest.raises(ValueError, match="unknown metric"):
+            spec.validate()
 
 
 class TestFormatSeriesTable:
     def test_empty_series_raises(self):
         with pytest.raises(ValueError, match="empty series"):
-            format_series_table({})
+            render_table({"ecmp": []})
 
     def test_ragged_load_grids_raise(self):
         series = {
@@ -259,7 +255,7 @@ class TestFormatSeriesTable:
             "clove-ecn": [(0.2, 0.001)],
         }
         with pytest.raises(ValueError, match="ragged"):
-            format_series_table(series)
+            render_table(series)
 
     def test_mismatched_loads_raise(self):
         series = {
@@ -267,38 +263,44 @@ class TestFormatSeriesTable:
             "clove-ecn": [(0.2, 0.001), (0.5, 0.002)],
         }
         with pytest.raises(ValueError, match="ragged"):
-            format_series_table(series)
+            render_table(series)
 
     def test_well_formed_series_still_renders(self):
         series = {
             "ecmp": [(0.2, 0.001), (0.4, 0.002)],
             "clove-ecn": [(0.2, 0.001), (0.4, 0.0015)],
         }
-        text = format_series_table(series, scale=1000.0)
+        text = render_table(series, value_scale=1000.0)
         assert "ecmp" in text and "clove-ecn" in text
 
 
 class TestSweepThroughRunner:
     def test_sweep_default_matches_explicit_serial_runner(self):
-        base = _quick()
-        a = sweep_loads(base, ["ecmp"], [0.3, 0.5], seeds=[1])
-        b = sweep_loads(base, ["ecmp"], [0.3, 0.5], seeds=[1],
-                        runner=RunnerConfig(jobs=1))
-        assert a == b
+        a = run_suite(_sweep())
+        b = run_suite(_sweep(), runner=RunnerConfig(jobs=1))
+        assert results_equal(a, b)
 
     def test_average_over_seeds_through_runner(self, tmp_path):
-        base = _quick()
-        plain = average_over_seeds(base, seeds=[1, 2])
+        spec = _sweep(loads=(0.3,), seeds=(1, 2))
+        plain = line_series(_ECMP_LINE, "load", "avg_fct", spec.expand(),
+                            run_suite(spec))
         runner = RunnerConfig(cache_dir=str(tmp_path))
-        cached = average_over_seeds(base, seeds=[1, 2], runner=runner)
-        assert plain == cached
-        # second call is served fully from cache
-        again = average_over_seeds(base, seeds=[1, 2], runner=runner)
-        assert again == plain
+        cached = run_suite(spec, runner=runner)
+        assert line_series(_ECMP_LINE, "load", "avg_fct", spec.expand(),
+                           cached) == plain
+        # a second run is served fully from cache
+        again = run_suite(spec, runner=runner)
+        assert again.meta["cached_points"] == 2
+        assert results_equal(again, cached)
 
     def test_failed_point_yields_nan_with_warning(self):
+        spec = _sweep(loads=(0.3,))
+        (scenario,) = spec.expand()
+        result = SuiteResult("sweep", spec.to_dict(), "", {
+            scenario.scenario_id: ScenarioResult(
+                scenario.scenario_id, errors={1: "worker crashed"}),
+        })
         with pytest.warns(RuntimeWarning, match="failed"):
-            series = sweep_loads(
-                _quick(workload="bogus"), ["ecmp"], [0.3], seeds=[1]
-            )
+            series = line_series(_ECMP_LINE, "load", "avg_fct", [scenario],
+                                 result)
         assert math.isnan(series["ecmp"][0][1])

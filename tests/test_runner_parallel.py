@@ -6,13 +6,14 @@ same cache dir must execute nothing, and worker crashes/timeouts must be
 retried and then surfaced — never hang the batch.
 """
 
+import dataclasses
+import json
 import os
 import time
 
 import pytest
 
 from repro.harness.experiment import ExperimentConfig
-from repro.harness.sweep import series_equal, sweep_loads
 from repro.runner import JobSpec, RunnerConfig, run_jobs
 from repro.telemetry import Telemetry
 
@@ -27,32 +28,35 @@ def _base() -> ExperimentConfig:
     )
 
 
+def _grid(loads=LOADS, seeds=SEEDS, **fields):
+    """The scheme x load x seed grid as runner jobs, in grid order."""
+    return [
+        JobSpec.experiment(dataclasses.replace(
+            _base(), scheme=scheme, load=load, seed=seed, **fields))
+        for scheme in SCHEMES
+        for load in loads
+        for seed in seeds
+    ]
+
+
+def _payloads(results):
+    """Every job's metric payload as canonical JSON (NaN == NaN)."""
+    return [json.dumps(r.metrics, sort_keys=True) for r in results]
+
+
 def test_parallel_sweep_matches_serial_bit_for_bit():
     """2 schemes x 3 loads x 3 seeds: jobs=4 must equal jobs=1 exactly."""
-    serial = sweep_loads(
-        _base(), SCHEMES, LOADS, seeds=SEEDS, runner=RunnerConfig(jobs=1)
-    )
-    parallel = sweep_loads(
-        _base(), SCHEMES, LOADS, seeds=SEEDS, runner=RunnerConfig(jobs=4)
-    )
-    assert series_equal(serial, parallel)
+    serial = run_jobs(_grid(), runner=RunnerConfig(jobs=1))
+    parallel = run_jobs(_grid(), runner=RunnerConfig(jobs=4))
+    assert all(r.ok for r in serial)
+    assert _payloads(serial) == _payloads(parallel)
 
 
 def test_parallel_sweep_matches_serial_under_audit_digest():
     """The serial-vs-parallel identity, re-proven by the audit digest: the
     same grid run with ``audit="report"`` must yield identical event-stream
     digests (and clean reports) from jobs=1 and jobs=4 executions."""
-    import dataclasses
-
-    base = dataclasses.replace(_base(), audit="report")
-    specs = [
-        JobSpec.experiment(
-            dataclasses.replace(base, scheme=scheme, load=load, seed=seed)
-        )
-        for scheme in SCHEMES
-        for load in LOADS[:2]
-        for seed in SEEDS[:2]
-    ]
+    specs = _grid(LOADS[:2], SEEDS[:2], audit="report")
     serial = run_jobs(list(specs), runner=RunnerConfig(jobs=1))
     parallel = run_jobs(list(specs), runner=RunnerConfig(jobs=4))
     for s, p in zip(serial, parallel):
@@ -64,14 +68,15 @@ def test_parallel_sweep_matches_serial_under_audit_digest():
 def test_second_invocation_runs_nothing(tmp_path, monkeypatch):
     """With a warm cache every grid point is served without executing."""
     runner = RunnerConfig(jobs=4, cache_dir=str(tmp_path))
-    first = sweep_loads(_base(), SCHEMES, LOADS[:2], seeds=SEEDS[:2], runner=runner)
+    first = run_jobs(_grid(LOADS[:2], SEEDS[:2]), runner=runner)
 
     def boom(*args, **kwargs):
         raise AssertionError("run_experiment must not be called on a warm cache")
 
     monkeypatch.setattr("repro.harness.experiment.run_experiment", boom)
-    second = sweep_loads(_base(), SCHEMES, LOADS[:2], seeds=SEEDS[:2], runner=runner)
-    assert series_equal(first, second)
+    second = run_jobs(_grid(LOADS[:2], SEEDS[:2]), runner=runner)
+    assert all(r.cached for r in second)
+    assert _payloads(first) == _payloads(second)
 
 
 def test_interrupted_grid_resumes(tmp_path):

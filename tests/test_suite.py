@@ -36,7 +36,7 @@ from repro.suite import (
     sign_test,
     worsening,
 )
-from repro.suite.execute import SuiteResult
+from repro.suite.execute import ScenarioResult, SuiteResult
 
 
 # ----------------------------------------------------------------------
@@ -237,17 +237,73 @@ def test_bundled_suites_expand_and_unknown_name_lists_valid():
         assert scenarios, name
         assert name == spec.name
     assert set(bundle_names()) == {
-        "chaos", "control-plane", "health", "paper-full", "paper-smoke",
+        "chaos", "control-plane", "health", "paper-figures", "paper-smoke",
         "workloads",
     }
     with pytest.raises(KeyError, match="bundled suites"):
         bundled_suite("paper-jumbo")
 
 
-def test_paper_full_excludes_oversubscribed_asymmetric_corner():
-    ids = [s.scenario_id for s in bundled_suite("paper-full").expand()]
-    assert not any("load=0.9" in i and "asymmetric=True" in i for i in ids)
-    assert len(ids) == 8 * 4 * 2 - 8
+def test_paper_figures_holds_an_incast_scenario():
+    spec = bundled_suite("paper-figures")
+    data = spec.to_dict()
+    kinds = {s["name"]: s.get("kind") for s in data["scenarios"]}
+    # the default kind is omitted, so experiment-only digests never moved
+    assert kinds["incast"] == "incast" and kinds["asym"] is None
+    assert SuiteSpec.from_dict(data).to_dict() == data
+    incast = [s for s in spec.expand() if s.kind == "incast"]
+    assert len(incast) == 3 * 4
+    assert all(s.config is None for s in incast)
+    assert incast[0].job(1).kind == "incast"
+
+
+def _incast_scenario(**overrides):
+    kwargs = dict(name="fan-in", kind="incast",
+                  base={"n_requests": 2, "total_bytes": 100_000},
+                  matrix={"scheme": ["ecmp", "clove-ecn"], "fanout": [2]})
+    kwargs.update(overrides)
+    return ScenarioSpec(**kwargs)
+
+
+def test_incast_scenario_validates_axes_scheme_and_metric():
+    with pytest.raises(ValueError, match="unknown axis.*valid: .*fanout"):
+        _incast_scenario(base={"load": 0.5}).validate()
+    with pytest.raises(ValueError, match="'seed' is not an axis"):
+        _incast_scenario(base={"seed": 3}).validate()
+    with pytest.raises(ValueError, match="unknown scheme"):
+        _incast_scenario(matrix={"scheme": ["bogus"]}).expand()
+    with pytest.raises(ValueError, match="unknown kind"):
+        _incast_scenario(kind="incest").validate()
+    # metrics are validated per kind: FCTs only where an experiment runs
+    with pytest.raises(ValueError, match="unknown metric 'avg_fct'"):
+        SuiteSpec("s", [_incast_scenario()], metrics=("avg_fct",)).validate()
+    with pytest.raises(ValueError, match="unknown metric 'goodput_bps'"):
+        _micro_suite(metrics=("goodput_bps",)).validate()
+    SuiteSpec("s", [_incast_scenario(), _micro_scenario()],
+              metrics=("avg_fct", "goodput_bps")).validate()
+
+
+def test_goodput_drop_on_an_incast_scenario_is_a_regression():
+    spec = SuiteSpec("mixed", [_incast_scenario(), _micro_scenario()],
+                     seeds=(1, 2), metrics=("avg_fct", "goodput_bps"))
+
+    def run(goodput_scale):
+        # each kind records only its own metric, as the runner's payloads do
+        results = {s.scenario_id: ScenarioResult(s.scenario_id, {1: "a", 2: "b"}, {
+            "goodput_bps": {1: 9e9 * goodput_scale, 2: 8e9 * goodput_scale},
+        } if s.kind == "incast" else {"avg_fct": {1: 1e-3, 2: 2e-3}})
+            for s in spec.expand()}
+        return SuiteResult("mixed", spec.to_dict(), "d", results)
+
+    baselines = baselines_from_result(spec, run(1.0))
+    report = check_result(spec, run(0.5), baselines)
+    # a halved goodput is a regression, never an improvement; incast
+    # scenarios are not gated on FCTs (nor experiments on goodput)
+    assert {(f.scenario_id.split("/")[0], f.metric, f.kind)
+            for f in report.findings} == {
+        ("fan-in", "goodput_bps", "regression")}
+    assert report.checked == 2 + 2
+    assert diff_results(run(1.0), run(0.5)).regressions
 
 
 # ----------------------------------------------------------------------
@@ -533,7 +589,7 @@ def test_cli_run_writes_artifact_and_report(tmp_path, suite_cache, capsys):
 def test_cli_list_and_show(capsys):
     assert main(["suite", "list"]) == 0
     out = capsys.readouterr().out
-    assert "paper-smoke" in out and "paper-full" in out
+    assert "paper-smoke" in out and "paper-figures" in out
     assert main(["suite", "show", "paper-smoke"]) == 0
     shown = json.loads(capsys.readouterr().out)
     assert shown["name"] == "paper-smoke"

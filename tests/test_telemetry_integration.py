@@ -5,7 +5,7 @@ import pytest
 from repro.cli import main
 from repro.harness.experiment import ExperimentConfig, run_experiment
 from repro.harness.incast import run_incast
-from repro.harness.sweep import average_over_seeds
+from repro.runner import JobSpec, run_jobs
 from repro.telemetry import Telemetry, load_jsonl
 
 
@@ -62,7 +62,8 @@ class TestInstrumentedExperiment:
 
     def test_sweep_shares_one_scope_across_seeds(self):
         tel = Telemetry()
-        average_over_seeds(_small_config(), seeds=(1, 2), telemetry=tel)
+        run_jobs([JobSpec.experiment(_small_config(seed=seed)) for seed in (1, 2)],
+                 telemetry=tel)
         assert len(tel.manifests) == 2
         assert {m["seed"] for m in tel.manifests} == {1, 2}
         assert len(tel.events.events("run.start")) == 2
