@@ -17,7 +17,7 @@ the harness's existing chunk loop rather than on sim events.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Set, Tuple
+from typing import Any, Dict, Set, Tuple
 
 from repro.audit import invariants, ledger
 from repro.audit.digest import StreamDigest
@@ -36,7 +36,8 @@ class Auditor:
         self.telemetry = telemetry
         self._emitted = 0  # findings already mirrored to telemetry events
 
-        #: the determinism digest :meth:`on_event` folds every event into
+        #: the determinism digest ``Simulator.run`` folds every event into,
+        #: and the time of the last event it saw
         self.digest = StreamDigest()
         self.last_event_time = float("-inf")
 
@@ -94,17 +95,8 @@ class Auditor:
                 host.vswitch._audit = None
 
     # ------------------------------------------------------------------
-    # Engine hooks (called from Simulator.run, once per event)
+    # Engine hook (Simulator.run checks and digests every event inline)
     # ------------------------------------------------------------------
-    def on_event(self, time: float, fn: Callable[..., Any]) -> None:
-        """The engine popped the event ``fn`` due at ``time`` and is about
-        to fire it: check timestamp monotonicity, fold it into the digest."""
-        if time < self.last_event_time:
-            self.on_time_regression(
-                time, self.last_event_time, getattr(fn, "__qualname__", "?"))
-        self.last_event_time = time
-        self.digest.mix(time, fn)
-
     def on_time_regression(self, time: float, last_time: float, name: str) -> None:
         """The engine popped an event older than its predecessor."""
         self.report.record(

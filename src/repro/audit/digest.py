@@ -12,12 +12,14 @@ runs.  Instead each distinct callback qualname gets a small integer token
 in **first-seen order**; a deterministic event sequence assigns identical
 tokens in every process.  Numeric hashes are value-stable across
 processes, so folding each event as ``hash((state, time, token))`` is safe
-— and the tuple hash runs entirely in C, which is what keeps the audited
-dispatch loop inside its overhead budget.
+— and the tuple hash runs entirely in C, so the audited dispatch loop can
+do it inline.
 
-:meth:`StreamDigest.mix` is the only implementation: the auditor feeds it
-the engine's callbacks event by event, the offline checker feeds it
-telemetry event type names.
+:meth:`StreamDigest.token` is the one token rule.  ``Simulator.run`` folds
+the engine's callbacks inline (a ``token_of`` hit, the tuple hash) and
+calls it only for a callback it has not seen; :meth:`StreamDigest.mix`
+folds one event the same way and is the offline path, fed telemetry event
+type names by :func:`digest_events`.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ def parse_digest(text: str) -> Tuple[int, int]:
 class StreamDigest:
     """Order-sensitive digest of an event stream."""
 
-    __slots__ = ("state", "count", "tokens", "_token_of")
+    __slots__ = ("state", "count", "tokens", "token_of")
 
     def __init__(self) -> None:
         self.state = FNV_OFFSET
@@ -59,22 +61,27 @@ class StreamDigest:
         #: token, so the qualname lookup happens once per distinct callback
         #: rather than once per event.  ``tokens`` stays authoritative: two
         #: callables sharing a qualname share a token.
-        self._token_of: Dict[Any, int] = {}
+        self.token_of: Dict[Any, int] = {}
 
-    def mix(self, time: float, what: Union[str, Callable[..., Any]]) -> None:
-        """Fold one event into the digest: its timestamp and either its
-        name or its callback, which is named by ``__qualname__`` (that of
-        its type for ``functools.partial`` and other callable objects)."""
+    def token(self, what: Union[str, Callable[..., Any]]) -> int:
+        """The token of an event's name or callback, which is named by
+        ``__qualname__`` (that of its type for ``functools.partial`` and
+        other callable objects); a new name gets the next integer."""
         key = getattr(what, "__func__", what)
-        tok = self._token_of.get(key)
+        tok = self.token_of.get(key)
         if tok is None:
             name = key if isinstance(key, str) else (
                 getattr(key, "__qualname__", None)
                 or getattr(type(key), "__qualname__", "?")
             )
-            tok = self._token_of[key] = self.tokens.setdefault(
+            tok = self.token_of[key] = self.tokens.setdefault(
                 name, len(self.tokens) + 1)
-        self.state = hash((self.state, time, tok))
+        return tok
+
+    def mix(self, time: float, what: Union[str, Callable[..., Any]]) -> None:
+        """Fold one event into the digest: its timestamp and the
+        :meth:`token` of its name or callback."""
+        self.state = hash((self.state, time, self.token(what)))
         self.count += 1
 
     def render(self) -> str:

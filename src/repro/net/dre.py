@@ -11,8 +11,9 @@ NS2 setup effectively did).
 
 A link carries an estimator only when something reads it
 (:meth:`repro.net.link.Link.track_utilization`): CONGA's switches on every
-switch egress link, INT-capable switches on their route links, the
-telemetry ``link.utilization`` gauge and the time-series sampler.
+switch egress link, INT-capable switches on their route links and the
+time-series sampler.  The telemetry ``link.mean_utilization`` gauge is an
+end-of-run average computed from ``tx_bytes`` and needs no estimator.
 
 The decay is applied lazily on access instead of with a periodic timer, so
 idle links cost nothing.  Samples may also be *scheduled*: the virtual-clock
@@ -31,11 +32,10 @@ import math
 from collections import deque
 
 #: buffered samples beyond this are folded in eagerly, up to the newest one.
-#: Only a link read rarely gets there — one whose sole reader is the
-#: end-of-run telemetry gauge or a sparse sampler, with a deep queue.  A
-#: later read at or after the newest folded sample (the end-of-run gauge)
-#: still sees the real-time value; an earlier one sees those bytes early,
-#: and a rate change cannot move their samples any more.
+#: Only a link read rarely gets there — one whose sole reader is a sparse
+#: sampler, with a deep queue.  A later read at or after the newest folded
+#: sample still sees the real-time value; an earlier one sees those bytes
+#: early, and a rate change cannot move their samples any more.
 _PENDING_CAP = 512
 
 

@@ -61,9 +61,11 @@ class Switch:
         #: dead member is blackholed — the regime edge-based path health
         #: monitoring (repro.core.health) exists to fix.
         self.failover_delay = 0.0
-        #: dst_ip -> (live member list, Link.state_gen it was computed at);
-        #: bypassed entirely while ``failover_delay`` is non-zero (liveness
-        #: is then a function of time, not just of up/down flips)
+        #: dst_ip -> (live member list, Link.state_gen and window horizon
+        #: it was computed at, earliest ``down_since`` among the dead links
+        #: it kept).  Valid while no link flipped and the horizon has not
+        #: moved back or past a kept dead link: every link then lands on
+        #: the same side of the ``down_since > horizon`` test.
         self._live_cache: Dict[int, tuple] = {}
         #: reply destination -> interned ICMP 5-tuple (ECMP memo hits by
         #: identity, as for the vswitch's outer keys)
@@ -126,24 +128,23 @@ class Switch:
                                       switch=self.name, reason="no_route",
                                       dst=dst_ip)
             return
-        if self.failover_delay > 0.0:
-            # Stale-group window: a link that died less than failover_delay
-            # ago is still an ECMP member; packets hashed onto it are
-            # dropped at the link (counted on its queue, so chaos blackhole
-            # accounting attributes them to the dead cable).
-            horizon = self.sim.now - self.failover_delay
-            live = [
-                link for link in group
-                if link.up or link.down_since > horizon
-            ]
+        # A link that died less than failover_delay ago is still an ECMP
+        # member (stale-group window); packets hashed onto it are dropped at
+        # the link (counted on its queue, so chaos blackhole accounting
+        # attributes them to the dead cable).  down_since <= now, so with no
+        # delay this is exactly the up members.
+        horizon = self.sim.now - self.failover_delay
+        gen = Link.state_gen
+        cached = self._live_cache.get(dst_ip)
+        if (cached is not None and cached[1] == gen
+                and cached[2] <= horizon < cached[3]):
+            live = cached[0]
         else:
-            gen = Link.state_gen
-            cached = self._live_cache.get(dst_ip)
-            if cached is not None and cached[1] == gen:
-                live = cached[0]
-            else:
-                live = [link for link in group if link.up]
-                self._live_cache[dst_ip] = (live, gen)
+            live = [link for link in group
+                    if link.up or link.down_since > horizon]
+            earliest = min((link.down_since for link in live if not link.up),
+                           default=float("inf"))
+            self._live_cache[dst_ip] = (live, gen, horizon, earliest)
         if not live:
             self.blackholed += 1
             if self._tel_events is not None:

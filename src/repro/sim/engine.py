@@ -81,9 +81,9 @@ class Simulator:
         #: when set (see :class:`repro.telemetry.SimProfiler`), every event
         #: callback is timed and every ``run`` accounted; None costs nothing.
         self.profiler: Optional["SimProfiler"] = None
-        #: when set (see :class:`repro.audit.Auditor`), every event is shown
-        #: to the auditor (timestamp monotonicity, determinism digest)
-        #: before it fires; None costs nothing.
+        #: when set (see :class:`repro.audit.Auditor`), every event is
+        #: checked for timestamp monotonicity and folded into the auditor's
+        #: determinism digest before it fires; None costs nothing.
         self.auditor: Optional["Auditor"] = None
 
     # ------------------------------------------------------------------
@@ -125,13 +125,22 @@ class Simulator:
         still queued at or after ``now`` remain valid for a later ``run()``.
 
         Whether an :attr:`auditor` and/or :attr:`profiler` observes the
-        events is decided once per call; an unobserved run pays one
-        ``is None`` test per event for the possibility.
+        events is decided once per call; an unobserved run pays one test
+        per event for the possibility.  The auditor's time check and digest
+        fold run inline on locals, written back however the loop exits
+        (``stop()``, ``max_events``, a callback that raises).
         """
         limit = _INFINITY if until is None else until
         budget = _NO_BUDGET if max_events is None else max_events
-        observed = self.auditor is not None or self.profiler is not None
-        fire = self._fire_observed if observed else None
+        auditor = self.auditor
+        profiler = self.profiler
+        observed = auditor is not None or profiler is not None
+        if auditor is not None:
+            digest = auditor.digest
+            state = digest.state
+            count = digest.count
+            last = auditor.last_event_time
+            token_of = digest.token_of
         queue = self._queue
         pop = heapq.heappop
         processed = 0
@@ -147,10 +156,25 @@ class Simulator:
                 if event.cancelled:
                     continue
                 self.now = time
-                if fire is None:
+                if not observed:
                     event[2](*event[3])
                 else:
-                    fire(time, event[2], event[3])
+                    fn = event[2]
+                    if auditor is not None:
+                        if time < last:
+                            auditor.on_time_regression(
+                                time, last, getattr(fn, "__qualname__", "?"))
+                        last = time
+                        tok = token_of.get(getattr(fn, "__func__", fn))
+                        if tok is None:
+                            tok = digest.token(fn)
+                        state = hash((state, time, tok))
+                        count += 1
+                    if profiler is None:
+                        fn(*event[3])
+                    else:
+                        # +1: the event being fired has already been popped
+                        profiler.fire(fn, event[3], len(queue) + 1)
                 processed += 1
                 if processed >= budget:
                     self._running = False  # leave exactly as stop() would
@@ -158,20 +182,14 @@ class Simulator:
         finally:
             self._running = False
             self._events_processed += processed
-            if self.profiler is not None:
-                self.profiler.record_run(processed, perf_counter() - started)
+            if auditor is not None:
+                digest.state = state
+                digest.count = count
+                auditor.last_event_time = last
+            if profiler is not None:
+                profiler.record_run(processed, perf_counter() - started)
         if not interrupted and until is not None and self.now < until:
             self.now = until
-
-    def _fire_observed(self, time: float, fn: Callable[..., Any], args: tuple) -> None:
-        """Fire one event under the attached auditor and/or profiler."""
-        if self.auditor is not None:
-            self.auditor.on_event(time, fn)
-        if self.profiler is None:
-            fn(*args)
-        else:
-            # +1: the event being fired has already been popped
-            self.profiler.fire(fn, args, len(self._queue) + 1)
 
     def step(self) -> bool:
         """Process a single event.  Returns ``False`` when the queue is empty."""

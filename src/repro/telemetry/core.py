@@ -98,9 +98,10 @@ class Telemetry:
 
         ``sim`` gains the profiler (when profiling was requested); every
         link, switch and host (vswitch + policy + weight table) gains bound
-        event/counter hooks on its hot paths, and every link a utilization
-        estimator for the end-of-run ``link.utilization`` gauge — so call
-        this before the first packet moves.
+        event/counter hooks on its hot paths — so call this before the
+        first packet moves.  No link gains a rate estimator: the end-of-run
+        ``link.mean_utilization`` gauge is computed from counters at
+        scrape time (:meth:`observe_network`).
         """
         if not self.enabled:
             return
@@ -111,7 +112,6 @@ class Telemetry:
                 switch.attach_telemetry(self)
             for link in net.all_links():
                 link.attach_telemetry(self)
-                link.track_utilization()
         if hosts is not None:
             for host in _values(hosts):
                 host.attach_telemetry(self)
@@ -120,7 +120,12 @@ class Telemetry:
     # Scrape-style collection (fold component counters into the registry)
     # ------------------------------------------------------------------
     def observe_network(self, net) -> None:
-        """Fold switch/link/queue state into the registry (idempotent)."""
+        """Fold switch/link/queue state into the registry (idempotent).
+
+        Reads counters only, never ``Link.sync()``: an eviction changes
+        what a later ``Link.fail()`` loses.  ``link.mean_utilization`` is
+        ``tx_bytes`` over what the nominal rate could carry since time 0.
+        """
         if not self.enabled:
             return
         reg = self.registry
@@ -146,7 +151,10 @@ class Telemetry:
             reg.counter("queue.ecn_marked", **labels).set_total(stats.ecn_marked)
             reg.gauge("queue.peak_packets", **labels).set(stats.peak_packets)
             reg.gauge("queue.depth_packets", **labels).set(len(link.queue))
-            reg.gauge("link.utilization", **labels).set(link.utilization())
+            elapsed = link.sim.now
+            reg.gauge("link.mean_utilization", **labels).set(
+                link.tx_bytes * 8 / (link.nominal_rate_bps * elapsed)
+                if elapsed > 0 else 0.0)
 
     def observe_hosts(self, hosts) -> None:
         """Fold hypervisor and guest-TCP counters into the registry."""

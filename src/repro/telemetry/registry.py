@@ -7,7 +7,7 @@ name can fan out per switch, per link or per scheme::
 
     drops = registry.counter("switch.drop", switch="L1")
     drops.inc()
-    registry.gauge("link.utilization", link="L1->S1#0").set(0.42)
+    registry.gauge("link.mean_utilization", link="L1->S1#0").set(0.42)
 
 Design constraints (the reason this is not a thin dict):
 

@@ -209,6 +209,29 @@ def test_step_is_audited():
     assert auditor.digest.render() == reference.render()
 
 
+def test_digest_is_exact_after_a_callback_raises():
+    """The audited loop digests in locals; a raising callback must still
+    leave every fired event folded in, and a resumed run continue it."""
+    sim = Simulator()
+    auditor = Auditor().attach(sim, net=None, hosts=())
+
+    def boom():
+        raise RuntimeError("boom")
+
+    sim.schedule(0.1, lambda: None)
+    sim.schedule(0.2, boom)
+    sim.schedule(0.3, lambda: None)
+    with pytest.raises(RuntimeError):
+        sim.run()
+    assert (auditor.digest.count, auditor.last_event_time) == (2, 0.2)
+    sim.run()
+    name = "test_digest_is_exact_after_a_callback_raises.<locals>."
+    reference = StreamDigest()
+    for time, callback in ((0.1, "<lambda>"), (0.2, "boom"), (0.3, "<lambda>")):
+        reference.mix(time, name + callback)
+    assert auditor.digest.render() == reference.render()
+
+
 def test_run_vs_rerun_digest_identical():
     a = run_experiment(_config()).audit.digest
     b = run_experiment(_config()).audit.digest

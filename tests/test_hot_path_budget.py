@@ -4,14 +4,18 @@ Host time on a shared machine wanders by 30%, so a per-packet regression
 of a few calls cannot be seen in ``packets_per_s``.  The number of Python
 function calls the interpreter makes per NIC packet can: for a pinned seed
 it is the same on every run of one interpreter version.  This module counts
-``call`` events under ``sys.setprofile`` over two tiny runs — plain ECMP on
-the symmetric fabric and Clove-ECN with one cable down — and holds them
-under a budget, together with two structural facts the budget relies on:
+``call`` events under ``sys.setprofile`` over tiny runs — plain ECMP on
+the symmetric fabric, Clove-ECN with one cable down, and the chaos flap
+with path health and a stale-ECMP window, once plain and once with every
+observer on (audit, telemetry, span trace) — and holds them under a
+budget, together with the structural facts the budget relies on:
 
 * no ``FlowKey.__eq__`` on the ECMP run (every flow-table and demux lookup
   hits by identity: outer keys are interned, endpoints registered under the
   very key object the peer stamps on its packets);
-* neither run attaches a rate estimator to any link (nothing reads one).
+* no run attaches a rate estimator to any link (nothing reads one);
+* observing the flap costs at most ``OBSERVER_BUDGET`` calls per packet
+  over the same run unobserved.
 
 Counts differ between interpreter versions, so the budget applies only to
 the one it was measured on.  Run the module directly for the per-function
@@ -26,28 +30,44 @@ from pathlib import Path
 
 import pytest
 
-# The asymmetric run imports the chaos engine (and its plans) on first use;
-# importing it here keeps module execution out of the count.
+# Runs import on first use what they select: the chaos engine (and its
+# plans), path health, and for the observed run the auditor and the job
+# fingerprint.  Importing them here keeps module execution out of the count.
 import repro.chaos.engine  # noqa: F401
+import repro.core.health  # noqa: F401
+import repro.audit.auditor  # noqa: F401
+import repro.runner.job  # noqa: F401
+from repro.chaos.plan import preset
 from repro.harness.experiment import ExperimentConfig, run_experiment
 from repro.net.packet import FlowKey
+from repro.telemetry import Telemetry
+from repro.telemetry.core import git_revision
 
-#: interpreter the budget was measured on
+#: interpreter the budget was measured on (CI pins it)
 MEASURED_ON = (3, 11)
 
 #: Python calls per NIC packet allowed on each configuration
-BUDGET = {"ecmp": 58.0, "clove-ecn-asym": 54.0}
+BUDGET = {"ecmp": 58.0, "clove-ecn-asym": 54.0, "flap": 54.0, "observed": 57.0}
 
+#: observed minus plain flap, calls per NIC packet
+OBSERVER_BUDGET = 4.0
+
+_FLAP = dict(scheme="clove-ecn", load=0.7, jobs_per_client=20, seed=1,
+             chaos=preset("flap"), health=True, failover_delay_s=0.01)
+
+#: name -> (config, whether a ``Telemetry(trace=True)`` scope observes it)
 CONFIGS = {
-    "ecmp": ExperimentConfig(scheme="ecmp", jobs_per_client=8, seed=1),
-    "clove-ecn-asym": ExperimentConfig(
-        scheme="clove-ecn", asymmetric=True, jobs_per_client=8, seed=1),
+    "ecmp": (ExperimentConfig(scheme="ecmp", jobs_per_client=8, seed=1), False),
+    "clove-ecn-asym": (ExperimentConfig(
+        scheme="clove-ecn", asymmetric=True, jobs_per_client=8, seed=1), False),
+    "flap": (ExperimentConfig(**_FLAP), False),
+    "observed": (ExperimentConfig(**_FLAP, audit="report"), True),
 }
 
 _EQ_CODE = FlowKey.__eq__.__code__
 
 
-def count_calls(config):
+def count_calls(config, observed=False):
     """Run ``config`` under a call counter; returns (result, calls per
     function code object, Python calls, C calls)."""
     per_code = Counter()
@@ -60,9 +80,11 @@ def count_calls(config):
         elif event == "c_call":
             c_calls += 1
 
+    git_revision()      # cached; the first manifest of a process spawns git
+    telemetry = Telemetry(trace=True) if observed else None
     sys.setprofile(profile)
     try:
-        result = run_experiment(config)
+        result = run_experiment(config, telemetry=telemetry)
     finally:
         sys.setprofile(None)
     return result, per_code, sum(per_code.values()), c_calls
@@ -75,8 +97,10 @@ def nic_packets(result):
 @pytest.fixture(scope="module")
 def counted():
     if sys.version_info[:2] != MEASURED_ON:
-        pytest.skip("call budget measured on Python %d.%d" % MEASURED_ON)
-    return {name: count_calls(config) for name, config in CONFIGS.items()}
+        pytest.skip("call budget measured on Python %d.%d, which CI pins; "
+                    "not checked on %d.%d"
+                    % (MEASURED_ON + tuple(sys.version_info[:2])))
+    return {name: count_calls(*row) for name, row in CONFIGS.items()}
 
 
 @pytest.mark.parametrize("name", sorted(BUDGET))
@@ -84,6 +108,13 @@ def test_python_calls_per_packet_within_budget(counted, name):
     result, _per_code, py_calls, _c = counted[name]
     per_packet = py_calls / nic_packets(result)
     assert per_packet <= BUDGET[name], f"{name}: {per_packet:.1f} calls/packet"
+
+
+def test_observers_cost_little_per_packet(counted):
+    observed, plain = counted["observed"], counted["flap"]
+    assert nic_packets(observed[0]) == nic_packets(plain[0])
+    delta = (observed[2] - plain[2]) / nic_packets(plain[0])
+    assert delta <= OBSERVER_BUDGET, f"observers add {delta:.1f} calls/packet"
 
 
 def test_ecmp_lookups_hit_by_identity(counted):
@@ -97,8 +128,8 @@ def test_no_rate_estimator_without_a_reader(counted, name):
     assert all(link.dre is None for link in result.net.all_links())
 
 
-def _table(name, config, top=15):
-    result, per_code, py_calls, c_calls = count_calls(config)
+def _table(name, top=15):
+    result, per_code, py_calls, c_calls = count_calls(*CONFIGS[name])
     packets = nic_packets(result)
     print(f"{name}: {packets} NIC packets, {py_calls / packets:.1f} Python "
           f"calls and {c_calls / packets:.1f} C calls per packet "
@@ -106,9 +137,12 @@ def _table(name, config, top=15):
     for code, calls in per_code.most_common(top):
         where = f"{Path(code.co_filename).name}:{code.co_qualname}"
         print(f"  {calls / packets:7.2f}  {where}")
+    return py_calls / packets
 
 
 if __name__ == "__main__":
     print(f"Python {sys.version.split()[0]}")
-    for name, config in CONFIGS.items():
-        _table(name, config)
+    per_packet = {name: _table(name) for name in CONFIGS}
+    print(f"observers on the flap: "
+          f"{per_packet['observed'] - per_packet['flap']:+.1f} calls/packet "
+          f"(budget {OBSERVER_BUDGET:+.0f})")

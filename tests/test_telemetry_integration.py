@@ -5,6 +5,7 @@ import pytest
 from repro.cli import main
 from repro.harness.experiment import ExperimentConfig, run_experiment
 from repro.harness.incast import run_incast
+from repro.net.link import Link
 from repro.runner import JobSpec, run_jobs
 from repro.telemetry import Telemetry, load_jsonl
 
@@ -45,6 +46,30 @@ class TestInstrumentedExperiment:
         assert counters["jobs.completed"] > 0
         histograms = tel.registry.snapshot()["histograms"]
         assert histograms["fct_seconds"]["count"] > 0
+
+    @pytest.mark.parametrize("scheme", ["ecmp", "clove-ecn"])
+    def test_mean_utilization_gauge_reads_counters_only(self, monkeypatch,
+                                                        scheme):
+        """The end-of-run gauge is tx_bytes over what the nominal rate could
+        carry; it needs no rate estimator and never evicts (an eviction
+        would change what a later fail() loses)."""
+        def no_sync(link):
+            raise AssertionError(f"{link.name}: sync() from an observer")
+
+        monkeypatch.setattr(Link, "sync", no_sync)
+        tel = Telemetry()
+        result = run_experiment(_small_config(scheme=scheme), telemetry=tel)
+        tel.observe_network(result.net)
+        busy = 0
+        for link in result.net.all_links():
+            assert link.dre is None
+            gauge = tel.registry.gauge("link.mean_utilization", link=link.name)
+            assert gauge.value == link.tx_bytes * 8 / (
+                link.nominal_rate_bps * result.sim_duration)
+            busy += gauge.value > 0
+        assert busy > 0
+        assert not any(key.startswith("link.utilization")
+                       for key in tel.registry.snapshot()["gauges"])
 
     def test_uninstrumented_run_carries_no_telemetry(self):
         result = run_experiment(_small_config())
