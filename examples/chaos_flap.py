@@ -13,7 +13,7 @@ numbers are available from the CLI::
 Run:  python examples/chaos_flap.py
 """
 
-from repro.chaos import flap, format_report, recovery_from_result
+from repro.chaos import flap, format_report, recovery_from_records, run_records
 from repro.harness.experiment import ExperimentConfig, run_experiment
 
 
@@ -28,7 +28,8 @@ def main() -> None:
             scheme=scheme, load=0.95, seed=1, jobs_per_client=260, chaos=plan,
         )
         result = run_experiment(config)
-        report = recovery_from_result(result, bin_width=0.002)
+        records, _counters = run_records(result)
+        report = recovery_from_records(records, bin_width=0.002)
         print(f"=== {scheme} ===")
         print(format_report(report))
         print()

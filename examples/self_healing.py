@@ -25,8 +25,9 @@ from repro.chaos import (
     flap,
     format_health_report,
     format_report,
-    health_from_result,
-    recovery_from_result,
+    health_from_records,
+    recovery_from_records,
+    run_records,
 )
 from repro.core.health import HealthConfig
 from repro.harness.experiment import ExperimentConfig, run_experiment
@@ -62,13 +63,14 @@ def main() -> None:
     for health in (False, True):
         label = "health monitor ON" if health else "health monitor OFF"
         result = run_once(health)
-        recovery = recovery_from_result(result)
+        records, counters = run_records(result)
+        recovery = recovery_from_records(records)
         completed = len(result.collector.completed())
         print(f"=== {label} ===")
         print(format_report(recovery))
         print(f"jobs completed    : {completed}/{len(result.collector.jobs)}")
         if health:
-            health_report = health_from_result(result)
+            health_report = health_from_records(records, counters)
             print(format_health_report(health_report))
             reports["health"] = health_report
         reports["blackholed" if not health else "blackholed_h"] = (

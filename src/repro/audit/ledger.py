@@ -27,14 +27,16 @@ submitted byte delivered.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable
+from typing import Dict, Iterable, Tuple
 
 from repro.audit.report import SEV_CRITICAL, AuditReport
+from repro.telemetry.registry import parse_key, totals_by_name
 
 
 @dataclass
 class LedgerSnapshot:
-    """The gathered totals (exposed for tests and offline replay parity)."""
+    """The gathered totals, from a live fabric (:func:`gather`) or from an
+    artifact's counters and gauges (:func:`from_counters`)."""
 
     tx_nic: int = 0
     icmp_originated: int = 0
@@ -46,7 +48,8 @@ class LedgerSnapshot:
     flushed: int = 0
     queued: int = 0              # packets sitting in egress queues now
     in_transit: int = 0          # serialized but not yet delivered/lost
-    per_link_transit: Dict[str, int] = field(default_factory=dict)
+    #: link name -> (enqueued, dequeued, depth, transit)
+    links: Dict[str, Tuple[int, int, int, int]] = field(default_factory=dict)
 
     @property
     def injected(self) -> int:
@@ -65,6 +68,16 @@ class LedgerSnapshot:
         """Packets injected but unaccounted for (0 = conserved)."""
         return self.injected - self.accounted
 
+    def add_link(self, name: str, enqueued: int, dequeued: int, depth: int,
+                 flushed: int, delivered: int, lost: int) -> None:
+        """Fold one link's queue and wire counters in."""
+        transit = (dequeued - flushed) - delivered - lost
+        self.lost_in_flight += lost
+        self.flushed += flushed
+        self.queued += depth
+        self.in_transit += transit
+        self.links[name] = (enqueued, dequeued, depth, transit)
+
 
 def gather(net, hosts: Iterable) -> LedgerSnapshot:
     """Collect the conservation counters from a live fabric."""
@@ -82,50 +95,77 @@ def gather(net, hosts: Iterable) -> LedgerSnapshot:
         link.sync()
         stats = link.queue.stats
         snap.dropped += stats.dropped + stats.probe_dropped
-        snap.lost_in_flight += link.lost_in_flight
-        snap.flushed += link.flushed_packets
-        snap.queued += len(link.queue)
-        serialized = stats.dequeued - link.flushed_packets
-        transit = serialized - link.rx_delivered - link.lost_in_flight
-        snap.in_transit += transit
-        snap.per_link_transit[link.name] = transit
+        snap.add_link(link.name, stats.enqueued, stats.dequeued,
+                      len(link.queue), link.flushed_packets,
+                      link.rx_delivered, link.lost_in_flight)
     return snap
 
 
-def check_conservation(
-    report: AuditReport,
-    net,
-    hosts: Iterable,
-    now: float,
-    drained: bool = False,
-    chaos=None,
-    workload=None,
-    collector=None,
-) -> LedgerSnapshot:
-    """Run every conservation check; returns the gathered snapshot."""
-    hosts = list(hosts)
-    snap = gather(net, hosts)
+def from_counters(counters: Dict[str, float],
+                  gauges: Dict[str, float]) -> LedgerSnapshot:
+    """Collect the conservation counters from an artifact's scraped
+    ``counters`` / ``gauges`` snapshots (rendered ``name{labels}`` keys).
 
+    Raises ``ValueError`` when the artifact carries no conservation export
+    (no ``host.tx_nic_packets`` counter): every artifact a run writes has
+    it, so its absence means a truncated or foreign file, not a clean run.
+    """
+    totals = totals_by_name(counters)
+    if "host.tx_nic_packets" not in totals:
+        raise ValueError(
+            "artifact carries no conservation counters (host.tx_nic_packets)")
+
+    def total(name: str) -> int:
+        return int(totals.get(name, 0))
+
+    per_link: Dict[str, Dict[str, int]] = {}
+    for values in (counters, gauges):
+        for key, value in values.items():
+            name, labels = parse_key(key)
+            if "link" in labels:
+                per_link.setdefault(labels["link"], {})[name] = int(value)
+    snap = LedgerSnapshot(
+        tx_nic=total("host.tx_nic_packets"),
+        icmp_originated=total("switch.icmp_originated"),
+        delivered=total("host.rx_packets"),
+        dropped=total("queue.dropped") + total("queue.probe_dropped"),
+        blackholed=total("switch.blackholed"),
+        ttl_expired=total("switch.ttl_expired"),
+    )
+    for link, values in per_link.items():
+        if "queue.enqueued" in values:
+            snap.add_link(
+                link, values["queue.enqueued"],
+                values.get("queue.dequeued", 0),
+                values.get("queue.depth_packets", 0),
+                values.get("link.flushed_packets", 0),
+                values.get("link.rx_delivered", 0),
+                values.get("link.lost_in_flight", 0),
+            )
+    return snap
+
+
+def check_balance(report: AuditReport, snap: LedgerSnapshot,
+                  now: float) -> None:
+    """The packet balance of one snapshot: per-queue identities, transit
+    signs and the global equation, whichever builder produced it."""
     # Independent per-queue identities: what went in either came out or is
     # still there.  These keep the global balance from being tautological.
     report.note_checked("conservation.queue", 1)
-    for link in net.all_links():
-        stats = link.queue.stats
-        depth = len(link.queue)
-        if stats.enqueued != stats.dequeued + depth:
+    for name, (enqueued, dequeued, depth, _transit) in snap.links.items():
+        if enqueued != dequeued + depth:
             report.record(
                 "conservation.queue",
-                f"queue on {link.name}: enqueued {stats.enqueued} != "
-                f"dequeued {stats.dequeued} + occupancy {depth}",
+                f"queue on {name}: enqueued {enqueued} != "
+                f"dequeued {dequeued} + occupancy {depth}",
                 time=now, severity=SEV_CRITICAL,
-                link=link.name, enqueued=stats.enqueued,
-                dequeued=stats.dequeued, depth=depth,
+                link=name, enqueued=enqueued, dequeued=dequeued, depth=depth,
             )
 
     # Transit occupancy can never be negative — a link cannot deliver more
     # packets than it serialized.
     report.note_checked("conservation.transit", 1)
-    for name, transit in snap.per_link_transit.items():
+    for name, (_enqueued, _dequeued, _depth, transit) in snap.links.items():
         if transit < 0:
             report.record(
                 "conservation.transit",
@@ -134,19 +174,6 @@ def check_conservation(
                 time=now, severity=SEV_CRITICAL, link=name, transit=transit,
             )
 
-    # A fully drained event queue means no packet can still be in flight.
-    if drained:
-        report.note_checked("conservation.drained", 1)
-        if snap.queued or snap.in_transit > 0:
-            report.record(
-                "conservation.drained",
-                f"event queue drained but {snap.queued} packet(s) queued "
-                f"and {snap.in_transit} in transit",
-                time=now, severity=SEV_CRITICAL,
-                queued=snap.queued, in_transit=snap.in_transit,
-            )
-
-    # The global balance.
     report.note_checked("conservation.global", 1)
     if snap.imbalance != 0:
         report.record(
@@ -163,6 +190,34 @@ def check_conservation(
             ttl_expired=snap.ttl_expired, lost_in_flight=snap.lost_in_flight,
             queued=snap.queued, in_transit=snap.in_transit,
         )
+
+
+def check_conservation(
+    report: AuditReport,
+    net,
+    hosts: Iterable,
+    now: float,
+    drained: bool = False,
+    chaos=None,
+    workload=None,
+    collector=None,
+) -> LedgerSnapshot:
+    """Run every conservation check; returns the gathered snapshot."""
+    hosts = list(hosts)
+    snap = gather(net, hosts)
+    check_balance(report, snap, now)
+
+    # A fully drained event queue means no packet can still be in flight.
+    if drained:
+        report.note_checked("conservation.drained", 1)
+        if snap.queued or snap.in_transit > 0:
+            report.record(
+                "conservation.drained",
+                f"event queue drained but {snap.queued} packet(s) queued "
+                f"and {snap.in_transit} in transit",
+                time=now, severity=SEV_CRITICAL,
+                queued=snap.queued, in_transit=snap.in_transit,
+            )
 
     # Chaos cross-check: the engine's per-injection flush markers must sum
     # to what the links themselves counted (in run_experiment every link

@@ -7,9 +7,12 @@ from :func:`repro.telemetry.registry.format_key`), the final queue-depth
 gauges, the event stream, and the run manifests.  The same invariants are
 evaluated over that projection:
 
-* global packet conservation from the exported counters;
-* per-queue ``enqueued == dequeued + depth`` identities and per-link
-  transit occupancy;
+* the packet balance — per-queue ``enqueued == dequeued + depth``
+  identities, per-link transit signs, global conservation — is the
+  ledger's own :func:`~repro.audit.ledger.check_balance`, run over a
+  snapshot :func:`~repro.audit.ledger.from_counters` builds from the
+  exported counters and gauges; an artifact without them is an error
+  (``ValueError``), not a pass;
 * weight-table sums over every ``clove.weight_update`` event (the events
   carry weights rounded to 6 decimals, so the tolerance is looser than the
   in-process 1e-6);
@@ -24,9 +27,9 @@ its artifact must reach the same verdict.
 
 from __future__ import annotations
 
-import math
-from typing import Any, Dict, Iterable, Optional, Tuple
+from typing import Any, Dict, Iterable, Optional
 
+from repro.audit.ledger import check_balance, from_counters
 from repro.audit.report import (
     MODE_REPORT,
     SEV_CRITICAL,
@@ -37,39 +40,6 @@ from repro.telemetry.core import load_jsonl
 #: weight sums in events are rounded to 6 decimals per path; allow the
 #: rounding error to accumulate over a wide fan-out
 OFFLINE_WEIGHT_TOLERANCE = 1e-4
-
-
-def parse_key(key: str) -> Tuple[str, Dict[str, str]]:
-    """Invert :func:`repro.telemetry.registry.format_key`."""
-    name, brace, rest = key.partition("{")
-    if not brace:
-        return name, {}
-    labels: Dict[str, str] = {}
-    for pair in rest.rstrip("}").split(","):
-        label, _, value = pair.partition("=")
-        if label:
-            labels[label] = value
-    return name, labels
-
-
-def _by_label(
-    metrics: Dict[str, Any], wanted: str, label: str
-) -> Dict[str, float]:
-    """``{label value: metric value}`` for one metric name."""
-    out: Dict[str, float] = {}
-    for key, value in metrics.items():
-        name, labels = parse_key(key)
-        if name == wanted and label in labels:
-            out[labels[label]] = float(value)
-    return out
-
-
-def _total(metrics: Dict[str, Any], wanted: str) -> float:
-    return sum(
-        float(value)
-        for key, value in metrics.items()
-        if parse_key(key)[0] == wanted
-    )
 
 
 def audit_artifact(path: str, mode: str = MODE_REPORT) -> AuditReport:
@@ -84,10 +54,9 @@ def audit_artifact(path: str, mode: str = MODE_REPORT) -> AuditReport:
     report.source = "offline"
 
     counters = dump["counters"]
-    gauges = dump["gauges"]
     manifests = dump["manifests"]
 
-    _check_conservation(report, counters, gauges)
+    check_balance(report, from_counters(counters, dump["gauges"]), now=0.0)
     _check_weight_events(report, dump["events"])
     if len([m for m in manifests if "config" in m or "seed" in m]) <= 1:
         _check_event_monotonicity(report, dump["events"])
@@ -100,77 +69,6 @@ def audit_artifact(path: str, mode: str = MODE_REPORT) -> AuditReport:
             report.digest = recorded["digest"]
             break
     return report
-
-
-def _check_conservation(
-    report: AuditReport,
-    counters: Dict[str, Any],
-    gauges: Dict[str, Any],
-) -> None:
-    # The artifact must actually carry the conservation export (older
-    # artifacts predate these counters — nothing to check, not a failure).
-    if not any(parse_key(k)[0] == "host.tx_nic_packets" for k in counters):
-        return
-
-    depth = _by_label(gauges, "queue.depth_packets", "link")
-    enqueued = _by_label(counters, "queue.enqueued", "link")
-    dequeued = _by_label(counters, "queue.dequeued", "link")
-    delivered_by_link = _by_label(counters, "link.rx_delivered", "link")
-    lost_by_link = _by_label(counters, "link.lost_in_flight", "link")
-    flushed_by_link = _by_label(counters, "link.flushed_packets", "link")
-
-    report.note_checked("conservation.queue", 1)
-    report.note_checked("conservation.transit", 1)
-    in_transit = 0.0
-    for link, enq in enqueued.items():
-        deq = dequeued.get(link, 0.0)
-        occupancy = depth.get(link, 0.0)
-        if enq != deq + occupancy:
-            report.record(
-                "conservation.queue",
-                f"queue on {link}: enqueued {enq:.0f} != dequeued {deq:.0f} "
-                f"+ occupancy {occupancy:.0f}",
-                severity=SEV_CRITICAL, link=link,
-                enqueued=enq, dequeued=deq, depth=occupancy,
-            )
-        transit = (
-            (deq - flushed_by_link.get(link, 0.0))
-            - delivered_by_link.get(link, 0.0)
-            - lost_by_link.get(link, 0.0)
-        )
-        in_transit += transit
-        if transit < 0:
-            report.record(
-                "conservation.transit",
-                f"link {link} delivered/lost more packets than it "
-                f"serialized (transit occupancy {transit:.0f})",
-                severity=SEV_CRITICAL, link=link, transit=transit,
-            )
-
-    injected = _total(counters, "host.tx_nic_packets") + _total(
-        counters, "switch.icmp_originated"
-    )
-    accounted = (
-        _total(counters, "host.rx_packets")
-        + _total(counters, "queue.dropped")
-        + _total(counters, "queue.probe_dropped")
-        + _total(counters, "switch.blackholed")
-        + _total(counters, "switch.ttl_expired")
-        + _total(counters, "link.lost_in_flight")
-        + sum(depth.values())
-        + in_transit
-    )
-    report.note_checked("conservation.global", 1)
-    if not math.isclose(injected, accounted, abs_tol=0.5):
-        report.record(
-            "conservation.global",
-            f"{abs(injected - accounted):.0f} packet(s) "
-            f"{'unaccounted for' if injected > accounted else 'over-accounted'}"
-            f" in artifact: injected {injected:.0f} != accounted "
-            f"{accounted:.0f}",
-            severity=SEV_CRITICAL,
-            injected=injected, accounted=accounted,
-        )
 
 
 def _check_weight_events(

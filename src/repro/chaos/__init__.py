@@ -9,9 +9,9 @@ The pieces:
   against a built network, applies/schedules its events and records
   injection markers + ``chaos.inject`` telemetry;
 * :mod:`repro.chaos.metrics` — time-to-recover, fault-window FCT inflation
-  and fault-attributed packet loss, computable both from a live
-  :class:`~repro.harness.experiment.ExperimentResult` and offline from a
-  telemetry JSONL artifact.
+  and fault-attributed packet loss, plus the health and control-plane
+  reports, each computed once from a telemetry JSONL artifact's records
+  (a live run gets there through :func:`run_records`).
 
 Entry points: ``ExperimentConfig(chaos=FaultPlan(...))``, the CLI's
 ``--chaos plan.json`` / ``--chaos-preset <name>`` flags, and the
@@ -35,7 +35,6 @@ _EXPORTS = {
     "RecoveryReport": "metrics",
     "compute_recovery": "metrics",
     "controlplane_from_records": "metrics",
-    "controlplane_from_result": "metrics",
     "degraded": "plan",
     "echo_storm": "plan",
     "fault_windows": "plan",
@@ -44,14 +43,13 @@ _EXPORTS = {
     "format_health_report": "metrics",
     "format_report": "metrics",
     "health_from_records": "metrics",
-    "health_from_result": "metrics",
     "iter_presets": "plan",
     "multi_failure_plan": "plan",
     "preset": "plan",
     "random_plan": "plan",
     "recovery_from_records": "metrics",
-    "recovery_from_result": "metrics",
     "restart_plan": "plan",
+    "run_records": "metrics",
     "single_cable": "plan",
     "split_brain": "plan",
     "windows_from_markers": "engine",

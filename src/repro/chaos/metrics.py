@@ -12,20 +12,14 @@ this module answers the questions the dynamic-asymmetry regime is about:
   packets blackholed while a cable was held down, i.e. the losses whose
   retransmissions are attributable to the faults.
 
-Everything computes from two equivalent sources:
-
-* in-process: :func:`recovery_from_result` over an
-  :class:`~repro.harness.experiment.ExperimentResult` whose run carried a
-  :class:`~repro.chaos.engine.ChaosEngine`;
-* offline: :func:`recovery_from_records` over the raw records of a
-  ``--telemetry-out`` JSONL artifact (``chaos.inject`` markers define the
-  windows, ``flow.completed`` events the goodput/FCT series, and for runs
-  that used the legacy scenario helpers the per-direction ``link.down`` /
-  ``link.up`` events stand in for the markers).
-
-The two paths share one core (:func:`compute_recovery`), so the CLI's
-``repro run --chaos-preset flap`` summary and ``repro chaos report
-run.jsonl`` print the same numbers for the same run.
+Each report is computed once, from one input: the ``(records, counters)``
+shape of a ``--telemetry-out`` JSONL artifact (``chaos.inject`` markers
+define the windows, ``flow.completed`` events the goodput/FCT series, the
+scraped per-host counters the probe and echo totals).  A live run reaches
+the same functions through :func:`run_records`, which projects an
+:class:`~repro.harness.experiment.ExperimentResult` onto that shape, so
+``standard_metrics``, ``repro run --chaos-preset flap`` and ``repro chaos
+report run.jsonl`` print the same numbers for the same run.
 """
 
 from __future__ import annotations
@@ -34,8 +28,8 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.chaos.engine import windows_from_markers
-from repro.chaos.plan import cable_key
+from repro.telemetry.core import host_counters
+from repro.telemetry.registry import format_key, instrument_key, totals_by_name
 
 _NAN = float("nan")
 
@@ -216,90 +210,96 @@ def _time_to_recover(
 
 
 # ----------------------------------------------------------------------
-# In-process source: an ExperimentResult carrying a ChaosEngine
+# The one input: records + counters (an artifact, or a live run projected)
 # ----------------------------------------------------------------------
-def flows_from_collector(collector) -> List[FlowSample]:
-    """Completed jobs of a :class:`~repro.metrics.collector.MetricsCollector`
-    as flow samples."""
-    return [
-        FlowSample(job.size, job.arrival, job.completion)
-        for job in collector.jobs
-        if job.completion is not None
-    ]
+def run_records(result) -> Tuple[List[Dict[str, object]], Dict[str, float]]:
+    """A live :class:`~repro.harness.experiment.ExperimentResult` projected
+    onto the ``(records, counters)`` shape of its ``--telemetry-out``
+    artifact, as far as the three reports read it.
+
+    Records: the chaos engine's markers as ``chaos.inject`` /
+    ``chaos.settle`` / ``chaos.reconverge`` events, the health monitors'
+    markers as ``health.quarantine`` / ``health.restore`` events and their
+    suspect declarations as one ``health.suspect`` event each, completed
+    jobs as ``flow.completed`` (only when a plan ran, as the harness emits
+    them) and one manifest carrying ``sim_duration`` and the fault plan.
+    Counters: every per-host counter, keyed as the registry renders them.
+    """
+    config = result.config
+    records: List[Dict[str, object]] = [{
+        "kind": "manifest",
+        "sim_duration": result.sim_duration,
+        "config": {
+            "asymmetric": config.asymmetric,
+            "chaos": config.chaos.to_dict() if config.chaos else None,
+        },
+    }]
+    engine = result.chaos
+    if engine is not None:
+        for marker in engine.markers:
+            kind = "settle" if marker["action"] == "settle" else "inject"
+            records.append({"type": f"chaos.{kind}", **marker})
+            if "reconverged_at" in marker:
+                records.append({
+                    "type": "chaos.reconverge",
+                    "time": marker["reconverged_at"],
+                    "reconverge_s": (float(marker["reconverged_at"])
+                                     - float(marker["time"])),
+                    "divergence": marker["divergence"],
+                })
+        records.extend(
+            {"type": "flow.completed", "time": job.completion,
+             "size": job.size, "arrival": job.arrival}
+            for job in result.collector.jobs if job.completion is not None
+        )
+    for host in result.hosts.values():
+        monitor = host.health
+        if monitor is not None:
+            records.extend(
+                {"type": f"health.{marker.action}", "time": marker.time,
+                 "probation_s": marker.probation_s}
+                for marker in monitor.markers
+            )
+            records.extend(
+                {"type": "health.suspect", "host": host.name}
+                for _ in range(monitor.suspect_events)
+            )
+    counters = {
+        format_key(instrument_key(name, labels)): value
+        for name, labels, value in host_counters(result.hosts)
+    }
+    return records, counters
 
 
-def recovery_from_result(result, **kwargs) -> Optional[RecoveryReport]:
-    """Recovery metrics of a run, or None when it carried no chaos engine."""
-    engine = getattr(result, "chaos", None)
-    if engine is None:
-        return None
-    return compute_recovery(
-        flows_from_collector(result.collector),
-        engine.fault_windows(end=result.sim_duration),
-        end_time=result.sim_duration,
-        flushed_packets=engine.flushed_packets(),
-        blackholed_packets=engine.blackholed_packets(),
-        **kwargs,
-    )
+def _fault_markers(records: Sequence[Dict]) -> List[Dict]:
+    return [r for r in records if r.get("type") == "chaos.inject"]
 
 
-# ----------------------------------------------------------------------
-# Offline source: the raw records of a telemetry JSONL artifact
-# ----------------------------------------------------------------------
-def _parse_link_name(name: str) -> Optional[Tuple[str, str, int]]:
-    """``"L2->S2#0"`` -> ("L2", "S2", 0); None when it doesn't parse."""
-    try:
-        ends, _, index = name.partition("#")
-        a, _, b = ends.partition("->")
-        if not (a and b and index):
-            return None
-        return a, b, int(index)
-    except (ValueError, AttributeError):
-        return None
-
-
-def _markers_from_records(records: Sequence[Dict]) -> List[Dict[str, object]]:
-    """``chaos.inject`` records as markers; legacy ``link.down``/``link.up``
-    events (one per direction) fall back in when no engine ran."""
-    inject = [r for r in records if r.get("type") == "chaos.inject"]
-    if inject:
-        return inject
-    markers: List[Dict[str, object]] = []
-    seen: set = set()
+def _ran_a_plan(records: Sequence[Dict]) -> bool:
+    """Whether some run's manifest names a non-empty fault plan (its
+    engine ran even if no injection fell inside the run)."""
     for record in records:
-        rtype = record.get("type")
-        if rtype not in ("link.down", "link.up"):
-            continue
-        parsed = _parse_link_name(str(record.get("link", "")))
-        if parsed is None:
-            continue
-        a, b, index = parsed
-        # both directions of a cable emit; keep one marker per (cable, time)
-        key = (cable_key(a, b, index), rtype, record.get("time"))
-        if key in seen:
-            continue
-        seen.add(key)
-        markers.append({
-            "time": record.get("time", 0.0),
-            "action": "link_down" if rtype == "link.down" else "link_up",
-            "a": a, "b": b, "index": index,
-            "flushed": record.get("flushed", 0),
-        })
-    return markers
+        if record.get("kind") == "manifest":
+            config = record.get("config") or {}
+            plan = config.get("chaos") or {}
+            if config.get("asymmetric") or plan.get("events"):
+                return True
+    return False
 
 
 def recovery_from_records(
     records: Sequence[Dict], end_time: Optional[float] = None, **kwargs
 ) -> Optional[RecoveryReport]:
-    """Recompute a run's recovery metrics from raw telemetry records.
+    """A run's recovery metrics from its records.
 
     ``records`` are the dicts of :func:`repro.telemetry.events.read_jsonl`
-    (any record kind; non-events are ignored except manifests, whose
-    ``sim_duration`` supplies ``end_time`` when not given).  Returns None
-    when the artifact holds no fault markers at all.
+    or of :func:`run_records` (any record kind; non-events are ignored
+    except manifests, whose ``sim_duration`` supplies ``end_time`` when not
+    given).  Returns None when no fault plan ran: no ``chaos.inject``
+    marker and no manifest naming a plan.
     """
-    markers = _markers_from_records(records)
-    if not markers:
+    markers = _fault_markers(records)
+    if not markers and not _ran_a_plan(records):
         return None
     flows = [
         FlowSample(
@@ -318,6 +318,11 @@ def recovery_from_records(
         times = [float(m.get("time", 0.0)) for m in markers]
         times.extend(f.completion for f in flows)
         end_time = max(durations) if durations else (max(times) if times else 0.0)
+    windows: List[Tuple[float, float]] = []
+    if markers:
+        from repro.chaos.engine import windows_from_markers
+
+        windows = windows_from_markers(markers, end=end_time)
     flushed = sum(int(m.get("flushed", 0)) for m in markers)
     blackholed = sum(
         int(r.get("blackholed", 0)) for r in records
@@ -325,7 +330,7 @@ def recovery_from_records(
     )
     return compute_recovery(
         flows,
-        windows_from_markers(markers, end=end_time),
+        windows,
         end_time=end_time,
         flushed_packets=flushed,
         blackholed_packets=blackholed,
@@ -384,72 +389,22 @@ def _detection_latency(
     return first - max(preceding)
 
 
-def _health_report(
-    quarantine_times: Sequence[float],
-    probations: Sequence[float],
-    fault_times: Sequence[float],
-    suspects: int,
-    probes_sent: int,
-    probes_lost: int,
-) -> HealthReport:
-    probation = (
-        sum(probations) / len(probations) if probations else _NAN
-    )
-    return HealthReport(
-        paths_quarantined=len(quarantine_times),
-        paths_restored=len(probations),
-        suspect_events=suspects,
-        probes_sent=probes_sent,
-        probes_lost=probes_lost,
-        detection_latency_s=_detection_latency(quarantine_times, fault_times),
-        probation_s=probation,
-    )
-
-
-def health_from_result(result) -> Optional[HealthReport]:
-    """Health metrics of a run, or None when no monitor was attached."""
-    monitors = [
-        host.health for host in getattr(result, "hosts", {}).values()
-        if getattr(host, "health", None) is not None
-    ]
-    if not monitors:
-        return None
-    engine = getattr(result, "chaos", None)
-    fault_times = []
-    if engine is not None:
-        fault_times = [
-            float(m.get("time", 0.0)) for m in engine.markers
-            if m.get("action") == "link_down"
-            or (m.get("action") == "degrade" and m.get("factor", 1.0) < 1.0)
-        ]
-    quarantines: List[float] = []
-    probations: List[float] = []
-    for monitor in monitors:
-        for marker in monitor.markers:
-            if marker.action == "quarantine":
-                quarantines.append(marker.time)
-            elif marker.action == "restore":
-                probations.append(marker.probation_s)
-    return _health_report(
-        quarantines, probations, fault_times,
-        suspects=sum(m.suspect_events for m in monitors),
-        probes_sent=sum(m.probes_sent for m in monitors),
-        probes_lost=sum(m.probes_lost for m in monitors),
-    )
-
-
 def health_from_records(
     records: Sequence[Dict],
     counters: Optional[Dict[str, float]] = None,
 ) -> Optional[HealthReport]:
-    """Recompute a run's health metrics from raw telemetry records.
+    """A run's health metrics from its records and counters.
 
     ``counters`` is the artifact's scraped counter snapshot (the
-    ``counters`` dict of :func:`repro.telemetry.load_jsonl`); the per-host
-    probe totals live there, not in the event stream.  Returns None when
-    the artifact holds no ``health.*`` events at all (monitor disabled, or
-    the run predates it).
+    ``counters`` dict of :func:`repro.telemetry.load_jsonl`, or of
+    :func:`run_records`); the per-host probe totals live there, while
+    quarantines, restores and suspect declarations are counted from the
+    ``health.*`` events.  Returns None when no monitor ran (no
+    ``health.probes_sent`` counter).
     """
+    totals = totals_by_name(counters or {})
+    if "health.probes_sent" not in totals:
+        return None
     quarantines = [
         float(r.get("time", 0.0)) for r in records
         if r.get("type") == "health.quarantine"
@@ -458,28 +413,22 @@ def health_from_records(
         float(r.get("probation_s", 0.0)) for r in records
         if r.get("type") == "health.restore"
     ]
-    suspects = sum(1 for r in records if r.get("type") == "health.suspect")
-    if not quarantines and not probations and not suspects:
-        return None
     fault_times = [
-        float(m.get("time", 0.0)) for m in _markers_from_records(records)
+        float(m.get("time", 0.0)) for m in _fault_markers(records)
         if m.get("action") == "link_down"
         or (m.get("action") == "degrade" and float(m.get("factor", 1.0)) < 1.0)
     ]
-
-    def _total(prefix: str) -> int:
-        if not counters:
-            return 0
-        return int(sum(
-            value for name, value in counters.items()
-            if name == prefix or name.startswith(prefix + "{")
-        ))
-
-    return _health_report(
-        quarantines, probations, fault_times,
-        suspects=suspects,
-        probes_sent=_total("health.probes_sent"),
-        probes_lost=_total("health.probes_lost"),
+    return HealthReport(
+        paths_quarantined=len(quarantines),
+        paths_restored=len(probations),
+        suspect_events=sum(
+            1 for r in records if r.get("type") == "health.suspect"),
+        probes_sent=int(totals["health.probes_sent"]),
+        probes_lost=int(totals.get("health.probes_lost", 0)),
+        detection_latency_s=_detection_latency(quarantines, fault_times),
+        probation_s=(
+            sum(probations) / len(probations) if probations else _NAN
+        ),
     )
 
 
@@ -576,147 +525,59 @@ class ControlPlaneReport:
         }
 
 
-def _controlplane_report(
-    carried: int, received: int, dropped: int, delayed: int,
-    delivered_late: int, duplicated: int, corrupted: int,
-    corrupt_dropped: int, stale_rejected: int, stale_echoes: int,
-    stale_applied: int, epoch_bumps: int, probes_dropped: int,
-    restarts: int, reconverge_times: Sequence[float],
-    divergences: Sequence[float],
-) -> ControlPlaneReport:
-    mean_ttc = (
-        sum(reconverge_times) / len(reconverge_times)
-        if reconverge_times else _NAN
-    )
-    mean_div = (
-        sum(divergences) / len(divergences) if divergences else _NAN
-    )
-    return ControlPlaneReport(
-        echoes_carried=carried,
-        echoes_received=received,
-        echoes_dropped=dropped,
-        echoes_delayed=delayed,
-        echoes_delivered_late=delivered_late,
-        echoes_duplicated=duplicated,
-        echoes_corrupted=corrupted,
-        echoes_corrupt_dropped=corrupt_dropped,
-        echoes_stale_rejected=stale_rejected,
-        stale_echoes=stale_echoes,
-        stale_applied=stale_applied,
-        epoch_bumps=epoch_bumps,
-        probes_dropped=probes_dropped,
-        restarts=restarts,
-        reconverged=len(reconverge_times),
-        reconverge_s=mean_ttc,
-        divergence=mean_div,
-    )
-
-
-def controlplane_from_result(result) -> Optional[ControlPlaneReport]:
-    """Control-plane metrics of a run, or None when nothing to report.
-
-    Returns a report when the run carried a chaos engine with control
-    events, or when any defense counter fired (stale echoes can occur
-    without chaos — e.g. discovery respreads racing in-flight echoes).
-    """
-    engine = getattr(result, "chaos", None)
-    states = list(engine.control_states.values()) if engine is not None else []
-    carried = received = corrupt_dropped = stale_rejected = 0
-    stale = applied = bumps = 0
-    for host in getattr(result, "hosts", {}).values():
-        vswitch = host.vswitch
-        carried += vswitch.echoes_carried
-        received += vswitch.echoes_received
-        corrupt_dropped += vswitch.echoes_corrupt_dropped
-        stale_rejected += vswitch.echoes_stale_rejected
-        weights = getattr(vswitch.policy, "weights", None)
-        if weights is not None:
-            stale += weights.stale_echoes
-            applied += weights.stale_applied
-            bumps += weights.epoch_bumps
-    restarts = reconverge_times = None
-    if engine is not None:
-        restart_markers = [
-            m for m in engine.markers if m.get("action") == "vswitch_restart"
-        ]
-        restarts = len(restart_markers)
-        reconverge_times = [
-            float(m["reconverged_at"]) - float(m["time"])
-            for m in restart_markers if "reconverged_at" in m
-        ]
-        divergences = [
-            float(m["divergence"])
-            for m in restart_markers if "divergence" in m
-        ]
-    if not states and not (restarts or stale or applied or corrupt_dropped
-                           or stale_rejected):
-        return None
-    return _controlplane_report(
-        carried, received,
-        sum(s.echoes_dropped for s in states),
-        sum(s.echoes_delayed for s in states),
-        sum(s.echoes_delivered_late for s in states),
-        sum(s.echoes_duplicated for s in states),
-        sum(s.echoes_corrupted for s in states),
-        corrupt_dropped, stale_rejected, stale, applied, bumps,
-        sum(s.probes_dropped for s in states),
-        restarts or 0, reconverge_times or [], divergences if engine else [],
-    )
-
-
 def controlplane_from_records(
     records: Sequence[Dict],
     counters: Optional[Dict[str, float]] = None,
 ) -> Optional[ControlPlaneReport]:
-    """Recompute control-plane metrics from raw telemetry records.
+    """A run's control-plane metrics from its records and counters.
 
-    Counter totals come from the artifact's scraped counter snapshot
-    (``counters`` of :func:`repro.telemetry.load_jsonl`); restart and
-    re-convergence facts from the ``chaos.inject`` / ``chaos.reconverge``
-    event stream.  Bit-identical to :func:`controlplane_from_result` for
-    the same run.  Returns None when the artifact shows no control-plane
-    activity at all.
+    Counter totals come from the scraped counter snapshot (``counters`` of
+    :func:`repro.telemetry.load_jsonl` or of :func:`run_records`); restart
+    and re-convergence facts from the ``chaos.inject`` /
+    ``chaos.reconverge`` events.  Returns None unless control-plane
+    faults were armed (a ``chaos.echoes_dropped`` counter exists) or a
+    defense counter fired: stale echoes occur without chaos too, e.g.
+    when discovery respreads race in-flight echoes.
     """
-    def _total(prefix: str) -> int:
-        if not counters:
-            return 0
-        return int(sum(
-            value for name, value in counters.items()
-            if name == prefix or name.startswith(prefix + "{")
-        ))
+    totals = totals_by_name(counters or {})
 
-    restart_events = [
-        r for r in records
-        if r.get("type") == "chaos.inject"
-        and r.get("action") == "vswitch_restart"
-    ]
-    reconverge_events = [
-        r for r in records if r.get("type") == "chaos.reconverge"
-    ]
-    dropped = _total("chaos.echoes_dropped")
-    delayed = _total("chaos.echoes_delayed")
-    late = _total("chaos.echoes_delivered_late")
-    duplicated = _total("chaos.echoes_duplicated")
-    corrupted = _total("chaos.echoes_corrupted")
-    probes_dropped = _total("chaos.probes_dropped")
-    corrupt_dropped = _total("vswitch.echoes_corrupt_dropped")
-    stale_rejected = _total("vswitch.echoes_stale_rejected")
-    stale = _total("weights.stale_echoes")
-    applied = _total("weights.stale_applied")
-    faults = (dropped + delayed + duplicated + corrupted + probes_dropped
-              + len(restart_events))
-    if not faults and not (stale or applied or corrupt_dropped
-                           or stale_rejected):
+    def total(name: str) -> int:
+        return int(totals.get(name, 0))
+
+    stale = total("weights.stale_echoes")
+    applied = total("weights.stale_applied")
+    corrupt_dropped = total("vswitch.echoes_corrupt_dropped")
+    stale_rejected = total("vswitch.echoes_stale_rejected")
+    if "chaos.echoes_dropped" not in totals and not (
+            stale or applied or corrupt_dropped or stale_rejected):
         return None
-    return _controlplane_report(
-        _total("vswitch.echoes_carried"),
-        _total("vswitch.echoes_received"),
-        dropped, delayed, late, duplicated, corrupted,
-        corrupt_dropped, stale_rejected, stale, applied,
-        _total("weights.epoch_bumps"), probes_dropped,
-        len(restart_events),
-        [float(r.get("reconverge_s", 0.0)) for r in reconverge_events],
-        [float(r.get("divergence", 0.0)) for r in reconverge_events],
+    reconverges = [r for r in records if r.get("type") == "chaos.reconverge"]
+    reconverge_times = [float(r.get("reconverge_s", 0.0)) for r in reconverges]
+    divergences = [float(r.get("divergence", 0.0)) for r in reconverges]
+    return ControlPlaneReport(
+        echoes_carried=total("vswitch.echoes_carried"),
+        echoes_received=total("vswitch.echoes_received"),
+        echoes_dropped=total("chaos.echoes_dropped"),
+        echoes_delayed=total("chaos.echoes_delayed"),
+        echoes_delivered_late=total("chaos.echoes_delivered_late"),
+        echoes_duplicated=total("chaos.echoes_duplicated"),
+        echoes_corrupted=total("chaos.echoes_corrupted"),
+        echoes_corrupt_dropped=corrupt_dropped,
+        echoes_stale_rejected=stale_rejected,
+        stale_echoes=stale,
+        stale_applied=applied,
+        epoch_bumps=total("weights.epoch_bumps"),
+        probes_dropped=total("chaos.probes_dropped"),
+        restarts=sum(1 for m in _fault_markers(records)
+                     if m.get("action") == "vswitch_restart"),
+        reconverged=len(reconverge_times),
+        reconverge_s=(
+            sum(reconverge_times) / len(reconverge_times)
+            if reconverge_times else _NAN
+        ),
+        divergence=(
+            sum(divergences) / len(divergences) if divergences else _NAN
+        ),
     )
 
 

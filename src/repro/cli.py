@@ -47,6 +47,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import warnings
 from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 # The parser needs only these two leaf modules (scheme names, audit modes);
@@ -1023,7 +1024,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.fn(args)
+    with warnings.catch_warnings():
+        warnings.showwarning = _warn_on_one_line
+        return args.fn(args)
+
+
+def _warn_on_one_line(message, category, filename, lineno, file=None,
+                      line=None) -> None:
+    """A warning (e.g. a partial artifact) as one stderr line: no source
+    location and no echoed source line."""
+    print(f"{category.__name__}: {message}", file=sys.stderr)
 
 
 if __name__ == "__main__":  # pragma: no cover

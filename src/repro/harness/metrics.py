@@ -45,7 +45,7 @@ METRIC_KEYS: Tuple[str, ...] = (
     "chaos_fault_window_s",
     "chaos_flushed_packets",
     "chaos_lost_packets",
-    # self-healing metrics (repro.chaos.metrics.health_from_result); all
+    # self-healing metrics (repro.chaos.metrics.health_from_records); all
     # NaN when no path health monitor ran
     "health_paths_quarantined",
     "health_paths_restored",
@@ -79,9 +79,10 @@ def standard_metrics(result) -> Dict[str, float]:
     plan (see :mod:`repro.chaos.metrics`) and are NaN on fault-free runs.
     """
     from repro.chaos.metrics import (
-        controlplane_from_result,
-        health_from_result,
-        recovery_from_result,
+        controlplane_from_records,
+        health_from_records,
+        recovery_from_records,
+        run_records,
     )
 
     collector = result.collector
@@ -89,9 +90,10 @@ def standard_metrics(result) -> Dict[str, float]:
     scale = result.config.flow_scale
     mice = collector.summary(max_size=int(MICE_CUTOFF_BYTES * scale))
     elephants = collector.summary(min_size=int(ELEPHANT_CUTOFF_BYTES * scale))
-    recovery = recovery_from_result(result)
-    health = health_from_result(result)
-    control = controlplane_from_result(result)
+    records, counters = run_records(result)
+    recovery = recovery_from_records(records)
+    health = health_from_records(records, counters)
+    control = controlplane_from_records(records, counters)
     return {
         "avg_fct": summary.mean if summary else _NAN,
         "p50_fct": summary.p50 if summary else _NAN,

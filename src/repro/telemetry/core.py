@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.telemetry.events import EventLog, open_text, read_jsonl
 from repro.telemetry.profiler import SimProfiler
@@ -161,78 +161,16 @@ class Telemetry:
         if not self.enabled:
             return
         reg = self.registry
+        for name, labels, value in host_counters(hosts):
+            reg.counter(name, **labels).set_total(value)
         totals = {
             "tcp.fast_retransmits": 0, "tcp.timeouts": 0, "tcp.ecn_reductions": 0,
             "tcp.tlp_probes": 0, "tcp.packets_sent": 0, "tcp.ooo_packets": 0,
         }
         for host in _values(hosts):
-            vswitch = host.vswitch
-            labels = {"host": host.name}
-            reg.counter("host.rx_packets", **labels).set_total(host.rx_packets)
-            reg.counter("host.tx_nic_packets", **labels).set_total(host.tx_nic_packets)
-            reg.counter("vswitch.tx_encapsulated", **labels).set_total(vswitch.tx_encapsulated)
-            reg.counter("vswitch.rx_encapsulated", **labels).set_total(vswitch.rx_encapsulated)
-            reg.counter("vswitch.echoes_sent", **labels).set_total(vswitch.echoes_sent)
-            reg.counter("vswitch.echoes_received", **labels).set_total(vswitch.echoes_received)
-            reg.counter("vswitch.echoes_carried", **labels).set_total(vswitch.echoes_carried)
-            reg.counter("vswitch.echoes_corrupt_dropped", **labels).set_total(
-                vswitch.echoes_corrupt_dropped
-            )
-            reg.counter("vswitch.echoes_stale_rejected", **labels).set_total(
-                vswitch.echoes_stale_rejected
-            )
-            reg.counter("vswitch.guest_ecn_injected", **labels).set_total(vswitch.guest_ecn_injected)
-            policy = vswitch.policy
-            weights = getattr(policy, "weights", None)
-            if weights is not None:
-                reg.counter("clove.weight_reductions", **labels).set_total(
-                    weights.weight_reductions
-                )
-                reg.counter("weights.unknown_port", **labels).set_total(
-                    weights.unknown_ports
-                )
-                reg.counter("weights.stale_echoes", **labels).set_total(
-                    weights.stale_echoes
-                )
-                reg.counter("weights.stale_applied", **labels).set_total(
-                    weights.stale_applied
-                )
-                reg.counter("weights.epoch_bumps", **labels).set_total(
-                    weights.epoch_bumps
-                )
-            faults = getattr(host, "control_faults", None)
-            if faults is not None:
-                reg.counter("chaos.echoes_dropped", **labels).set_total(
-                    faults.echoes_dropped
-                )
-                reg.counter("chaos.echoes_delayed", **labels).set_total(
-                    faults.echoes_delayed
-                )
-                reg.counter("chaos.echoes_delivered_late", **labels).set_total(
-                    faults.echoes_delivered_late
-                )
-                reg.counter("chaos.echoes_duplicated", **labels).set_total(
-                    faults.echoes_duplicated
-                )
-                reg.counter("chaos.echoes_corrupted", **labels).set_total(
-                    faults.echoes_corrupted
-                )
-                reg.counter("chaos.probes_dropped", **labels).set_total(
-                    faults.probes_dropped
-                )
             health = getattr(host, "health", None)
             if health is not None:
-                reg.counter("health.probes_sent", **labels).set_total(health.probes_sent)
-                reg.counter("health.probes_suppressed", **labels).set_total(
-                    health.probes_suppressed
-                )
-                reg.counter("health.probes_lost", **labels).set_total(health.probes_lost)
-                reg.counter("health.quarantines", **labels).set_total(health.quarantines)
-                reg.counter("health.restores", **labels).set_total(health.restores)
-                reg.counter("health.suspect_events", **labels).set_total(
-                    health.suspect_events
-                )
-                reg.gauge("health.quarantined_paths", **labels).set(
+                reg.gauge("health.quarantined_paths", host=host.name).set(
                     health.quarantined_now()
                 )
             for endpoint in getattr(host, "_endpoints", {}).values():
@@ -339,6 +277,71 @@ class Telemetry:
             lines += self.events.write_jsonl(fp)
             lines += self.trace.write_jsonl(fp)
         return lines
+
+
+#: the per-host counters, by the component that keeps them:
+#: ``(counter name, attribute)`` rows, one table per component
+_HOST_COUNTERS = (
+    ("host.rx_packets", "rx_packets"),
+    ("host.tx_nic_packets", "tx_nic_packets"),
+)
+_VSWITCH_COUNTERS = (
+    ("vswitch.tx_encapsulated", "tx_encapsulated"),
+    ("vswitch.rx_encapsulated", "rx_encapsulated"),
+    ("vswitch.echoes_sent", "echoes_sent"),
+    ("vswitch.echoes_received", "echoes_received"),
+    ("vswitch.echoes_carried", "echoes_carried"),
+    ("vswitch.echoes_corrupt_dropped", "echoes_corrupt_dropped"),
+    ("vswitch.echoes_stale_rejected", "echoes_stale_rejected"),
+    ("vswitch.guest_ecn_injected", "guest_ecn_injected"),
+)
+_WEIGHTS_COUNTERS = (
+    ("clove.weight_reductions", "weight_reductions"),
+    ("weights.unknown_port", "unknown_ports"),
+    ("weights.stale_echoes", "stale_echoes"),
+    ("weights.stale_applied", "stale_applied"),
+    ("weights.epoch_bumps", "epoch_bumps"),
+)
+_CONTROL_FAULT_COUNTERS = (
+    ("chaos.echoes_dropped", "echoes_dropped"),
+    ("chaos.echoes_delayed", "echoes_delayed"),
+    ("chaos.echoes_delivered_late", "echoes_delivered_late"),
+    ("chaos.echoes_duplicated", "echoes_duplicated"),
+    ("chaos.echoes_corrupted", "echoes_corrupted"),
+    ("chaos.probes_dropped", "probes_dropped"),
+)
+_HEALTH_COUNTERS = (
+    ("health.probes_sent", "probes_sent"),
+    ("health.probes_suppressed", "probes_suppressed"),
+    ("health.probes_lost", "probes_lost"),
+    ("health.quarantines", "quarantines"),
+    ("health.restores", "restores"),
+    ("health.suspect_events", "suspect_events"),
+)
+
+
+def host_counters(hosts) -> Iterator[Tuple[str, Dict[str, str], int]]:
+    """Every per-host counter as ``(name, labels, value)``.
+
+    A component's rows appear only when the host has it: weight-table
+    counters for policies with a table, ``chaos.*`` for hosts a control
+    plane fault plan targets, ``health.*`` for hosts a monitor runs on.
+    :meth:`Telemetry.observe_hosts` and the live-run projection of
+    :func:`repro.chaos.metrics.run_records` both read this one list.
+    """
+    for host in _values(hosts):
+        labels = {"host": host.name}
+        vswitch = host.vswitch
+        for component, rows in (
+            (host, _HOST_COUNTERS),
+            (vswitch, _VSWITCH_COUNTERS),
+            (getattr(vswitch.policy, "weights", None), _WEIGHTS_COUNTERS),
+            (getattr(host, "control_faults", None), _CONTROL_FAULT_COUNTERS),
+            (getattr(host, "health", None), _HEALTH_COUNTERS),
+        ):
+            if component is not None:
+                for name, attribute in rows:
+                    yield name, labels, getattr(component, attribute)
 
 
 def _values(hosts) -> Iterable:

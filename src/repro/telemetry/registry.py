@@ -33,7 +33,8 @@ DEFAULT_BUCKETS: Tuple[float, ...] = (
 InstrumentKey = Tuple[str, Tuple[Tuple[str, str], ...]]
 
 
-def _key(name: str, labels: Dict[str, object]) -> InstrumentKey:
+def instrument_key(name: str, labels: Dict[str, object]) -> InstrumentKey:
+    """The key ``name`` with ``labels`` is registered under."""
     return (name, tuple(sorted((k, str(v)) for k, v in labels.items())))
 
 
@@ -44,6 +45,30 @@ def format_key(key: InstrumentKey) -> str:
         return name
     inside = ",".join(f"{k}={v}" for k, v in labels)
     return f"{name}{{{inside}}}"
+
+
+def parse_key(key: str) -> Tuple[str, Dict[str, str]]:
+    """Invert :func:`format_key`: ``name{k=v,...}`` -> (name, labels)."""
+    name, brace, rest = key.partition("{")
+    if not brace:
+        return name, {}
+    labels: Dict[str, str] = {}
+    for pair in rest.rstrip("}").split(","):
+        label, _, value = pair.partition("=")
+        if label:
+            labels[label] = value
+    return name, labels
+
+
+def totals_by_name(values: Dict[str, float]) -> Dict[str, float]:
+    """A rendered snapshot (``name{labels}`` -> value) summed across label
+    sets: ``{name: total}``, with a name present iff some instrument of it
+    exists (zero-valued or not)."""
+    totals: Dict[str, float] = {}
+    for key, value in values.items():
+        name = key.partition("{")[0]
+        totals[name] = totals.get(name, 0) + value
+    return totals
 
 
 class Counter:
@@ -184,7 +209,7 @@ class MetricsRegistry:
         """Get or create the counter ``name`` with the given label set."""
         if not self.enabled:
             return NULL_INSTRUMENT
-        key = _key(name, labels)
+        key = instrument_key(name, labels)
         instrument = self._counters.get(key)
         if instrument is None:
             instrument = self._counters[key] = Counter(key)
@@ -194,7 +219,7 @@ class MetricsRegistry:
         """Get or create the gauge ``name`` with the given label set."""
         if not self.enabled:
             return NULL_INSTRUMENT
-        key = _key(name, labels)
+        key = instrument_key(name, labels)
         instrument = self._gauges.get(key)
         if instrument is None:
             instrument = self._gauges[key] = Gauge(key)
@@ -209,7 +234,7 @@ class MetricsRegistry:
         """Get or create the histogram ``name`` with the given label set."""
         if not self.enabled:
             return NULL_INSTRUMENT
-        key = _key(name, labels)
+        key = instrument_key(name, labels)
         instrument = self._histograms.get(key)
         if instrument is None:
             instrument = self._histograms[key] = Histogram(

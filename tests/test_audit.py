@@ -299,28 +299,36 @@ def test_offline_replay_matches_in_process_verdict(tmp_path):
     assert offline.digest == result.audit.digest
 
 
+def _corrupt_counter(path, prefix, delta):
+    """Add ``delta`` to the first counter whose key starts with ``prefix``
+    inside the artifact itself."""
+    lines = path.read_text().splitlines()
+    for i, line in enumerate(lines):
+        record = json.loads(line)
+        if record.get("kind") == "counters":
+            key = next(k for k in record["values"] if k.startswith(prefix))
+            record["values"][key] = int(record["values"][key]) + delta
+            lines[i] = json.dumps(record)
+            break
+    else:
+        raise AssertionError("artifact carries no counters snapshot")
+    path.with_name(f"{prefix}.jsonl").write_text("\n".join(lines) + "\n")
+    return path.with_name(f"{prefix}.jsonl")
+
+
 def test_offline_replay_catches_corrupted_counters(tmp_path):
     tel = Telemetry()
     run_experiment(_config(), telemetry=tel)
     path = tmp_path / "run.jsonl"
     tel.export_jsonl(str(path))
-    # Corrupt one conservation counter inside the artifact itself.
-    lines = path.read_text().splitlines()
-    for i, line in enumerate(lines):
-        record = json.loads(line)
-        if record.get("kind") == "counters":
-            key = next(k for k in record["values"]
-                       if k.startswith("host.tx_nic_packets"))
-            record["values"][key] = int(record["values"][key]) + 11
-            lines[i] = json.dumps(record)
-            break
-    else:
-        raise AssertionError("artifact carries no counters snapshot")
-    path.write_text("\n".join(lines) + "\n")
 
-    offline = audit_artifact(str(path))
+    offline = audit_artifact(str(_corrupt_counter(
+        path, "host.tx_nic_packets", 11)))
     assert not offline.ok
     assert any(f.invariant.startswith("conservation") for f in offline.findings)
+
+    offline = audit_artifact(str(_corrupt_counter(path, "queue.enqueued", 1)))
+    assert [f.invariant for f in offline.findings] == ["conservation.queue"]
 
 
 def test_digest_events_artifact_fallback(tmp_path):

@@ -31,13 +31,18 @@ from repro.chaos import (
     preset,
     random_plan,
     recovery_from_records,
-    recovery_from_result,
+    run_records,
     single_cable,
 )
 from repro.harness.experiment import ExperimentConfig, run_experiment
 from repro.harness.metrics import METRIC_KEYS, standard_metrics
 from repro.runner import JobSpec, ResultCache, RunnerConfig, run_jobs
 from repro.telemetry import Telemetry
+
+
+def _recovery(result, **kwargs):
+    """The recovery report of a live run, through its artifact projection."""
+    return recovery_from_records(run_records(result)[0], **kwargs)
 
 
 def _metrics_equal(a, b) -> bool:
@@ -268,8 +273,7 @@ class TestChaosEngine:
         sim.run(until=0.05)
         types = [e.type for e in tel.events]
         assert types.count("chaos.inject") == 2
-        # the link itself reports the transition too (satellite: legacy
-        # helpers get timelines without an engine)
+        # the link itself reports the transition too
         assert "link.down" in types and "link.up" in types
 
     def test_finish_attributes_blackholes_on_permanent_faults(self, fabric):
@@ -285,22 +289,6 @@ class TestChaosEngine:
         engine.finish()
         assert engine.blackholed_packets() == 3
         assert engine.markers[-1]["action"] == "settle"
-
-    def test_legacy_link_events_rebuild_windows(self, fabric):
-        """A run instrumented only at the Link level (legacy scenario
-        helpers) still yields windows offline."""
-        sim, net, _hosts = fabric
-        tel = Telemetry()
-        fwd, rev = net.cable("L2", "S2")
-        fwd.attach_telemetry(tel)
-        rev.attach_telemetry(tel)
-        sim.at(0.01, net.fail_cable, "L2", "S2")
-        sim.at(0.03, net.recover_cable, "L2", "S2")
-        sim.run(until=0.05)
-        records = [e.to_dict() for e in tel.events]
-        report = recovery_from_records(records, end_time=0.05)
-        assert report is not None
-        assert report.windows == [(0.01, 0.03)]
 
 
 # ----------------------------------------------------------------------
@@ -376,7 +364,7 @@ class TestExperimentIntegration:
                      chaos=flap(start=0.022, period=0.01,
                                 downtime=0.004, flaps=1))
         result = run_experiment(cfg)
-        report = recovery_from_result(result)
+        report = _recovery(result)
         assert report is not None
         assert len(report.windows) == 1
         assert report.fault_window_s == pytest.approx(0.004)
@@ -397,20 +385,14 @@ class TestExperimentIntegration:
                      chaos=flap(start=0.022, period=0.01,
                                 downtime=0.004, flaps=1))
         result = run_experiment(cfg, telemetry=tel)
-        in_process = recovery_from_result(result)
+        in_process = _recovery(result)
         path = tmp_path / "tel.jsonl"
         tel.export_jsonl(str(path))
         records = [json.loads(line) for line in path.read_text().splitlines()]
         offline = recovery_from_records(records)
         assert offline is not None
         assert not math.isnan(in_process.fct_inflation)
-        assert offline.windows == pytest.approx(in_process.windows)
-        assert offline.pre_fault_goodput_bps == pytest.approx(
-            in_process.pre_fault_goodput_bps)
-        assert offline.fct_inflation == pytest.approx(in_process.fct_inflation)
-        assert offline.time_to_recover_s == pytest.approx(
-            in_process.time_to_recover_s, nan_ok=True)
-        assert offline.lost_packets == in_process.lost_packets
+        assert _metrics_equal(offline.to_dict(), in_process.to_dict())
 
     def test_multi_failure_with_live_path_completes_discovery(self):
         """A storm that leaves >= 1 path up must not deadlock Clove's
@@ -440,7 +422,7 @@ class TestExperimentIntegration:
         for scheme in ("clove-ecn", "ecmp"):
             cfg = ExperimentConfig(scheme=scheme, load=0.95, seed=1,
                                    jobs_per_client=260, chaos=plan)
-            report = recovery_from_result(run_experiment(cfg), bin_width=0.002)
+            report = _recovery(run_experiment(cfg), bin_width=0.002)
             ttr[scheme] = report.time_to_recover_s
             inflation[scheme] = report.fct_inflation
         assert not math.isnan(ttr["clove-ecn"])

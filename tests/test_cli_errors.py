@@ -97,6 +97,31 @@ def test_audit_check_unreadable_artifact_returns_2(tmp_path, capsys):
     assert "cannot read" in _assert_clean_stderr(capsys)
 
 
+def test_audit_check_without_conservation_counters_returns_2(tmp_path,
+                                                             capsys):
+    # a manifest and a counters line, but no host.tx_nic_packets: nothing
+    # to balance is an unreadable artifact, not "PASS ... 0 checks"
+    artifact = tmp_path / "foreign.jsonl"
+    artifact.write_text(
+        json.dumps({"kind": "manifest", "run": "experiment"}) + "\n"
+        + json.dumps({"kind": "counters", "values": {"jobs.completed": 3}})
+        + "\n")
+    assert main(["audit", "check", str(artifact)]) == 2
+    err = _assert_clean_stderr(capsys)
+    assert "cannot read" in err and "host.tx_nic_packets" in err
+
+
+def test_audit_check_partial_artifact_warns_on_one_line(tmp_path, capsys):
+    artifact = tmp_path / "partial.jsonl"
+    artifact.write_text(
+        json.dumps({"kind": "counters",
+                    "values": {"host.tx_nic_packets{host=h1}": 0}}) + "\n"
+        + '{"kind": "event", "truncated-by-a-cra\n')
+    assert main(["audit", "check", str(artifact)]) == 0
+    err = _assert_clean_stderr(capsys)
+    assert err.startswith("RuntimeWarning: ") and "partial artifact" in err
+
+
 def test_audit_diff_unreadable_artifact_returns_2(tmp_path, capsys):
     readable = tmp_path / "a.jsonl"
     readable.write_text(json.dumps({"kind": "counters", "values": {}}) + "\n")

@@ -22,11 +22,11 @@ from repro.chaos import (
     FaultPlan,
     PRESETS,
     controlplane_from_records,
-    controlplane_from_result,
     echo_storm,
     preset,
     random_plan,
     restart_plan,
+    run_records,
     split_brain,
 )
 from repro.chaos.plan import REBOOTSTRAP_WINDOW, WIPE_TARGETS
@@ -48,6 +48,12 @@ def _quick(scheme="clove-ecn", **overrides) -> ExperimentConfig:
     )
     defaults.update(overrides)
     return ExperimentConfig(**defaults)
+
+
+def _controlplane(result):
+    """The control-plane report of a live run, through its artifact
+    projection."""
+    return controlplane_from_records(*run_records(result))
 
 
 def _metrics_equal(a, b) -> bool:
@@ -247,7 +253,7 @@ class TestBehaviour:
             if scheme == "clove-ecn":
                 # ECMP carries no overlay echoes, so the echo assertions
                 # only make sense for the Clove run.
-                report = controlplane_from_result(result)
+                report = _controlplane(result)
                 assert report is not None
                 assert report.echoes_dropped > 0
                 assert report.stale_applied == 0
@@ -260,7 +266,7 @@ class TestBehaviour:
         cfg = _busy(chaos=echo_storm(start=0.0), audit="strict")
         result = run_experiment(cfg)
         assert result.audit is not None and result.audit.ok
-        report = controlplane_from_result(result)
+        report = _controlplane(result)
         assert report.echoes_dropped > 0
         assert report.echoes_corrupt_dropped == report.echoes_corrupted
 
@@ -271,7 +277,7 @@ class TestBehaviour:
         cfg = _quick(jobs_per_client=6, chaos=plan, health=True)
         result = run_experiment(cfg)
         assert result.collector.completion_rate == pytest.approx(1.0)
-        assert controlplane_from_result(result).probes_dropped > 0
+        assert _controlplane(result).probes_dropped > 0
 
     def test_restart_reconverges_and_reports_identically_offline(self, tmp_path):
         """A vswitch_restart re-converges (weights back within 10% TV of
@@ -286,7 +292,7 @@ class TestBehaviour:
         tel = Telemetry()
         cfg = _busy(jobs_per_client=30, seed=5, chaos=plan, health=True)
         result = run_experiment(cfg, telemetry=tel)
-        in_process = controlplane_from_result(result)
+        in_process = _controlplane(result)
         assert in_process.restarts == 1
         assert in_process.reconverged == 1
         assert not math.isnan(in_process.reconverge_s)
@@ -300,7 +306,7 @@ class TestBehaviour:
             dump["events"], counters=dump["counters"]
         )
         assert offline is not None
-        assert offline.to_dict() == in_process.to_dict()
+        assert _metrics_equal(offline.to_dict(), in_process.to_dict())
 
     def test_stale_echo_counter_fires_without_chaos(self):
         """Satellite 1: the policies count unknown-port echoes instead of
@@ -366,3 +372,17 @@ class TestReportShape:
         payload = report.to_dict()
         assert payload["echoes_carried"] == 0
         assert math.isnan(payload["echo_delivery_ratio"])
+
+    def test_armed_control_faults_report_without_any_fault(self):
+        """Control events armed on a host (its ``chaos.*`` counters exist)
+        make a report of zeros even when no fault fired and no defense
+        counter moved."""
+        counters = {"chaos.echoes_dropped{host=h1_0}": 0.0,
+                    "vswitch.echoes_carried{host=h1_0}": 40.0,
+                    "vswitch.echoes_received{host=h1_0}": 40.0}
+        report = controlplane_from_records([], counters)
+        assert report is not None
+        assert report.echoes_dropped == report.restarts == 0
+        assert report.echo_delivery_ratio == 1.0
+        assert controlplane_from_records(
+            [], {"vswitch.echoes_carried{host=h1_0}": 40.0}) is None

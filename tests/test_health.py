@@ -17,8 +17,8 @@ import pytest
 from repro.chaos import (
     flap,
     health_from_records,
-    health_from_result,
-    recovery_from_result,
+    recovery_from_records,
+    run_records,
     single_cable,
 )
 from repro.core.health import HealthConfig, PathHealthMonitor
@@ -27,6 +27,11 @@ from repro.harness.experiment import ExperimentConfig, run_experiment
 from repro.harness.metrics import standard_metrics
 from repro.runner import JobSpec, RunnerConfig, run_jobs
 from repro.telemetry import Telemetry, load_jsonl
+
+
+def _health(result):
+    """The health report of a live run, through its artifact projection."""
+    return health_from_records(*run_records(result))
 
 
 def _metrics_equal(a, b) -> bool:
@@ -75,7 +80,7 @@ class TestMonitorWiring:
     def test_disabled_by_default(self):
         result = run_experiment(_small(jobs_per_client=4))
         assert all(host.health is None for host in result.hosts.values())
-        assert health_from_result(result) is None
+        assert _health(result) is None
         metrics = standard_metrics(result)
         assert math.isnan(metrics["health_paths_quarantined"])
         assert math.isnan(metrics["health_detection_latency_s"])
@@ -125,13 +130,13 @@ class TestQuarantine:
         ))
 
     def test_dead_paths_are_quarantined(self, persistent_fault):
-        report = health_from_result(persistent_fault)
+        report = _health(persistent_fault)
         assert report.paths_quarantined > 0
         assert report.probes_lost > 0
         assert report.suspect_events > 0
 
     def test_detection_is_prompt(self, persistent_fault):
-        report = health_from_result(persistent_fault)
+        report = _health(persistent_fault)
         # dead_after=3 losses at a 1 ms probe interval: well under 10 ms.
         assert 0.0 < report.detection_latency_s < 0.01
 
@@ -186,7 +191,7 @@ class TestRecovery:
             health=True,
             health_config=FAST,
         ))
-        report = health_from_result(result)
+        report = _health(result)
         assert report.paths_quarantined > 0
         assert report.paths_restored > 0
         # Two probation stages at probation_window=2 ms each.
@@ -233,7 +238,7 @@ class TestHealthyFabric:
         monitored = run_experiment(_small(jobs_per_client=250,
                                           connections_per_client=3,
                                           health=True))
-        report = health_from_result(monitored)
+        report = _health(monitored)
         assert report.paths_quarantined == 0
         assert report.paths_restored == 0
         assert report.probes_sent > 0
@@ -259,22 +264,27 @@ class TestOfflineParity:
                    health=True, health_config=FAST),
             telemetry=telemetry,
         )
-        live = health_from_result(result)
+        live = _health(result)
         path = tmp_path / "run.jsonl"
         telemetry.export_jsonl(str(path))
         dump = load_jsonl(str(path))
         offline = health_from_records(dump["events"], dump["counters"])
-        assert offline is not None
-        assert offline.paths_quarantined == live.paths_quarantined
-        assert offline.paths_restored == live.paths_restored
-        assert offline.suspect_events == live.suspect_events
-        assert offline.probes_sent == live.probes_sent
-        assert offline.probes_lost == live.probes_lost
-        assert offline.detection_latency_s == pytest.approx(
-            live.detection_latency_s)
+        assert live.paths_quarantined > 0
+        assert _metrics_equal(offline.to_dict(), live.to_dict())
 
     def test_no_health_events_yield_none(self):
         assert health_from_records([], {}) is None
+
+    def test_a_monitor_without_health_events_still_reports(self):
+        """A monitor that ran but never acted is a report of zeros (the
+        probe counters exist), not "no monitor"."""
+        counters = {"health.probes_sent{host=h1_0}": 12.0,
+                    "health.probes_lost{host=h1_0}": 0.0}
+        report = health_from_records([], counters)
+        assert report is not None
+        assert report.probes_sent == 12
+        assert report.paths_quarantined == report.suspect_events == 0
+        assert math.isnan(report.detection_latency_s)
 
     def test_telemetry_scrapes_health_counters(self):
         telemetry = Telemetry()
@@ -350,8 +360,9 @@ def pinned_comparison():
         result = run_experiment(config)
         results[health] = {
             "result": result,
-            "recovery": recovery_from_result(result, bin_width=6e-3),
-            "health": health_from_result(result),
+            "recovery": recovery_from_records(run_records(result)[0],
+                                              bin_width=6e-3),
+            "health": _health(result),
         }
     return results
 

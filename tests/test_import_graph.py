@@ -87,6 +87,17 @@ def test_run_path_imports_only_what_every_run_touches():
     assert {"repro.baselines.ecmp", "repro.core.clove"} <= modules
 
 
+def test_fault_free_payload_loads_no_chaos_engine_or_plan():
+    # the reports load the engine (windows_from_markers) only for markers
+    modules = _modules_after(
+        "from repro.harness.experiment import ExperimentConfig, run_experiment\n"
+        "from repro.harness.metrics import standard_metrics\n"
+        "standard_metrics(run_experiment(ExperimentConfig(\n"
+        "    scheme='ecmp', jobs_per_client=2, clients_per_leaf=2)))")
+    assert "repro.chaos.metrics" in modules
+    assert not {"repro.chaos.engine", "repro.chaos.plan"} & modules
+
+
 def test_suite_setup_path_loads_no_figure_or_incast_harness():
     # what `repro suite run|check` (and benchmarks.perf's suite-batch) load
     # before the runner starts: figure rows and the incast harness are for

@@ -43,12 +43,12 @@ PUBLIC_API = {
         "ACTIONS CONTROL_ACTIONS LINK_ACTIONS PRESETS ChaosEngine "
         "ControlPlaneReport ControlPlaneState FaultEvent FaultPlan "
         "FlowSample HealthReport RecoveryReport compute_recovery "
-        "controlplane_from_records controlplane_from_result degraded "
-        "echo_storm fault_windows flap format_controlplane_report "
-        "format_health_report format_report health_from_records "
-        "health_from_result iter_presets multi_failure_plan preset "
-        "random_plan recovery_from_records recovery_from_result "
-        "restart_plan single_cable split_brain windows_from_markers"
+        "controlplane_from_records degraded echo_storm fault_windows "
+        "flap format_controlplane_report format_health_report "
+        "format_report health_from_records iter_presets "
+        "multi_failure_plan preset random_plan recovery_from_records "
+        "restart_plan run_records single_cable split_brain "
+        "windows_from_markers"
     ),
     "repro.core": (
         "FlowletTable WeightedPathTable PathDiscovery DiscoveryConfig "
