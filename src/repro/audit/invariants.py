@@ -53,7 +53,7 @@ def check_weight_tables(report: AuditReport, hosts: Iterable, now: float) -> Non
     to 0 — across every quarantine/probation transition."""
     report.note_checked("weights.sum", 1)
     for host in hosts:
-        weights = getattr(host.vswitch.policy, "weights", None)
+        weights = host.vswitch.weights
         if weights is None:
             continue
         for violation in weights.invariant_violations():

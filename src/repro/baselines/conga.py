@@ -259,3 +259,10 @@ def configure_conga(net: Network, flowlet_gap: Optional[float] = None) -> None:
         if src in net.switches:
             for link in group:
                 link.track_utilization()
+
+
+def set_flowlet_gaps(net: Network, flowlet_gap: float) -> None:
+    """Wire CONGA onto a built fabric at 3x the edge flowlet gap: CONGA's
+    paper tunes a larger gap than Clove's (its in-switch path changes
+    reorder more aggressively), and 3x matches its testbed's relative to RTT."""
+    configure_conga(net, flowlet_gap=3 * flowlet_gap)

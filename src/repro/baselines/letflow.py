@@ -15,6 +15,7 @@ from typing import Dict, List, Tuple
 from repro.net.link import Link
 from repro.net.packet import FlowKey, Packet
 from repro.net.switch import Switch
+from repro.topology.network import Network
 
 
 class LetFlowSwitch(Switch):
@@ -41,3 +42,9 @@ class LetFlowSwitch(Switch):
         self._flowlets[fkey] = (choice.name, now)
         self.flowlets_created += 1
         return choice
+
+
+def set_flowlet_gaps(net: Network, flowlet_gap: float) -> None:
+    """Every switch of a built fabric uses the edge schemes' flowlet gap."""
+    for switch in net.switches.values():
+        switch.flowlet_gap = flowlet_gap

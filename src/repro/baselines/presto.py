@@ -14,12 +14,16 @@ delivery to the guest) is implemented in the virtual switch and enabled via
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from collections import Counter
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from repro.core.weights import WeightedPathTable
 from repro.hypervisor.policy import LoadBalancer, PathTrace
 from repro.net.hashing import EcmpHasher
-from repro.net.packet import FlowKey, Packet
+from repro.net.packet import MSS, FlowKey, Packet
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.topology.network import Network
 
 _PORT_LO, _PORT_SPAN = 49152, 16384
 
@@ -62,6 +66,17 @@ class PrestoPolicy(LoadBalancer):
         self._hasher = EcmpHasher(hash_seed)
         self.flowcells_started = 0
 
+    @classmethod
+    def from_site(cls, site) -> "PrestoPolicy":
+        """Presto under the ideal controller, its flowcells scaled with the
+        flow sizes so the flowcells-per-flow ratio matches the paper's."""
+        net = site.net
+        return cls(
+            flowcell_bytes=max(MSS, int(FLOWCELL_BYTES * site.config.flow_scale)),
+            weight_fn=lambda traces: ideal_path_weights(net, traces),
+            hash_seed=site.seed,
+        )
+
     def needs_discovery(self) -> bool:
         return True
 
@@ -94,3 +109,27 @@ class PrestoPolicy(LoadBalancer):
         if self._paths.has_paths(inner.dst_ip):
             return self._paths.next_port(inner.dst_ip)
         return _PORT_LO + self._hasher.select(inner, _PORT_SPAN)
+
+
+def ideal_path_weights(net: "Network", traces: Sequence[PathTrace]) -> List[float]:
+    """Topology-derived path weights (Presto's idealized controller).
+
+    Each path's capacity is the minimum over its links of (link rate /
+    number of selected paths sharing that link); weights are proportional
+    to those capacities.  Under the paper's asymmetry this yields exactly
+    (0.33, 0.33, 0.17, 0.17).
+    """
+    rates = {link.name: link.rate_bps for link in net.all_links()}
+    sharing = Counter(name for trace in traces for name in set(trace))
+    # Links every path traverses (the host's own access link) scale all
+    # capacities equally and must not flatten the ratios.
+    on_every_path = {name for name, n in sharing.items() if n == len(traces) > 1}
+    capacities = [
+        min((rates[name] / sharing[name] for name in trace
+             if name in rates and name not in on_every_path), default=1.0)
+        for trace in traces
+    ]
+    total = sum(capacities)
+    if total <= 0:
+        return [1.0 / len(traces)] * len(traces)
+    return [cap / total for cap in capacities]

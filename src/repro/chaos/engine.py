@@ -403,7 +403,7 @@ class ChaosEngine:
         host = self._hosts[name]
         wipe = event.wipe_set
         policy = host.vswitch.policy
-        weights = getattr(policy, "weights", None)
+        weights = host.vswitch.weights
 
         oracle: Dict[int, Dict[object, float]] = {}
         if weights is not None and "weights" in wipe:
@@ -411,8 +411,6 @@ class ChaosEngine:
                 dist = _weight_distribution(weights, dst_ip)
                 if dist:
                     oracle[dst_ip] = dist
-
-        if weights is not None and "weights" in wipe:
             # Bumps the epoch of every wiped destination: echoes that left
             # before the crash come back stamped with the old epoch and
             # are rejected instead of poisoning the rebuilt table.

@@ -50,7 +50,7 @@ import sys
 import warnings
 from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
-# The parser needs only these two leaf modules (scheme names, audit modes);
+# The parser needs only these two leaf modules (scheme table, audit modes);
 # each ``cmd_*`` imports what it runs, so ``repro --help`` or ``repro cache
 # list`` never loads the simulator (DESIGN.md, "Import layering").
 from repro.audit.report import (
@@ -413,9 +413,10 @@ def cmd_incast(args) -> int:
 
 
 def cmd_schemes(_args) -> int:
-    """Handle ``repro schemes``: list available scheme names."""
-    for scheme in SCHEMES:
-        print(scheme)
+    """Handle ``repro schemes``: one line per scheme-table row."""
+    width = max(map(len, SCHEMES))
+    for row in SCHEMES.values():
+        print(f"{row.name:<{width}}  {row.summary}")
     return 0
 
 

@@ -59,6 +59,10 @@ class _FlowletPolicyBase(LoadBalancer):
         self.flowlets = FlowletTable(self.params.flowlet_gap)
         self._hasher = EcmpHasher(hash_seed)
 
+    @classmethod
+    def from_site(cls, site) -> "_FlowletPolicyBase":
+        return cls(site.params, hash_seed=site.seed)
+
     def _fallback_port(self, inner: FlowKey) -> int:
         """Pre-discovery behaviour: static hash of the inner 5-tuple (ECMP)."""
         return _PORT_LO + self._hasher.select(inner, _PORT_SPAN)
@@ -66,12 +70,76 @@ class _FlowletPolicyBase(LoadBalancer):
     def needs_discovery(self) -> bool:
         return True
 
-    def attach_telemetry(self, telemetry) -> None:
-        """Bind flowlet events here and weight-update events to the table."""
-        super().attach_telemetry(telemetry)
-        weights = getattr(self, "weights", None)
-        if weights is not None:
-            weights.attach_telemetry(telemetry)
+
+class EdgeFlowletPolicy(_FlowletPolicyBase):
+    """Edge-Flowlet: a new random source port per flowlet (Section 3.2).
+
+    Uses the full ephemeral range by default (no discovery needed); pass
+    ``use_discovered=True`` to restrict picks to the discovered port set,
+    matching the NS2 variant.
+    """
+
+    def __init__(
+        self,
+        rng: random.Random,
+        params: Optional[CloveParams] = None,
+        use_discovered: bool = False,
+        hash_seed: int = 0,
+    ) -> None:
+        super().__init__(params, hash_seed)
+        self.rng = rng
+        self.use_discovered = use_discovered
+        self._ports: Dict[int, List[int]] = {}
+
+    @classmethod
+    def from_site(cls, site) -> "EdgeFlowletPolicy":
+        return cls(site.rng.stream(f"edge-flowlet-{site.index}"), site.params,
+                   hash_seed=site.seed)
+
+    def needs_discovery(self) -> bool:
+        return self.use_discovered
+
+    def set_paths(self, dst_ip: int, ports: Sequence[int], traces: Sequence[PathTrace] = ()) -> None:
+        self._ports[dst_ip] = list(ports)
+
+    def ports_for(self, dst_ip: int) -> List[int]:
+        return list(self._ports.get(dst_ip, []))
+
+    def select_source_port(self, inner: FlowKey, packet: Packet, now: float) -> int:
+        port, _flowlet_id = self.flowlets.lookup(inner, now)
+        if port is not None:
+            return port
+        candidates = self._ports.get(inner.dst_ip) if self.use_discovered else None
+        if candidates:
+            choice = self.rng.choice(candidates)
+        else:
+            choice = self.rng.randrange(_PORT_LO, _PORT_LO + _PORT_SPAN)
+        self.flowlets.assign(inner, choice, now)
+        self._emit_flowlet(inner, choice, now, trigger="random")
+        return choice
+
+
+class _TablePolicyBase(_FlowletPolicyBase):
+    """Clove-ECN and Clove-INT: new flowlets placed over one
+    :class:`~repro.core.weights.WeightedPathTable`."""
+
+    def __init__(self, params: Optional[CloveParams], hash_seed: int) -> None:
+        super().__init__(params, hash_seed)
+        self.weights = WeightedPathTable(
+            reduction_factor=self.params.weight_reduction,
+            congestion_expiry=self.params.congestion_expiry,
+        )
+
+    def set_paths(self, dst_ip: int, ports: Sequence[int], traces: Sequence[PathTrace] = ()) -> None:
+        remap = self.weights.set_paths(dst_ip, ports, traces)
+        if remap:
+            self.flowlets.reassign_ports(remap)
+
+    def ports_for(self, dst_ip: int) -> List[int]:
+        return self.weights.ports_for(dst_ip)
+
+    def all_paths_congested(self, dst_ip: int, now: float) -> bool:
+        return self.weights.all_congested(dst_ip, now)
 
     def _note_stale_echo(
         self, feedback: PathFeedback, now: float, reason: str
@@ -82,9 +150,7 @@ class _FlowletPolicyBase(LoadBalancer):
         echo names a pre-discovery fallback port) — epoch rejections are
         counted by the vswitch before feedback is ever built.
         """
-        weights = getattr(self, "weights", None)
-        if weights is not None:
-            weights.stale_echoes += 1
+        self.weights.stale_echoes += 1
         events = self._tel_events
         if events is not None:
             events.emit(
@@ -115,50 +181,7 @@ class _FlowletPolicyBase(LoadBalancer):
             self.weights.stale_applied += 1
 
 
-class EdgeFlowletPolicy(_FlowletPolicyBase):
-    """Edge-Flowlet: a new random source port per flowlet (Section 3.2).
-
-    Uses the full ephemeral range by default (no discovery needed); pass
-    ``use_discovered=True`` to restrict picks to the discovered port set,
-    matching the NS2 variant.
-    """
-
-    def __init__(
-        self,
-        rng: random.Random,
-        params: Optional[CloveParams] = None,
-        use_discovered: bool = False,
-        hash_seed: int = 0,
-    ) -> None:
-        super().__init__(params, hash_seed)
-        self.rng = rng
-        self.use_discovered = use_discovered
-        self._ports: Dict[int, List[int]] = {}
-
-    def needs_discovery(self) -> bool:
-        return self.use_discovered
-
-    def set_paths(self, dst_ip: int, ports: Sequence[int], traces: Sequence[PathTrace] = ()) -> None:
-        self._ports[dst_ip] = list(ports)
-
-    def ports_for(self, dst_ip: int) -> List[int]:
-        return list(self._ports.get(dst_ip, []))
-
-    def select_source_port(self, inner: FlowKey, packet: Packet, now: float) -> int:
-        port, _flowlet_id = self.flowlets.lookup(inner, now)
-        if port is not None:
-            return port
-        candidates = self._ports.get(inner.dst_ip) if self.use_discovered else None
-        if candidates:
-            choice = self.rng.choice(candidates)
-        else:
-            choice = self.rng.randrange(_PORT_LO, _PORT_LO + _PORT_SPAN)
-        self.flowlets.assign(inner, choice, now)
-        self._emit_flowlet(inner, choice, now, trigger="random")
-        return choice
-
-
-class CloveEcnPolicy(_FlowletPolicyBase):
+class CloveEcnPolicy(_TablePolicyBase):
     """Clove-ECN: WRR over discovered paths, weights adapted by ECN echoes.
 
     Two Section 7 "flowlet optimization" extensions are available:
@@ -173,7 +196,6 @@ class CloveEcnPolicy(_FlowletPolicyBase):
     """
 
     wants_ecn = True
-    wants_health = True
 
     def __init__(
         self,
@@ -183,24 +205,12 @@ class CloveEcnPolicy(_FlowletPolicyBase):
         adaptive_gap: bool = False,
     ) -> None:
         super().__init__(params, hash_seed)
-        self.weights = WeightedPathTable(
-            reduction_factor=self.params.weight_reduction,
-            congestion_expiry=self.params.congestion_expiry,
-        )
         self.needs_reassembly = reorder_shield
         self.adaptive_gap = adaptive_gap
         if adaptive_gap:
             self.wants_latency = True
         #: per-dst latest per-path delays (adaptive gap input)
         self._delays: Dict[int, Dict[int, float]] = {}
-
-    def set_paths(self, dst_ip: int, ports: Sequence[int], traces: Sequence[PathTrace] = ()) -> None:
-        remap = self.weights.set_paths(dst_ip, ports, traces)
-        if remap:
-            self.flowlets.reassign_ports(remap)
-
-    def ports_for(self, dst_ip: int) -> List[int]:
-        return self.weights.ports_for(dst_ip)
 
     def select_source_port(self, inner: FlowKey, packet: Packet, now: float) -> int:
         if self.adaptive_gap:
@@ -242,11 +252,8 @@ class CloveEcnPolicy(_FlowletPolicyBase):
         if self.adaptive_gap and feedback.util is not None:
             self._delays.setdefault(feedback.dst_ip, {})[feedback.port] = feedback.util
 
-    def all_paths_congested(self, dst_ip: int, now: float) -> bool:
-        return self.weights.all_congested(dst_ip, now)
 
-
-class CloveIntPolicy(_FlowletPolicyBase):
+class CloveIntPolicy(_TablePolicyBase):
     """Clove-INT: new flowlets go to the least-utilized discovered path.
 
     ``local_bump`` counters the herding that pure echo-driven selection
@@ -259,7 +266,6 @@ class CloveIntPolicy(_FlowletPolicyBase):
 
     wants_ecn = True   # keeps the ECN safety net for the all-congested case
     wants_int = True
-    wants_health = True
 
     def __init__(
         self,
@@ -268,20 +274,8 @@ class CloveIntPolicy(_FlowletPolicyBase):
         local_bump: float = 0.05,
     ) -> None:
         super().__init__(params, hash_seed)
+        self.weights.util_aging = self.params.util_aging
         self.local_bump = local_bump
-        self.weights = WeightedPathTable(
-            reduction_factor=self.params.weight_reduction,
-            congestion_expiry=self.params.congestion_expiry,
-            util_aging=self.params.util_aging,
-        )
-
-    def set_paths(self, dst_ip: int, ports: Sequence[int], traces: Sequence[PathTrace] = ()) -> None:
-        remap = self.weights.set_paths(dst_ip, ports, traces)
-        if remap:
-            self.flowlets.reassign_ports(remap)
-
-    def ports_for(self, dst_ip: int) -> List[int]:
-        return self.weights.ports_for(dst_ip)
 
     def select_source_port(self, inner: FlowKey, packet: Packet, now: float) -> int:
         port, _flowlet_id = self.flowlets.lookup(inner, now)
@@ -307,6 +301,3 @@ class CloveIntPolicy(_FlowletPolicyBase):
             self.weights.record_util(feedback.dst_ip, feedback.port, feedback.util, now)
         if feedback.congested:
             self._apply_congestion(feedback, now)
-
-    def all_paths_congested(self, dst_ip: int, now: float) -> bool:
-        return self.weights.all_congested(dst_ip, now)

@@ -147,10 +147,10 @@ class _Marker:
 class PathHealthMonitor:
     """Per-hypervisor liveness prober driving quarantine and recovery.
 
-    The monitor *pulls* its path set from the policy's
-    :class:`~repro.core.weights.WeightedPathTable` at the start of every
-    cycle, so re-discovery remaps (new ports, carried-over states) are
-    picked up without explicit synchronization.
+    The monitor *pulls* its path set from its host's weight table
+    (``host.vswitch.weights``) at the start of every cycle, so re-discovery
+    remaps (new ports, carried-over states) are picked up without explicit
+    synchronization; it re-discovers through ``host.prober``.
     """
 
     def __init__(
@@ -158,16 +158,14 @@ class PathHealthMonitor:
         sim: Simulator,
         host: "Host",
         rng,
-        table: WeightedPathTable,
         config: Optional[HealthConfig] = None,
-        prober: Optional[PathDiscovery] = None,
     ) -> None:
         self.sim = sim
         self.host = host
         self.rng = rng
-        self.table = table
+        self.table: WeightedPathTable = host.vswitch.weights
         self.config = config if config is not None else HealthConfig()
-        self.prober = prober
+        self.prober: Optional[PathDiscovery] = host.prober
         self._paths: Dict[Tuple[int, int], _PathHealth] = {}
         #: pid -> (dst_ip, port, sent_at) of in-flight probes
         self._outstanding: Dict[int, Tuple[int, int, float]] = {}

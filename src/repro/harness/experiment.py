@@ -3,20 +3,8 @@
 ``run_experiment(ExperimentConfig(...))`` builds the fabric, hosts,
 load-balancer policies, path-discovery daemons and workload for one
 (scheme, load, seed) point and runs it to completion, returning the
-metrics the paper's figures are drawn from.
-
-Supported schemes (the exact comparison sets of Sections 5 and 6):
-
-====================  =========================================================
-``ecmp``              static hashing at the edge
-``edge-flowlet``      random source port per flowlet
-``clove-ecn``         WRR + ECN-driven weights (the headline Clove)
-``clove-int``         least-utilized path via INT
-``presto``            64KB flowcell spraying, ideal static weights
-``mptcp``             guest MPTCP over edge ECMP
-``conga``             in-network utilization-aware flowlets (leaf switches)
-``letflow``           in-switch flowlets, random choice (extra baseline)
-====================  =========================================================
+metrics the paper's figures are drawn from.  The schemes, and what each
+one runs, are the rows of :data:`repro.harness.schemes.SCHEMES`.
 """
 
 from __future__ import annotations
@@ -24,28 +12,25 @@ from __future__ import annotations
 import time
 from dataclasses import asdict, dataclass, field, replace
 from typing import (
-    TYPE_CHECKING, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple,
+    TYPE_CHECKING, Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple,
 )
 
-# Module level holds what every run touches.  A scheme or observer only some
-# runs select (CONGA/LetFlow switches, Presto, MPTCP, clove-latency; auditor,
-# chaos engine, path health, span-trace fingerprints) is imported in the
-# branch below that uses it, always before the workload starts
-# (DESIGN.md, "Import layering").
-from repro.baselines.ecmp import EcmpPolicy
-from repro.core.clove import CloveEcnPolicy, CloveIntPolicy, CloveParams, EdgeFlowletPolicy
+# Module level holds what every run touches, plus the policies most scheme
+# rows name (ECMP, the Clove family).  A scheme or observer only some runs
+# select is imported when a run selects it, always before the workload
+# starts (DESIGN.md, "Import layering").
+import repro.baselines.ecmp  # noqa: F401
+from repro.core.clove import CloveParams
 from repro.core.discovery import DiscoveryConfig, PathDiscovery
-from repro.harness.schemes import SCHEMES
+from repro.harness.schemes import SCHEMES, PolicySite, resolve
 from repro.hypervisor.host import Host
-from repro.hypervisor.policy import LoadBalancer, PathTrace
 from repro.metrics.collector import MetricsCollector
-from repro.net.packet import MSS, MTU, ACK_BYTES, ENCAP_BYTES
+from repro.net.packet import MTU, ACK_BYTES, ENCAP_BYTES
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
 from repro.telemetry import NULL_TELEMETRY, Telemetry
 from repro.topology.leafspine import LeafSpineConfig, build_leaf_spine
 from repro.topology.network import Network
-from repro.transport.tcp import open_connection
 from repro.workloads.distributions import flow_size_distribution, validate_workload
 from repro.workloads.generator import PoissonWorkload, WorkloadConfig
 
@@ -72,7 +57,8 @@ class ExperimentConfig:
     connections_per_client: int = 6
     #: "permutation" (balanced, low variance) or "random" (paper protocol)
     pairing: str = "permutation"
-    #: topology; None = the scaled-down default (8 hosts/leaf)
+    #: topology; None = the scaled-down default (8 hosts/leaf).  Its switch
+    #: classes are the scheme row's
     topology: Optional[LeafSpineConfig] = None
     #: flow sizes are the web-search CDF times this factor (0.1 keeps the
     #: elephant/mice mix meaningful against the fabric BDP at CI speed)
@@ -95,8 +81,8 @@ class ExperimentConfig:
     #: declarative fault schedule executed by a ChaosEngine; ``asymmetric``
     #: above is sugar for the single-cable plan and composes with this
     chaos: Optional[FaultPlan] = None
-    #: run a per-hypervisor PathHealthMonitor (policies that opt in via
-    #: ``wants_health``: the Clove variants with a weight table)
+    #: run a per-hypervisor PathHealthMonitor on every policy with a weight
+    #: table (the Clove variants); a no-op for the other schemes
     health: bool = False
     #: health tuning; None = RTT-derived defaults
     health_config: Optional[HealthConfig] = None
@@ -192,75 +178,6 @@ class ExperimentResult:
         return summary.p99 if summary else float("nan")
 
 
-def ideal_path_weights(net: Network, traces: Sequence[PathTrace]) -> List[float]:
-    """Topology-derived path weights (Presto's idealized controller).
-
-    Each path's capacity is the minimum over its links of (link rate /
-    number of selected paths sharing that link); weights are proportional
-    to those capacities.  Under the paper's asymmetry this yields exactly
-    (0.33, 0.33, 0.17, 0.17).
-    """
-    by_name = {link.name: link for link in net.all_links()}
-    sharing: Dict[str, int] = {}
-    for trace in traces:
-        for link_name in set(trace):
-            sharing[link_name] = sharing.get(link_name, 0) + 1
-    capacities = []
-    for trace in traces:
-        cap = float("inf")
-        for link_name in trace:
-            # Links every path traverses (the host's own access link) scale
-            # all capacities equally and must not flatten the ratios.
-            if sharing[link_name] == len(traces) and len(traces) > 1:
-                continue
-            link = by_name.get(link_name)
-            if link is None:
-                continue
-            cap = min(cap, link.rate_bps / sharing[link_name])
-        capacities.append(cap if cap != float("inf") else 1.0)
-    total = sum(capacities)
-    if total <= 0:
-        return [1.0 / len(traces)] * len(traces)
-    return [cap / total for cap in capacities]
-
-
-def _make_policy(
-    config: ExperimentConfig,
-    rng: RngRegistry,
-    net: Network,
-    host_index: int,
-    params: CloveParams,
-) -> Optional[LoadBalancer]:
-    scheme = config.scheme
-    seed = rng.stream("policy-seeds").getrandbits(64) ^ host_index
-    if scheme in ("ecmp", "mptcp", "conga", "letflow"):
-        return EcmpPolicy(hash_seed=seed)
-    if scheme == "edge-flowlet":
-        return EdgeFlowletPolicy(
-            rng.stream(f"edge-flowlet-{host_index}"), params, hash_seed=seed
-        )
-    if scheme == "clove-ecn":
-        return CloveEcnPolicy(params, hash_seed=seed)
-    if scheme == "clove-int":
-        return CloveIntPolicy(params, hash_seed=seed)
-    if scheme == "clove-latency":
-        from repro.core.latency import CloveLatencyPolicy
-
-        return CloveLatencyPolicy(params, hash_seed=seed)
-    if scheme == "presto":
-        # Flowcells scale with the flow-size scale so the flowcells-per-flow
-        # ratio matches the paper's 64KB cells against full-size flows.
-        from repro.baselines.presto import FLOWCELL_BYTES, PrestoPolicy
-
-        flowcell = max(MSS, int(FLOWCELL_BYTES * config.flow_scale))
-        return PrestoPolicy(
-            flowcell_bytes=flowcell,
-            weight_fn=lambda traces: ideal_path_weights(net, traces),
-            hash_seed=seed,
-        )
-    raise ValueError(f"unknown scheme {scheme!r} (expected one of {SCHEMES})")
-
-
 class Assembly(NamedTuple):
     """What :func:`assemble` builds: a fabric with hosts attached, idle."""
 
@@ -272,38 +189,31 @@ class Assembly(NamedTuple):
     hosts: Dict[str, Host]
     #: the engine executing ``config.fault_plan()``; None when fault-free
     chaos: Optional[ChaosEngine]
+    #: the scheme's ``open(src_host, dst_host, src_port, dst_port)``
+    open_connection: Callable
 
 
 def assemble(config: ExperimentConfig, tel: Telemetry) -> Assembly:
-    """Build everything a run needs short of its workload.
-
-    The one place a scheme is wired in: scheme-specific switch classes and
-    INT capability, RTT-derived Clove/switch tuning, the fault plan's
-    ChaosEngine, and per host the policy, path discovery and health
-    monitor.  :func:`run_experiment` and
-    :func:`~repro.harness.incast.run_incast` differ only in the workload
-    they drive over the result.
+    """Build everything a run needs short of its workload: what the
+    scheme's row names (switch classes, INT, fabric hook, the policy per
+    host, the opener), RTT-derived Clove tuning, the fault plan's
+    ChaosEngine, and per host path discovery and the health monitor.
+    :func:`run_experiment` and :func:`~repro.harness.incast.run_incast`
+    differ only in the workload they drive over the result.
     """
     if config.scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {config.scheme!r}")
+    row = SCHEMES[config.scheme]
     sim = Simulator()
     rng = RngRegistry(config.seed)
 
     topo = config.topology if config.topology is not None else default_topology()
-    if config.scheme == "conga":
-        from repro.baselines.conga import (
-            CongaLeafSwitch, CongaSpineSwitch, configure_conga,
-        )
-
-        topo = replace(
-            topo, leaf_switch_class=CongaLeafSwitch, spine_switch_class=CongaSpineSwitch
-        )
-    elif config.scheme == "letflow":
-        from repro.baselines.letflow import LetFlowSwitch
-
-        topo = replace(topo, switch_class=LetFlowSwitch)
-    if config.scheme == "clove-int":
-        topo = replace(topo, int_capable=True)
+    topo = replace(
+        topo,
+        leaf_switch_class=resolve(row.leaf_switch),
+        spine_switch_class=resolve(row.spine_switch),
+        int_capable=topo.int_capable or row.int_fabric,
+    )
 
     net = build_leaf_spine(sim, rng, topo)
     if config.failover_delay_s > 0.0:
@@ -316,14 +226,8 @@ def assemble(config: ExperimentConfig, tel: Telemetry) -> Assembly:
         congestion_expiry=config.congestion_expiry_rtt * rtt,
         util_aging=10 * rtt,
     )
-    if config.scheme == "conga":
-        # CONGA's own paper tunes a larger flowlet gap than Clove's (its
-        # in-switch path changes reorder more aggressively); 3x the edge gap
-        # matches its testbed setting relative to RTT.
-        configure_conga(net, flowlet_gap=3 * params.flowlet_gap)
-    elif config.scheme == "letflow":
-        for switch in net.switches.values():
-            switch.flowlet_gap = params.flowlet_gap
+    if row.fabric_hook is not None:
+        resolve(row.fabric_hook)(net, params.flowlet_gap)
 
     # ------------------------------------------------------------------
     # Fault injection: the effective plan (config.chaos + the asymmetric
@@ -364,34 +268,41 @@ def assemble(config: ExperimentConfig, tel: Telemetry) -> Assembly:
             rediscovery_backoff=max(250 * rtt, 5e-3),
             rediscovery_max_backoff=max(4000 * rtt, 80e-3),
         )
+    policy_class = resolve(row.policy)
     hosts: Dict[str, Host] = {}
     for index, name in enumerate(sorted(net.hosts)):
-        policy = _make_policy(config, rng, net, index, params)
+        seed = rng.stream("policy-seeds").getrandbits(64) ^ index
+        policy = policy_class.from_site(PolicySite(config, params, net, rng, index, seed))
         host = Host(
             sim, net, name, policy,
             ecn_relay_interval=ecn_relay,
             reassembly_timeout=max(2 * rtt, 50e-6),
         )
-        if policy is not None and policy.needs_discovery():
-            def _on_update(dst_ip, ports, traces, _policy=policy):
-                _policy.set_paths(dst_ip, ports, traces)
+        if policy.needs_discovery():
             host.prober = PathDiscovery(
                 sim, host, rng.stream(f"discovery-{name}"),
-                config=discovery_cfg, on_update=_on_update,
+                config=discovery_cfg, on_update=policy.set_paths,
             )
-        if config.health and getattr(policy, "wants_health", False):
+        if config.health and policy.weights is not None:
             host.health = PathHealthMonitor(
-                sim, host, rng.stream(f"health-{name}"),
-                table=policy.weights, config=health_cfg,
-                prober=host.prober,
-            )
+                sim, host, rng.stream(f"health-{name}"), health_cfg)
             host.health.start()
         hosts[name] = host
 
     if chaos_engine is not None:
         # Control-plane events target hypervisors, which only now exist.
         chaos_engine.attach_hosts(hosts, rng)
-    return Assembly(sim, rng, topo, rtt, net, hosts, chaos_engine)
+    return Assembly(sim, rng, topo, rtt, net, hosts, chaos_engine,
+                    resolve(row.opener)(config))
+
+
+def prewarm_discovery(pairs: Iterable[Tuple[Host, Host]]) -> None:
+    """Discover paths both ways (data and ACKs) between each pair, pre-traffic."""
+    for a, b in pairs:
+        if a.prober is not None:
+            a.prober.notice_destination(b.ip)
+        if b.prober is not None:
+            b.prober.notice_destination(a.ip)
 
 
 def run_experiment(
@@ -414,7 +325,8 @@ def run_experiment(
     # Fail fast on a mistyped workload name, before any fabric is built.
     validate_workload(config.workload)
     tel = telemetry if telemetry is not None else NULL_TELEMETRY
-    sim, rng, topo, rtt, net, hosts, chaos_engine = assemble(config, tel)
+    sim, rng, topo, rtt, net, hosts, chaos_engine, open_connection = assemble(
+        config, tel)
 
     # ------------------------------------------------------------------
     # Workload: leaf-1 hosts are clients, leaf-2 hosts are servers
@@ -428,23 +340,10 @@ def run_experiment(
     port_counter = [20000]
     pairs: List[Tuple[Host, Host]] = []
 
-    if config.scheme == "mptcp":
-        from repro.transport.mptcp import open_mptcp_connection
-
-        def factory(client: Host, server: Host, index: int):
-            port_counter[0] += 16
-            pairs.append((client, server))
-            return open_mptcp_connection(
-                client, server, port_counter[0], 80,
-                n_subflows=config.mptcp_subflows, min_rto=config.min_rto,
-            )
-    else:
-        def factory(client: Host, server: Host, index: int):
-            port_counter[0] += 16
-            pairs.append((client, server))
-            return open_connection(
-                client, server, port_counter[0], 80, min_rto=config.min_rto
-            )
+    def factory(client: Host, server: Host, index: int):
+        port_counter[0] += 16
+        pairs.append((client, server))
+        return open_connection(client, server, port_counter[0], 80)
 
     # Bisection under asymmetry: load stays relative to the *baseline*
     # bisection, as in the paper (the failure makes high loads infeasible).
@@ -469,13 +368,7 @@ def run_experiment(
         factory,
     )
 
-    # Pre-warm discovery so the port->path mapping exists before traffic
-    # (both directions: data forward, ACKs back).
-    for client, server in pairs:
-        if client.prober is not None:
-            client.prober.notice_destination(server.ip)
-        if server.prober is not None:
-            server.prober.notice_destination(client.ip)
+    prewarm_discovery(pairs)
 
     manifest: Optional[Dict[str, object]] = None
     if tel.enabled:

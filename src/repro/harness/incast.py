@@ -5,10 +5,9 @@ from __future__ import annotations
 import time
 from typing import Dict, Optional
 
-from repro.harness.experiment import ExperimentConfig, assemble
+from repro.harness.experiment import ExperimentConfig, assemble, prewarm_discovery
 from repro.hypervisor.host import Host
 from repro.telemetry import NULL_TELEMETRY, Telemetry
-from repro.transport.tcp import open_connection
 from repro.workloads.incast import IncastConfig, IncastWorkload
 
 
@@ -36,31 +35,20 @@ def run_incast(
     benchmark tier.
     """
     tel = telemetry if telemetry is not None else NULL_TELEMETRY
-    built = assemble(ExperimentConfig(scheme=scheme, seed=seed), tel)
+    built = assemble(ExperimentConfig(scheme=scheme, seed=seed, min_rto=min_rto,
+                                      mptcp_subflows=mptcp_subflows), tel)
     sim, net, hosts = built.sim, built.net, built.hosts
 
     client = hosts["h1_0"]
     servers = [hosts[n] for n in sorted(hosts) if n.startswith("h2_")]
 
     port_counter = [30000]
-    if scheme == "mptcp":
-        from repro.transport.mptcp import open_mptcp_connection
 
     def factory(server: Host, dst_client: Host, index: int):
         port_counter[0] += 16
-        if scheme == "mptcp":
-            return open_mptcp_connection(
-                server, dst_client, port_counter[0], 80,
-                n_subflows=mptcp_subflows, min_rto=min_rto,
-            )
-        return open_connection(server, dst_client, port_counter[0], 80, min_rto=min_rto)
+        return built.open_connection(server, dst_client, port_counter[0], 80)
 
-    # Pre-warm discovery both directions for every server.
-    for server in servers:
-        if server.prober is not None:
-            server.prober.notice_destination(client.ip)
-        if client.prober is not None:
-            client.prober.notice_destination(server.ip)
+    prewarm_discovery((server, client) for server in servers)
 
     manifest = None
     if tel.enabled:

@@ -167,7 +167,7 @@ class Host:
         a per-probe varied ephemeral port before discovery has run.
         """
         pid = probe.meta["probe"]
-        weights = getattr(self.vswitch.policy, "weights", None)
+        weights = self.vswitch.weights
         if weights is not None:
             live = weights.live_ports_for(probe.route_key.src_ip)
             if live:

@@ -53,15 +53,22 @@ class LoadBalancer:
     #: whether the destination should measure one-way latency and reflect
     #: it back (the Section 7 NIC-timestamping alternative)
     wants_latency: bool = False
-    #: whether a :class:`~repro.core.health.PathHealthMonitor` should run
-    #: for this policy (requires a ``weights`` WeightedPathTable attribute)
-    wants_health: bool = False
+    #: the policy's :class:`~repro.core.weights.WeightedPathTable`, or None
+    #: for a policy without one; a path health monitor runs only on a table
+    weights = None
     #: whether the receive side must run Presto-style flowcell reassembly
     needs_reassembly: bool = False
     #: bound event log of the attached telemetry scope (None = uninstrumented)
     _tel_events = None
     #: bound span tracer of the attached scope (None = tracing off)
     _tel_trace = None
+
+    @classmethod
+    def from_site(cls, site) -> "LoadBalancer":
+        """One host's policy for a run, built from its
+        :class:`~repro.harness.schemes.PolicySite` (the scheme table's
+        factory); by default a policy whose one knob is its hash seed."""
+        return cls(hash_seed=site.seed)
 
     def select_source_port(self, inner: FlowKey, packet: Packet, now: float) -> int:
         """Return the outer source port for this packet (the path choice)."""
@@ -71,15 +78,13 @@ class LoadBalancer:
     # Telemetry
     # ------------------------------------------------------------------
     def attach_telemetry(self, telemetry) -> None:
-        """Bind this policy's decision events to a telemetry scope.
-
-        Subclasses that keep auxiliary state (e.g. a
-        :class:`~repro.core.weights.WeightedPathTable`) extend this to
-        propagate the scope into it.
-        """
+        """Bind this policy's decision events, and its weight table's
+        update events, to a telemetry scope."""
         self._tel_events = telemetry.events
         trace = getattr(telemetry, "trace", None)
         self._tel_trace = trace if (trace is not None and trace.enabled) else None
+        if self.weights is not None:
+            self.weights.attach_telemetry(telemetry)
 
     def _emit_flowlet(
         self, inner: FlowKey, port: int, now: float, trigger: str = "new"
@@ -102,7 +107,7 @@ class LoadBalancer:
         trace = self._tel_trace
         if trace is not None:
             fields = {"port": port, "trigger": trigger}
-            weights = getattr(self, "weights", None)
+            weights = self.weights
             if weights is not None:
                 snapshot = weights.weights_for(inner.dst_ip)
                 if snapshot:

@@ -101,16 +101,14 @@ class VSwitch:
         #: Conservative: True merely means "worth scanning".
         self._echo_maybe: Dict[int, bool] = {}
         self._reassembly: Dict[FlowKey, _ReassemblyBuffer] = {}
-        #: the policy's WeightedPathTable, cached so the per-packet epoch
-        #: stamp costs one attribute read instead of a getattr
-        self._weights = getattr(policy, "weights", None)
-        # Per-packet policy flags, frozen at construction (they are class
-        # or __init__ attributes of the policy, never flipped mid-run).
-        self._wants_ecn = bool(policy is not None and policy.wants_ecn)
-        self._wants_int = bool(policy is not None and policy.wants_int)
-        self._wants_latency = bool(
-            policy is not None and getattr(policy, "wants_latency", False)
-        )
+        # Per-packet policy state, frozen at construction (class or __init__
+        # attributes, never flipped mid-run); no policy reads as the base's.
+        declared = policy if policy is not None else LoadBalancer
+        #: the policy's WeightedPathTable (None without a policy or a table)
+        self.weights = declared.weights
+        self._wants_ecn = declared.wants_ecn
+        self._wants_int = declared.wants_int
+        self._wants_latency = declared.wants_latency
         #: outer (dst_hyp, sport) -> interned FlowKey (see :meth:`outer_key`)
         self._outer_keys: Dict[tuple, FlowKey] = {}
         # Counters.
@@ -177,8 +175,8 @@ class VSwitch:
             # Stand-in for the NIC timestamp of Section 7 (perfectly
             # synchronized clocks in simulation).
             packet.meta["clove_ts"] = now
-        if self._weights is not None:
-            packet.clove_epoch = self._weights.epoch_of(dst_hyp)
+        if self.weights is not None:
+            packet.clove_epoch = self.weights.epoch_of(dst_hyp)
         if self._echo_maybe.get(dst_hyp):
             self._attach_echo(packet, dst_hyp)
         self.tx_encapsulated += 1
@@ -223,8 +221,8 @@ class VSwitch:
         packet.ect = self._wants_ecn
         if self._wants_latency:
             packet.meta["clove_ts"] = self.sim.now
-        if self._weights is not None:
-            packet.clove_epoch = self._weights.epoch_of(inner.dst_ip)
+        if self.weights is not None:
+            packet.clove_epoch = self.weights.epoch_of(inner.dst_ip)
         if self._echo_maybe.get(inner.dst_ip):
             self._attach_echo(packet, inner.dst_ip)
         self.tx_encapsulated += 1
@@ -411,7 +409,7 @@ class VSwitch:
             return
         # Epoch guard: feedback about a path set that predates a respread
         # or a vswitch restart is counted, never applied.
-        weights = self._weights
+        weights = self.weights
         if (
             self.epoch_guard
             and weights is not None

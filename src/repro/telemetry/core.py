@@ -335,7 +335,7 @@ def host_counters(hosts) -> Iterator[Tuple[str, Dict[str, str], int]]:
         for component, rows in (
             (host, _HOST_COUNTERS),
             (vswitch, _VSWITCH_COUNTERS),
-            (getattr(vswitch.policy, "weights", None), _WEIGHTS_COUNTERS),
+            (vswitch.weights, _WEIGHTS_COUNTERS),
             (getattr(host, "control_faults", None), _CONTROL_FAULT_COUNTERS),
             (getattr(host, "health", None), _HEALTH_COUNTERS),
         ):

@@ -24,6 +24,7 @@ behaviour that the paper observed.
 from __future__ import annotations
 
 import bisect
+from functools import partial
 from typing import Callable, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.net.packet import FlowKey, MSS, Packet
@@ -324,3 +325,10 @@ def open_mptcp_connection(
         connection.senders.append(sender)
         connection.receivers.append(receiver)
     return connection
+
+
+def connection_opener(config) -> Callable[..., MptcpConnection]:
+    """:func:`open_mptcp_connection` bound to a run's ``mptcp_subflows`` and
+    ``min_rto``."""
+    return partial(open_mptcp_connection, n_subflows=config.mptcp_subflows,
+                   min_rto=config.min_rto)

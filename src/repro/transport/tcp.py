@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import bisect
 from collections import deque
+from functools import partial
 from typing import Callable, Deque, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.net.packet import FlowKey, MSS, Packet, make_ack_packet, make_data_packet
@@ -658,3 +659,9 @@ def open_connection(
     # demux lookup hits by identity.
     src_host.register_endpoint(receiver.reverse, sender)
     return Connection(sender, receiver)
+
+
+def connection_opener(config) -> Callable[..., Connection]:
+    """:func:`open_connection` bound to a run's ``min_rto``: the opener of
+    every single-path scheme."""
+    return partial(open_connection, min_rto=config.min_rto)

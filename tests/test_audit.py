@@ -113,7 +113,7 @@ def test_seeded_queue_corruption_is_caught():
 def test_seeded_weight_corruption_is_caught():
     def mutate(net, hosts):
         for host in hosts.values():
-            table = getattr(host.vswitch.policy, "weights", None)
+            table = host.vswitch.weights
             if table is not None and table._paths:
                 states = next(iter(table._paths.values()))
                 states[0].weight += 0.5

@@ -4,12 +4,12 @@ import math
 
 import pytest
 
+from repro.baselines.presto import ideal_path_weights
 from repro.harness.experiment import (
     ExperimentConfig,
     SCHEMES,
     default_topology,
     estimate_rtt,
-    ideal_path_weights,
     run_experiment,
 )
 from repro.harness.report import render_table

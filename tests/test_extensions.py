@@ -187,9 +187,13 @@ class TestReport:
 class TestCli:
     def test_schemes_command(self, capsys):
         from repro.cli import main
+        from repro.harness.schemes import SCHEMES
         assert main(["schemes"]) == 0
-        out = capsys.readouterr().out
-        assert "clove-ecn" in out and "conga" in out
+        lines = capsys.readouterr().out.splitlines()
+        assert len(SCHEMES) == 9
+        assert [line.split()[0] for line in lines] == list(SCHEMES)
+        for line, row in zip(lines, SCHEMES.values()):
+            assert line.endswith(row.summary)
 
     def test_run_command(self, capsys):
         from repro.cli import main

@@ -1,6 +1,6 @@
 """Tests for repro.core.health: the self-healing control loop.
 
-Covers monitor wiring (opt-in via ``wants_health``, disabled by default),
+Covers monitor wiring (policies with a weight table, disabled by default),
 fault detection and quarantine under a persistent cable failure, graduated
 probation restore after the cable heals, the guest-transparency guarantee
 (every job completes despite a dead path), offline/in-process health-metric

@@ -67,8 +67,9 @@ def test_submodules_resolve_as_attributes_of_a_bare_package_import():
 #: what a run that does not select them must never load
 OFF_THE_RUN_PATH = (
     "repro.audit", "repro.chaos.engine", "repro.chaos.metrics",
-    "repro.core.health", "repro.baselines.conga", "repro.baselines.letflow",
-    "repro.baselines.presto", "repro.transport.mptcp", "repro.runner.pool",
+    "repro.core.health", "repro.core.latency", "repro.baselines.conga",
+    "repro.baselines.letflow", "repro.baselines.presto",
+    "repro.transport.mptcp", "repro.runner.pool",
     "repro.suite", "repro.cli", "multiprocessing", "concurrent.futures",
     "subprocess", "socket", "pickle", "argparse",
 )
