@@ -60,30 +60,10 @@ __version__ = "1.0.0"
 _EXPORTS = {
     "Simulator": "sim.engine",
     "RngRegistry": "sim.rng",
-    "CloveEcnPolicy": "core.clove",
-    "CloveIntPolicy": "core.clove",
-    "CloveParams": "core.clove",
-    "EdgeFlowletPolicy": "core.clove",
-    "FlowletTable": "core.flowlet",
-    "PathDiscovery": "core.discovery",
-    "DiscoveryConfig": "core.discovery",
-    "HealthConfig": "core.health",
-    "PathHealthMonitor": "core.health",
-    "WeightedPathTable": "core.weights",
-    "EcmpPolicy": "baselines.ecmp",
-    "PrestoPolicy": "baselines.presto",
-    "CloveLatencyPolicy": "core.latency",
     "ExperimentConfig": "harness.experiment",
-    "ExperimentResult": "harness.experiment",
-    "SCHEMES": "harness.schemes",
     "run_experiment": "harness.experiment",
-    "estimate_rtt": "harness.experiment",
     "Host": "hypervisor.host",
-    "LoadBalancer": "hypervisor.policy",
-    "VSwitch": "hypervisor.vswitch",
     "LeafSpineConfig": "topology.leafspine",
-    "build_leaf_spine": "topology.leafspine",
-    "build_fat_tree": "topology.fattree",
 }
 
 __all__ = [*_EXPORTS, "__version__"]

@@ -16,21 +16,13 @@ from repro import lazy_exports
 _EXPORTS = {
     "Auditor": "auditor",
     "AuditError": "report",
-    "AuditFinding": "report",
     "AuditReport": "report",
-    "LedgerSnapshot": "ledger",
     "MODE_REPORT": "report",
     "MODE_STRICT": "report",
-    "MODES": "report",
-    "SEV_CRITICAL": "report",
-    "SEV_ERROR": "report",
-    "SEV_WARNING": "report",
     "StreamDigest": "digest",
     "audit_artifact": "offline",
-    "check_conservation": "ledger",
     "diff_digests": "digest",
     "digest_events": "digest",
-    "gather": "ledger",
     "parse_digest": "digest",
     "render_digest": "digest",
 }

@@ -103,6 +103,16 @@ def digest_events(records: Iterable[Dict[str, Any]]) -> str:
     return digest.render()
 
 
+def manifest_digest(manifests: Iterable[Dict[str, Any]]) -> Optional[str]:
+    """The engine digest an audited run stamped in its manifest (the first
+    manifest that carries one), or None for an unaudited artifact."""
+    for manifest in manifests:
+        recorded = manifest.get("audit")
+        if isinstance(recorded, dict) and recorded.get("digest"):
+            return recorded["digest"]
+    return None
+
+
 def diff_digests(a: Optional[str], b: Optional[str]) -> str:
     """One-line verdict comparing two rendered digests."""
     if a is None or b is None:

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterable, Optional
 
+from repro.audit.digest import manifest_digest
 from repro.audit.ledger import check_balance, from_counters
 from repro.audit.report import (
     MODE_REPORT,
@@ -63,11 +64,7 @@ def audit_artifact(path: str, mode: str = MODE_REPORT) -> AuditReport:
 
     # Carry the in-process engine digest (if the run was audited) so the
     # offline report diffs cleanly against the live one.
-    for manifest in manifests:
-        recorded = manifest.get("audit")
-        if isinstance(recorded, dict) and recorded.get("digest"):
-            report.digest = recorded["digest"]
-            break
+    report.digest = manifest_digest(manifests)
     return report
 
 

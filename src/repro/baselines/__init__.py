@@ -14,14 +14,7 @@ MPTCP, the host-based baseline, lives in :mod:`repro.transport.mptcp`.
 
 from repro import lazy_exports
 
-_EXPORTS = {
-    "EcmpPolicy": "ecmp",
-    "PrestoPolicy": "presto",
-    "CongaLeafSwitch": "conga",
-    "CongaSpineSwitch": "conga",
-    "configure_conga": "conga",
-    "LetFlowSwitch": "letflow",
-}
+_EXPORTS = {}
 
 __all__ = list(_EXPORTS)
 __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -21,29 +21,21 @@ Entry points: ``ExperimentConfig(chaos=FaultPlan(...))``, the CLI's
 from repro import lazy_exports
 
 _EXPORTS = {
-    "ACTIONS": "plan",
     "CONTROL_ACTIONS": "plan",
-    "LINK_ACTIONS": "plan",
     "PRESETS": "plan",
     "ChaosEngine": "engine",
-    "ControlPlaneReport": "metrics",
-    "ControlPlaneState": "engine",
     "FaultEvent": "plan",
     "FaultPlan": "plan",
     "FlowSample": "metrics",
-    "HealthReport": "metrics",
-    "RecoveryReport": "metrics",
     "compute_recovery": "metrics",
     "controlplane_from_records": "metrics",
     "degraded": "plan",
     "echo_storm": "plan",
     "fault_windows": "plan",
     "flap": "plan",
-    "format_controlplane_report": "metrics",
     "format_health_report": "metrics",
     "format_report": "metrics",
     "health_from_records": "metrics",
-    "iter_presets": "plan",
     "multi_failure_plan": "plan",
     "preset": "plan",
     "random_plan": "plan",
@@ -52,7 +44,6 @@ _EXPORTS = {
     "run_records": "metrics",
     "single_cable": "plan",
     "split_brain": "plan",
-    "windows_from_markers": "engine",
 }
 
 __all__ = list(_EXPORTS)

@@ -219,8 +219,7 @@ def run_records(result) -> Tuple[List[Dict[str, object]], Dict[str, float]]:
 
     Records: the chaos engine's markers as ``chaos.inject`` /
     ``chaos.settle`` / ``chaos.reconverge`` events, the health monitors'
-    markers as ``health.quarantine`` / ``health.restore`` events and their
-    suspect declarations as one ``health.suspect`` event each, completed
+    markers as ``health.quarantine`` / ``health.restore`` events, completed
     jobs as ``flow.completed`` (only when a plan ran, as the harness emits
     them) and one manifest carrying ``sim_duration`` and the fault plan.
     Counters: every per-host counter, keyed as the registry renders them.
@@ -259,10 +258,6 @@ def run_records(result) -> Tuple[List[Dict[str, object]], Dict[str, float]]:
                 {"type": f"health.{marker.action}", "time": marker.time,
                  "probation_s": marker.probation_s}
                 for marker in monitor.markers
-            )
-            records.extend(
-                {"type": "health.suspect", "host": host.name}
-                for _ in range(monitor.suspect_events)
             )
     counters = {
         format_key(instrument_key(name, labels)): value
@@ -397,10 +392,11 @@ def health_from_records(
 
     ``counters`` is the artifact's scraped counter snapshot (the
     ``counters`` dict of :func:`repro.telemetry.load_jsonl`, or of
-    :func:`run_records`); the per-host probe totals live there, while
-    quarantines, restores and suspect declarations are counted from the
-    ``health.*`` events.  Returns None when no monitor ran (no
-    ``health.probes_sent`` counter).
+    :func:`run_records`); the per-host probe and suspect totals live
+    there, while quarantines and restores are counted from the
+    ``health.*`` events.  The suspect total is read from the counter, not
+    from ``health.suspect`` events, because a full event ring drops those.
+    Returns None when no monitor ran (no ``health.probes_sent`` counter).
     """
     totals = totals_by_name(counters or {})
     if "health.probes_sent" not in totals:
@@ -421,8 +417,7 @@ def health_from_records(
     return HealthReport(
         paths_quarantined=len(quarantines),
         paths_restored=len(probations),
-        suspect_events=sum(
-            1 for r in records if r.get("type") == "health.suspect"),
+        suspect_events=int(totals.get("health.suspect_events", 0)),
         probes_sent=int(totals["health.probes_sent"]),
         probes_lost=int(totals.get("health.probes_lost", 0)),
         detection_latency_s=_detection_latency(quarantines, fault_times),

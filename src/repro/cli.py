@@ -1,76 +1,72 @@
-"""Command-line interface: ``python -m repro ...``.
+"""Command-line interface: ``python -m repro ...`` (``--help`` lists the
+commands).
 
-Subcommands:
+Every leaf command is one row of :data:`COMMANDS`: its words, its handler,
+its help text and the argument groups it takes.  A handler returns its exit
+status: 0 (or None) when the work ran and passed, 1 when it ran and failed
+or found a regression.
 
-* ``run``       — one experiment point, prints the FCT summary;
-* ``sweep``     — scheme x load grid (an ad-hoc suite), prints the
-  figure-style table;
-* ``figure``    — render one or all of the paper's figures, and the
-  verdict on each of the paper's claims, from the ``paper-figures`` suite
-  (run on demand, or a saved ``suite run --out`` artifact);
-* ``incast``    — the Figure 7 fan-in experiment;
-* ``schemes``   — list the available load-balancing schemes;
-* ``telemetry`` — inspect a ``--telemetry-out`` JSONL artifact;
-* ``trace``     — analyze the causal flow/flowlet/path spans inside a
-  telemetry artifact (summary, per-flow trees, path residency, slowest
-  reaction chains, A/B diffs, Chrome/Perfetto export);
-* ``cache``     — list or clear a ``--cache-dir`` result cache;
-* ``chaos``     — list/show fault-plan presets, or recompute recovery
-  metrics offline from a telemetry artifact;
-* ``audit``     — runtime invariant checking (:mod:`repro.audit`):
-  ``audit run`` executes one audited point and prints the invariant
-  report, ``audit check`` replays a telemetry artifact through the
-  offline checks, ``audit diff`` compares the determinism digests of
-  two artifacts;
-* ``suite``     — declarative scenario matrices with statistical
-  regression gates (:mod:`repro.suite`): ``suite run`` executes a bundled
-  or file-loaded suite through the cached parallel runner, ``suite
-  record``/``suite check`` maintain golden baselines and gate on
-  statistically significant regressions, ``suite diff`` compares two
-  result artifacts offline, ``suite report`` renders markdown/JSON.
-
-``run`` and ``sweep`` accept ``--chaos FILE`` (a serialized
-:class:`~repro.chaos.plan.FaultPlan`) or ``--chaos-preset NAME`` to inject
-faults mid-run; ``run`` then also reports time-to-recover and fault-window
-FCT inflation (:mod:`repro.chaos.metrics`).  They also accept
-``--audit strict|report`` to run under the invariant auditor.
-
-``run``, ``sweep``, ``figure``, ``incast`` and ``suite`` take ``-j/--jobs``
-(parallel worker processes) and ``--cache-dir`` (resumable result cache)
-— the :mod:`repro.runner` execution layer.
-
-A usage error is one line on stderr and exit status 2.
+Bad input from outside the program — an unreadable or malformed file, an
+unwritable output, an unknown name, a malformed command line — raises
+:class:`UsageError`, which :func:`main` turns into one stderr line and exit
+status 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import sys
 import warnings
-from typing import TYPE_CHECKING, Any, Dict, List, Optional
+from pathlib import Path
+from typing import (TYPE_CHECKING, Any, Callable, Dict, List, NamedTuple,
+                    Optional, Tuple)
 
 # The parser needs only these two leaf modules (scheme table, audit modes);
-# each ``cmd_*`` imports what it runs, so ``repro --help`` or ``repro cache
+# each handler imports what it runs, so ``repro --help`` or ``repro cache
 # list`` never loads the simulator (DESIGN.md, "Import layering").
-from repro.audit.report import (
-    MODE_REPORT,
-    MODE_STRICT,
-    MODES,
-    AuditError,
-    AuditReport,
-)
+from repro.audit.report import MODES
 from repro.harness.schemes import SCHEMES
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.chaos.plan import FaultPlan
-    from repro.harness.experiment import ExperimentConfig
     from repro.runner.pool import RunnerConfig
+    from repro.suite.execute import SuiteResult
+    from repro.suite.spec import SuiteSpec
     from repro.telemetry.core import Telemetry
     from repro.telemetry.trace import TraceView
 
 
-def _add_telemetry_opts(parser: argparse.ArgumentParser) -> None:
+class UsageError(Exception):
+    """Bad input from outside the program: one stderr line, exit status 2."""
+
+
+def _file(path: str, use: Callable[[str], Any], verb: str = "read",
+          errors: Tuple[type, ...] = (OSError, ValueError)) -> Any:
+    """``use(path)``; a file it cannot read, parse or write is a
+    :class:`UsageError` (``cannot <verb> <path>: <why>``)."""
+    try:
+        return use(path)
+    except errors as exc:
+        raise UsageError(f"cannot {verb} {path!r}: {exc}") from exc
+
+
+def _lookup(table: Callable[[str], Any], name: str) -> Any:
+    """``table(name)``; an unknown name is a :class:`UsageError` carrying
+    the KeyError's text (which lists the valid names)."""
+    try:
+        return table(name)
+    except KeyError as exc:
+        raise UsageError(exc.args[0]) from exc
+
+
+def _arg(*flags: str, **kwargs: Any) -> Callable[[argparse.ArgumentParser], Any]:
+    """One argument as a group a row can list."""
+    return lambda parser: parser.add_argument(*flags, **kwargs)
+
+
+def _telemetry_opts(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--telemetry-out", metavar="FILE", default=None,
                         help="write a telemetry artifact (JSONL) to FILE; "
                              "inspect it with `repro telemetry FILE`")
@@ -84,7 +80,7 @@ def _add_telemetry_opts(parser: argparse.ArgumentParser) -> None:
                              "are not merged when -j > 1)")
 
 
-def _add_runner_opts(parser: argparse.ArgumentParser) -> None:
+def _runner_opts(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("-j", "--jobs", type=int, default=1, metavar="N",
                         help="parallel worker processes for the experiment "
                              "grid (default: 1 = serial)")
@@ -94,60 +90,8 @@ def _add_runner_opts(parser: argparse.ArgumentParser) -> None:
                              "inspect with `repro cache list --cache-dir DIR`")
 
 
-def _make_runner(args, progress: bool = True) -> RunnerConfig:
-    """Build the RunnerConfig a subcommand's flags describe."""
-    from repro.runner.pool import RunnerConfig
-
-    return RunnerConfig(
-        jobs=args.jobs,
-        cache_dir=args.cache_dir,
-        progress=progress and (args.jobs > 1 or args.cache_dir is not None),
-    )
-
-
-def _make_telemetry(args) -> Optional[Telemetry]:
-    """Build the telemetry scope a subcommand asked for (or None).
-
-    Fails fast (exit 2) when ``--telemetry-out`` / ``--trace-out`` is
-    unwritable, instead of discovering that after minutes of simulation.
-    """
-    trace_out = getattr(args, "trace_out", None)
-    if args.telemetry_out is None and trace_out is None and not args.profile:
-        return None
-    from repro.telemetry.core import Telemetry
-    from repro.telemetry.events import open_text
-
-    for path in (args.telemetry_out, trace_out):
-        if path is None:
-            continue
-        try:
-            with open_text(path, "w"):
-                pass
-        except OSError as exc:
-            print(f"cannot write {path!r}: {exc}", file=sys.stderr)
-            raise SystemExit(2)
-    return Telemetry(profile=args.profile)
-
-
-def _finish_telemetry(tel: Optional[Telemetry], args) -> None:
-    """Export / print whatever the run's telemetry scope gathered."""
-    if tel is None:
-        return
-    if args.telemetry_out is not None:
-        tel.export_jsonl(args.telemetry_out)
-        print(f"telemetry written to {args.telemetry_out}", file=sys.stderr)
-    trace_out = getattr(args, "trace_out", None)
-    if trace_out is not None:
-        from repro.telemetry.trace import export_chrome
-
-        n = export_chrome(tel.trace.view(), trace_out)
-        print(f"chrome trace ({n} events) written to {trace_out}",
-              file=sys.stderr)
-    if tel.profiler is not None:
-        print(tel.profiler.format_summary(), file=sys.stderr)
-
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _run_flags(parser: argparse.ArgumentParser) -> None:
+    """The ExperimentConfig flags of ``run`` and ``sweep``."""
     parser.add_argument("--load", type=float, default=0.7,
                         help="offered load as a fraction of bisection bandwidth")
     parser.add_argument("--seed", type=int, default=1)
@@ -174,40 +118,102 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                              "ECMP groups (0 = idealized instant failover)")
     parser.add_argument("--audit", choices=MODES, default=None,
                         metavar="MODE",
-                        help="run under the invariant auditor: 'strict' "
-                             "raises on the first violation, 'report' "
-                             "collects them (see `repro audit`)")
+                        help="run under the invariant auditor and print its "
+                             "report: 'strict' raises on the first "
+                             "violation, 'report' collects them")
+
+
+def _suite_target(parser: argparse.ArgumentParser) -> None:
+    """The suite a ``suite run|record|check`` executes, and how."""
+    parser.add_argument("name", nargs="?", default=None,
+                        help="bundled suite name (`repro suite list`)")
+    parser.add_argument("--spec", metavar="FILE", default=None,
+                        help="load the suite from a JSON/TOML spec file "
+                             "instead of a bundled name")
+    parser.add_argument("--out", metavar="FILE", default=None,
+                        help="also save the result artifact as JSON "
+                             "(consumed by `suite diff`/`suite report`)")
+    _runner_opts(parser)
+    _telemetry_opts(parser)
+
+
+_ARTIFACT = _arg("file", help="JSONL(.gz) file written by --telemetry-out")
+_ARTIFACT_A = _arg("file_a", help="first telemetry artifact")
+_ARTIFACT_B = _arg("file_b", help="second telemetry artifact")
+
+
+def comma_separated_floats(text: str) -> List[float]:
+    """argparse ``type=`` for ``--loads``; a bad item is a usage error."""
+    return [float(item) for item in text.split(",")]
+
+
+def comma_separated_ints(text: str) -> List[int]:
+    """argparse ``type=`` for ``--fanouts``; a bad item is a usage error."""
+    return [int(item) for item in text.split(",")]
+
+
+def _make_runner(args, progress: bool = True) -> RunnerConfig:
+    """Build the RunnerConfig a subcommand's flags describe."""
+    from repro.runner.pool import RunnerConfig
+
+    return RunnerConfig(
+        jobs=args.jobs,
+        cache_dir=args.cache_dir,
+        progress=progress and (args.jobs > 1 or args.cache_dir is not None),
+    )
+
+
+def _make_telemetry(args) -> Optional[Telemetry]:
+    """The telemetry scope the flags ask for (or None); an unwritable
+    ``--telemetry-out``/``--trace-out`` fails before the run starts."""
+    if args.telemetry_out is None and args.trace_out is None and not args.profile:
+        return None
+    from repro.telemetry.core import Telemetry
+    from repro.telemetry.events import open_text
+
+    for path in (args.telemetry_out, args.trace_out):
+        if path is not None:
+            _file(path, lambda p: open_text(p, "w").close(), "write")
+    return Telemetry(profile=args.profile)
+
+
+def _finish_telemetry(tel: Optional[Telemetry], args) -> None:
+    """Export / print whatever the run's telemetry scope gathered."""
+    if tel is None:
+        return
+    if args.telemetry_out is not None:
+        tel.export_jsonl(args.telemetry_out)
+        print(f"telemetry written to {args.telemetry_out}", file=sys.stderr)
+    if args.trace_out is not None:
+        from repro.telemetry.trace import export_chrome
+
+        n = export_chrome(tel.trace.view(), args.trace_out)
+        print(f"chrome trace ({n} events) written to {args.trace_out}",
+              file=sys.stderr)
+    if tel.profiler is not None:
+        print(tel.profiler.format_summary(), file=sys.stderr)
 
 
 def _chaos_plan(args) -> Optional[FaultPlan]:
-    """The fault plan the chaos flags describe (or None).
-
-    Exits 2 on an unreadable/invalid plan file or unknown preset name —
-    before any simulation time is spent.
-    """
-    if getattr(args, "chaos", None) is not None:
+    """The fault plan ``--chaos FILE`` or ``--chaos-preset NAME`` names."""
+    if args.chaos is not None:
         from repro.chaos.plan import FaultPlan
 
-        try:
-            with open(args.chaos, "r", encoding="utf-8") as fh:
-                return FaultPlan.from_json(fh.read())
-        except (OSError, ValueError, KeyError, TypeError) as exc:
-            print(f"cannot load fault plan {args.chaos!r}: {exc}",
-                  file=sys.stderr)
-            raise SystemExit(2)
-    if getattr(args, "chaos_preset", None) is not None:
+        def load(path: str) -> FaultPlan:
+            return FaultPlan.from_json(Path(path).read_text(encoding="utf-8"))
+
+        # an event of the wrong shape can fail as KeyError or TypeError
+        return _file(args.chaos, load, "load fault plan",
+                     errors=(OSError, ValueError, KeyError, TypeError))
+    if args.chaos_preset is not None:
         from repro.chaos.plan import preset
 
-        try:
-            return preset(args.chaos_preset)
-        except KeyError as exc:
-            print(exc.args[0], file=sys.stderr)
-            raise SystemExit(2)
+        return _lookup(preset, args.chaos_preset)
     return None
 
 
 def _config_fields(args) -> Dict[str, Any]:
-    """The ExperimentConfig fields the common flags set (all but scheme)."""
+    """The ExperimentConfig fields the run flags set (all but scheme)."""
     return dict(
         load=args.load,
         seed=args.seed,
@@ -217,24 +223,20 @@ def _config_fields(args) -> Dict[str, Any]:
         chaos=_chaos_plan(args),
         health=args.health,
         failover_delay_s=args.failover_delay,
-        audit=getattr(args, "audit", None),
+        audit=args.audit,
     )
 
 
-def _config(args) -> ExperimentConfig:
-    from repro.harness.experiment import ExperimentConfig
-
-    return ExperimentConfig(scheme=args.scheme, **_config_fields(args))
-
-
 def cmd_run(args) -> int:
-    """Handle ``repro run``: one experiment point, print its summary."""
+    """``repro run``: one experiment point, print its summary."""
+    from repro.harness.experiment import ExperimentConfig
     from repro.runner.job import JobSpec
     from repro.runner.pool import run_jobs
 
     tel = _make_telemetry(args)
+    config = ExperimentConfig(scheme=args.scheme, **_config_fields(args))
     (result,) = run_jobs(
-        [JobSpec.experiment(_config(args))],
+        [JobSpec.experiment(config)],
         runner=_make_runner(args, progress=False),
         telemetry=tel,
     )
@@ -263,15 +265,12 @@ def cmd_run(args) -> int:
     if args.health:
         _print_health_metrics(m)
     if result.audit is not None:
+        from repro.audit.report import AuditReport
+
         # result is a JobResult: its audit block is the serialized report.
         report = AuditReport.from_dict(result.audit)
-        if report.ok:
-            print(f"audit        : ok (digest {report.digest})")
-        else:
-            first = report.findings[0]
-            print(f"audit        : {report.violations} violation(s); "
-                  f"first [{first.invariant}] {first.message}")
-            return 1
+        print(report.summary())
+        return 0 if report.ok else 1
     return 0
 
 
@@ -327,8 +326,8 @@ def _print_health_metrics(m) -> None:
           f"{m['health_probes_sent']:.0f} sent")
 
 
-def cmd_sweep(args) -> int:
-    """Handle ``repro sweep``: scheme x load grid as a text table."""
+def cmd_sweep(args) -> None:
+    """``repro sweep``: scheme x load grid as a text table."""
     from repro.harness.report import render_table
     from repro.suite.execute import run_suite
     from repro.suite.figures import line_series
@@ -337,8 +336,7 @@ def cmd_sweep(args) -> int:
     schemes = args.schemes.split(",")
     for scheme in schemes:
         if scheme not in SCHEMES:
-            print(f"unknown scheme {scheme!r}; see `schemes`", file=sys.stderr)
-            return 2
+            raise UsageError(f"unknown scheme {scheme!r}; see `schemes`")
     base = _config_fields(args)
     del base["load"], base["seed"]
     spec = SuiteSpec(
@@ -353,22 +351,20 @@ def cmd_sweep(args) -> int:
     _finish_telemetry(tel, args)
     lines = [(scheme, "sweep", (("scheme", scheme),)) for scheme in schemes]
     print(render_table(line_series(lines, "load", "avg_fct", spec.expand(), result)))
-    return 0
 
 
 def cmd_figure(args) -> int:
-    """Handle ``repro figure``: render figures and score the paper's claims."""
+    """``repro figure``: render figures and score the paper's claims."""
     from repro.suite import figures
     from repro.suite.spec import SuiteSpec
 
     names = list(figures.FIGURES) if args.name == "all" else [args.name]
     if names[0] not in figures.FIGURES:
-        print(f"unknown figure {args.name!r} (valid: "
-              f"{', '.join(figures.FIGURES)}, all)", file=sys.stderr)
-        return 2
+        raise UsageError(f"unknown figure {args.name!r} (valid: "
+                         f"{', '.join(figures.FIGURES)}, all)")
     try:
         if args.result is not None:
-            result = _load_suite_result(args.result)
+            result = _suite_result(args.result)
             spec = SuiteSpec.from_dict(result.spec)
         else:
             from repro.suite.bundles import paper_figures
@@ -381,13 +377,12 @@ def cmd_figure(args) -> int:
                 result = run_suite(needed, runner=_make_runner(args))
         print(figures.report(names, spec, result))
     except (KeyError, ValueError) as exc:  # an artifact lacking its points
-        print(f"cannot render {args.name}: {exc}", file=sys.stderr)
-        return 2
+        raise UsageError(f"cannot render {args.name}: {exc}") from exc
     return 1 if result is not None and result.failed_runs else 0
 
 
 def cmd_incast(args) -> int:
-    """Handle ``repro incast``: the Figure 7 fan-in experiment."""
+    """``repro incast``: the Figure 7 fan-in experiment."""
     from repro.harness.report import render_bar_chart
     from repro.runner.job import JobSpec
     from repro.runner.pool import run_jobs
@@ -412,42 +407,33 @@ def cmd_incast(args) -> int:
     return 0
 
 
-def cmd_schemes(_args) -> int:
-    """Handle ``repro schemes``: one line per scheme-table row."""
+def cmd_schemes(_args) -> None:
+    """``repro schemes``: one line per scheme-table row."""
     width = max(map(len, SCHEMES))
     for row in SCHEMES.values():
         print(f"{row.name:<{width}}  {row.summary}")
-    return 0
 
 
-def cmd_telemetry(args) -> int:
-    """Handle ``repro telemetry``: render a JSONL telemetry artifact."""
+def _artifact(path: str) -> Dict[str, Any]:
+    """A ``--telemetry-out`` artifact, loaded."""
     from repro.telemetry.core import load_jsonl
+
+    return _file(path, load_jsonl)
+
+
+def cmd_telemetry(args) -> None:
+    """``repro telemetry``: render a JSONL telemetry artifact."""
     from repro.telemetry.render import render_dump
 
-    try:
-        dump = load_jsonl(args.file)
-    except (OSError, ValueError) as exc:  # ValueError covers malformed JSON
-        print(f"cannot read {args.file!r}: {exc}", file=sys.stderr)
-        return 2
-    print(render_dump(dump, top=args.top, sample=args.sample))
-    return 0
+    print(render_dump(_artifact(args.file), top=args.top, sample=args.sample))
 
 
-def _load_trace_view(path: str) -> TraceView:
-    """TraceView from a ``--telemetry-out`` artifact.
-
-    Exits 2 on an unreadable/malformed artifact (usage error), 1 on a
-    readable artifact that simply holds no spans.
-    """
-    from repro.telemetry.core import load_jsonl
+def _trace_view(path: str) -> TraceView:
+    """The spans of a ``--telemetry-out`` artifact; exits 1 on a readable
+    artifact that simply holds none."""
     from repro.telemetry.trace import TraceView
 
-    try:
-        dump = load_jsonl(path)
-    except (OSError, ValueError) as exc:
-        print(f"cannot read {path!r}: {exc}", file=sys.stderr)
-        raise SystemExit(2)
+    dump = _artifact(path)
     view = TraceView.from_records(dump["spans"], dump.get("spans_dropped", 0))
     if not view.scopes():
         print(f"{path}: no trace spans found (was the run recorded with "
@@ -456,55 +442,48 @@ def _load_trace_view(path: str) -> TraceView:
     return view
 
 
-def cmd_trace(args) -> int:
-    """Handle ``repro trace``: offline analysis of causal span artifacts."""
-    from repro.telemetry.trace import (
-        export_chrome,
-        render_critical,
-        render_diff,
-        render_flow,
-        render_paths,
-        render_summary,
-    )
+def _print_trace(render: str, path: str, *args: Any, **kwargs: Any) -> None:
+    """Print ``repro.telemetry.trace.<render>(view, ...)`` over the spans
+    of the artifact at ``path``."""
+    from repro.telemetry import trace
 
-    if args.trace_command == "diff":
-        view_a = _load_trace_view(args.file_a)
-        view_b = _load_trace_view(args.file_b)
-        print(render_diff(view_a, view_b,
-                          label_a=args.file_a, label_b=args.file_b))
-        return 0
-    view = _load_trace_view(args.file)
-    if args.trace_command == "summary":
-        print(render_summary(view))
-    elif args.trace_command == "flow":
-        print(render_flow(view, args.flow_id))
-    elif args.trace_command == "paths":
-        print(render_paths(view))
-    elif args.trace_command == "critical":
-        print(render_critical(view, top=args.top))
-    else:  # chrome
-        n = export_chrome(view, args.out)
-        print(f"chrome trace ({n} events) written to {args.out}")
-    return 0
+    print(getattr(trace, render)(_trace_view(path), *args, **kwargs))
 
 
-def cmd_chaos(args) -> int:
-    """Handle ``repro chaos``: presets, plan dumps, offline reports."""
-    from repro.chaos.plan import iter_presets, preset
+def trace_diff(args) -> None:
+    """``repro trace diff``."""
+    from repro.telemetry.trace import render_diff
 
-    if args.chaos_command == "presets":
-        for name, description in iter_presets():
-            print(f"{name:<14} {description}")
-        return 0
-    if args.chaos_command == "show":
-        try:
-            plan = preset(args.name)
-        except KeyError as exc:
-            print(exc.args[0], file=sys.stderr)
-            return 2
-        print(plan.to_json(indent=2))
-        return 0
-    # report: recompute recovery metrics from a telemetry JSONL artifact.
+    view_a, view_b = _trace_view(args.file_a), _trace_view(args.file_b)
+    print(render_diff(view_a, view_b, label_a=args.file_a, label_b=args.file_b))
+
+
+def trace_chrome(args) -> None:
+    """``repro trace chrome``."""
+    from repro.telemetry.trace import export_chrome
+
+    n = export_chrome(_trace_view(args.file), args.out)
+    print(f"chrome trace ({n} events) written to {args.out}")
+
+
+def chaos_presets(_args) -> None:
+    """``repro chaos presets``."""
+    from repro.chaos.plan import iter_presets
+
+    for name, description in iter_presets():
+        print(f"{name:<14} {description}")
+
+
+def chaos_show(args) -> None:
+    """``repro chaos show``."""
+    from repro.chaos.plan import preset
+
+    print(_lookup(preset, args.name).to_json(indent=2))
+
+
+def chaos_report(args) -> int:
+    """``repro chaos report``: the recovery, health and control-plane
+    reports, recomputed from a telemetry artifact."""
     from repro.chaos.metrics import (
         controlplane_from_records,
         format_controlplane_report,
@@ -513,229 +492,149 @@ def cmd_chaos(args) -> int:
         health_from_records,
         recovery_from_records,
     )
-    from repro.telemetry.core import load_jsonl
 
-    try:
-        dump = load_jsonl(args.file)
-    except (OSError, ValueError) as exc:
-        print(f"cannot read {args.file!r}: {exc}", file=sys.stderr)
-        return 2
+    dump = _artifact(args.file)
     records = dump["events"] + dump["manifests"]
     report = recovery_from_records(records)
-    control = controlplane_from_records(records, counters=dump.get("counters"))
+    control = controlplane_from_records(records, counters=dump["counters"])
     if report is None and control is None:
         print(f"{args.file}: no chaos events found (was the run injected "
               "with --chaos/--chaos-preset and --telemetry-out?)",
               file=sys.stderr)
         return 1
-    if report is not None:
-        print(format_report(report))
-    health = health_from_records(records, counters=dump.get("counters"))
+    blocks = [format_report(report)] if report is not None else []
+    health = health_from_records(records, counters=dump["counters"])
     if health is not None:
-        if report is not None:
-            print()
-        print(format_health_report(health))
+        blocks.append(format_health_report(health))
     if control is not None:
-        if report is not None or health is not None:
-            print()
-        print(format_controlplane_report(control))
+        blocks.append(format_controlplane_report(control))
+    print("\n\n".join(blocks))
     return 0
 
 
-def cmd_audit(args) -> int:
-    """Handle ``repro audit``: audited runs, offline checks, digest diffs."""
-    if args.audit_command == "run":
-        return _audit_run(args)
-    if args.audit_command == "check":
-        from repro.audit.offline import audit_artifact
+def audit_check(args) -> int:
+    """``repro audit check``: the offline invariant report of an artifact."""
+    from repro.audit.offline import audit_artifact
+    from repro.audit.report import MODE_REPORT, MODE_STRICT, AuditError
 
-        mode = MODE_STRICT if args.strict else MODE_REPORT
-        try:
-            report = audit_artifact(args.file, mode=mode)
-        except AuditError as exc:
-            print(f"audit violation (strict): {exc}", file=sys.stderr)
-            return 1
-        except (OSError, ValueError) as exc:
-            print(f"cannot read {args.file!r}: {exc}", file=sys.stderr)
-            return 2
-        print(report.summary())
-        return 0 if report.ok else 1
-    # diff: compare the determinism digests of two artifacts.
-    from repro.audit.digest import diff_digests
-    from repro.telemetry.core import load_jsonl
-
-    digests = []
-    for path in (args.file_a, args.file_b):
-        try:
-            dump = load_jsonl(path)
-        except (OSError, ValueError) as exc:
-            print(f"cannot read {path!r}: {exc}", file=sys.stderr)
-            return 2
-        digests.append(_artifact_digest(dump))
-    verdict = diff_digests(digests[0], digests[1])
-    print(verdict)
-    return 0 if verdict.startswith("identical") else 1
-
-
-def _artifact_digest(dump) -> str:
-    """An artifact's determinism digest: the audited-run digest stamped in
-    its manifest when present, else a digest over the recorded events."""
-    from repro.audit.digest import digest_events
-
-    digest = None
-    for manifest in dump.get("manifests", ()):
-        audit_info = manifest.get("audit")
-        if isinstance(audit_info, dict) and audit_info.get("digest"):
-            digest = audit_info["digest"]
-    return digest if digest is not None else digest_events(dump.get("events", ()))
-
-
-def _audit_run(args) -> int:
-    """``repro audit run``: one audited point, full invariant report."""
-    from repro.harness.experiment import run_experiment
-
-    tel = _make_telemetry(args)
+    mode = MODE_STRICT if args.strict else MODE_REPORT
     try:
-        result = run_experiment(_config(args), telemetry=tel)
+        report = _file(args.file, lambda path: audit_artifact(path, mode=mode))
     except AuditError as exc:
-        _finish_telemetry(tel, args)
         print(f"audit violation (strict): {exc}", file=sys.stderr)
-        return 1
-    _finish_telemetry(tel, args)
-    report = result.audit
-    if report is None:  # cannot happen: the subparser defaults audit mode
-        print("run was not audited", file=sys.stderr)
         return 1
     print(report.summary())
     return 0 if report.ok else 1
 
 
-def _suite_spec(args):
-    """Resolve the suite a subcommand names (bundled or --spec FILE).
+def audit_diff(args) -> int:
+    """``repro audit diff``: compare two artifacts' determinism digests —
+    the audited run's engine digest when the manifest carries one, else a
+    digest over the recorded events."""
+    from repro.audit.digest import diff_digests, digest_events, manifest_digest
 
-    Exits 2 — before any simulation time is spent — on a missing name, an
-    unreadable/invalid spec file or an unknown bundled suite.
-    """
-    from repro import suite
-
-    name = getattr(args, "name", None)
-    spec_file = getattr(args, "spec", None)
-    if (name is None) == (spec_file is None):
-        print("name a bundled suite (see `repro suite list`) or pass "
-              "--spec FILE, not both", file=sys.stderr)
-        raise SystemExit(2)
-    if spec_file is not None:
-        try:
-            return suite.load_suite(spec_file)
-        except (OSError, ValueError) as exc:
-            print(f"cannot load suite spec {spec_file!r}: {exc}",
-                  file=sys.stderr)
-            raise SystemExit(2)
-    try:
-        return suite.bundled_suite(name)
-    except KeyError as exc:
-        print(exc.args[0], file=sys.stderr)
-        raise SystemExit(2)
+    digests = [
+        manifest_digest(dump["manifests"]) or digest_events(dump["events"])
+        for dump in map(_artifact, (args.file_a, args.file_b))
+    ]
+    verdict = diff_digests(*digests)
+    print(verdict)
+    return 0 if verdict.startswith("identical") else 1
 
 
-def _suite_baseline_path(args, spec) -> str:
-    """The baseline file a suite record/check uses (default: suites/)."""
-    if getattr(args, "baselines", None):
-        return args.baselines
-    return f"suites/{spec.name}.baseline.json"
-
-
-def _load_suite_result(path: str):
+def _suite_result(path: str) -> SuiteResult:
     from repro.suite.execute import load_result
 
-    try:
-        return load_result(path)
-    except (OSError, ValueError) as exc:
-        print(f"cannot read suite result {path!r}: {exc}", file=sys.stderr)
-        raise SystemExit(2)
+    return _file(path, load_result, "read suite result")
 
 
-def cmd_suite(args) -> int:
-    """Handle ``repro suite``: scenario matrices and regression gates."""
+def _suite_text(result: SuiteResult, fmt: str) -> str:
+    """A suite result rendered as markdown (``md``) or JSON."""
+    from repro import suite
+
+    if fmt == "json":
+        return json.dumps(suite.report_dict(result), indent=2, sort_keys=True)
+    return suite.render_markdown(result)
+
+
+def _run_suite(args) -> Tuple[SuiteSpec, SuiteResult]:
+    """Resolve the suite a ``run|record|check`` names (bundled or --spec),
+    run it and save ``--out``."""
     # the package resolves each name on first use: a subcommand loads only
     # the suite modules it calls into
     from repro import suite
-    import json as _json
 
-    if args.suite_command == "list":
-        for name, spec in suite.iter_bundles():
-            scenarios = spec.expand()
-            points = len(scenarios) * len(spec.seeds)
-            print(f"{name:<14} {len(scenarios):>3} scenario(s) x "
-                  f"{len(spec.seeds)} seed(s) = {points:>3} point(s)  "
-                  f"{spec.description}")
-        return 0
-    if args.suite_command == "show":
-        try:
-            spec = suite.bundled_suite(args.name)
-        except KeyError as exc:
-            print(exc.args[0], file=sys.stderr)
-            return 2
-        print(_json.dumps(spec.to_dict(), indent=2))
-        return 0
-    if args.suite_command == "report":
-        result = _load_suite_result(args.file)
-        if args.format == "json":
-            print(_json.dumps(suite.report_dict(result), indent=2, sort_keys=True))
-        else:
-            print(suite.render_markdown(result))
-        return 0
-    if args.suite_command == "diff":
-        result_a = _load_suite_result(args.file_a)
-        result_b = _load_suite_result(args.file_b)
-        metrics = args.metrics.split(",") if args.metrics else None
-        report = suite.diff_results(
-            result_a, result_b, metrics=metrics,
-            tolerance_pct=args.tolerance, alpha=args.alpha,
-        )
-        print(report.summary())
-        return 0 if report.ok else 1
-
-    # run / record / check all execute the suite first.
-    spec = _suite_spec(args)
+    if (args.name is None) == (args.spec is None):
+        raise UsageError("name a bundled suite (see `repro suite list`) or "
+                         "pass --spec FILE, not both")
+    if args.spec is not None:
+        spec = _file(args.spec, suite.load_suite, "load suite spec")
+    else:
+        spec = _lookup(suite.bundled_suite, args.name)
     tel = _make_telemetry(args)
     result = suite.run_suite(spec, runner=_make_runner(args), telemetry=tel)
     _finish_telemetry(tel, args)
-    if getattr(args, "out", None):
+    if args.out:
         result.save(args.out)
         print(f"suite result written to {args.out}", file=sys.stderr)
+    return spec, result
 
-    if args.suite_command == "run":
-        if args.report == "json":
-            text = _json.dumps(suite.report_dict(result), indent=2, sort_keys=True)
-        else:
-            text = suite.render_markdown(result)
-        print(text)
-        if getattr(args, "report_out", None):
-            with open(args.report_out, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
-            print(f"report written to {args.report_out}", file=sys.stderr)
-        return 1 if result.failed_runs else 0
 
-    if args.suite_command == "record":
-        try:
-            baselines = suite.baselines_from_result(spec, result)
-        except ValueError as exc:
-            print(f"record failed: {exc}", file=sys.stderr)
-            return 1
-        path = _suite_baseline_path(args, spec)
-        suite.save_baselines(baselines, path)
-        print(f"recorded baselines for {len(result.results)} scenario(s) "
-              f"to {path}")
-        return 0
+def suite_list(_args) -> None:
+    """``repro suite list``."""
+    from repro import suite
 
-    # check: gate against the recorded baselines.
-    path = _suite_baseline_path(args, spec)
+    for name, spec in suite.iter_bundles():
+        scenarios = spec.expand()
+        points = len(scenarios) * len(spec.seeds)
+        print(f"{name:<14} {len(scenarios):>3} scenario(s) x "
+              f"{len(spec.seeds)} seed(s) = {points:>3} point(s)  "
+              f"{spec.description}")
+
+
+def suite_show(args) -> None:
+    """``repro suite show``."""
+    from repro import suite
+
+    print(json.dumps(_lookup(suite.bundled_suite, args.name).to_dict(), indent=2))
+
+
+def suite_run(args) -> int:
+    """``repro suite run``: run a suite and print its report."""
+    _, result = _run_suite(args)
+    text = _suite_text(result, args.report)
+    print(text)
+    if args.report_out:
+        with open(args.report_out, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+        print(f"report written to {args.report_out}", file=sys.stderr)
+    return 1 if result.failed_runs else 0
+
+
+def suite_record(args) -> int:
+    """``repro suite record``: run a suite and snapshot its baselines."""
+    from repro import suite
+
+    spec, result = _run_suite(args)
     try:
-        baselines = suite.load_baselines(path)
-    except (OSError, ValueError) as exc:
-        print(f"cannot load baselines {path!r}: {exc}", file=sys.stderr)
-        return 2
+        baselines = suite.baselines_from_result(spec, result)
+    except ValueError as exc:
+        print(f"record failed: {exc}", file=sys.stderr)
+        return 1
+    path = args.baselines or f"suites/{spec.name}.baseline.json"
+    suite.save_baselines(baselines, path)
+    print(f"recorded baselines for {len(result.results)} scenario(s) "
+          f"to {path}")
+    return 0
+
+
+def suite_check(args) -> int:
+    """``repro suite check``: re-run a suite and gate it on its baselines."""
+    from repro import suite
+
+    spec, result = _run_suite(args)
+    path = args.baselines or f"suites/{spec.name}.baseline.json"
+    baselines = _file(path, suite.load_baselines, "load baselines")
     report = suite.check_result(
         spec, result, baselines,
         tolerance_pct=args.tolerance, alpha=args.alpha,
@@ -744,15 +643,29 @@ def cmd_suite(args) -> int:
     return 0 if report.ok else 1
 
 
-def cmd_cache(args) -> int:
-    """Handle ``repro cache``: list or clear a result-cache directory."""
+def suite_diff(args) -> int:
+    """``repro suite diff``: gate a candidate artifact on a reference."""
+    from repro import suite
+
+    report = suite.diff_results(
+        _suite_result(args.file_a), _suite_result(args.file_b),
+        metrics=args.metrics.split(",") if args.metrics else None,
+        tolerance_pct=args.tolerance, alpha=args.alpha,
+    )
+    print(report.summary())
+    return 0 if report.ok else 1
+
+
+def suite_report(args) -> None:
+    """``repro suite report``."""
+    print(_suite_text(_suite_result(args.file), args.format))
+
+
+def cache_list(args) -> None:
+    """``repro cache list``."""
     from repro.runner.cache import ResultCache
 
     cache = ResultCache(args.cache_dir)
-    if args.cache_command == "clear":
-        removed = cache.clear()
-        print(f"removed {removed} cached result(s) from {cache.path}")
-        return 0
     entries = cache.entries()
     if not entries:
         print(f"(cache {cache.path} is empty)")
@@ -768,266 +681,210 @@ def cmd_cache(args) -> int:
               f"{entry.get('label', ''):<40} {value}")
     print(f"{len(entries)} cached point(s)"
           + (f", {cache.stale_entries} stale" if cache.stale_entries else ""))
-    return 0
 
 
-def comma_separated_floats(text: str) -> List[float]:
-    """argparse ``type=`` for ``--loads``; a bad item is a usage error."""
-    return [float(item) for item in text.split(",")]
+def cache_clear(args) -> None:
+    """``repro cache clear``."""
+    from repro.runner.cache import ResultCache
+
+    cache = ResultCache(args.cache_dir)
+    print(f"removed {cache.clear()} cached result(s) from {cache.path}")
 
 
-def comma_separated_ints(text: str) -> List[int]:
-    """argparse ``type=`` for ``--fanouts``; a bad item is a usage error."""
-    return [int(item) for item in text.split(",")]
+class Command(NamedTuple):
+    """One leaf command, ``repro <words...>``: the handler it runs, its
+    help line and the argument groups it takes."""
+
+    words: Tuple[str, ...]
+    handler: Callable[[argparse.Namespace], Optional[int]]
+    help: str
+    args: Tuple[Callable[[argparse.ArgumentParser], Any], ...] = ()
+
+
+#: help lines of the words that only group leaf commands
+GROUP_HELP = {
+    "trace": "analyze causal flow/flowlet/path spans from a "
+             "--telemetry-out artifact",
+    "chaos": "fault-plan presets and reports",
+    "audit": "offline invariant checks of artifacts and determinism "
+             "digest diffs (audited runs: `repro run --audit MODE`)",
+    "suite": "declarative scenario matrices with statistical regression "
+             "gates (repro.suite)",
+    "cache": "inspect or clear a result cache",
+}
+
+_CACHE_DIR = _arg("--cache-dir", metavar="DIR", required=True,
+                  help="cache directory used by run/sweep/incast")
+
+COMMANDS = (
+    Command(("run",), cmd_run, "run one experiment point", (
+        _arg("scheme", choices=SCHEMES),
+        _run_flags, _runner_opts, _telemetry_opts)),
+    Command(("sweep",), cmd_sweep, "scheme x load sweep", (
+        _arg("--schemes", default="ecmp,edge-flowlet,clove-ecn"),
+        _arg("--loads", type=comma_separated_floats, default="0.3,0.5,0.7"),
+        _arg("--n-seeds", type=int, default=1),
+        _run_flags, _runner_opts, _telemetry_opts)),
+    Command(("figure",), cmd_figure,
+            "render paper figures and score the paper's claims "
+            "(the paper-figures suite)", (
+        _arg("name", help="fig4b ... fig9, ablation-..., or all "
+                          "(an unknown name lists them)"),
+        _arg("--result", metavar="FILE", default=None,
+             help="render from a saved `suite run --out` artifact "
+                  "instead of running the suite"),
+        _runner_opts)),
+    Command(("incast",), cmd_incast, "Figure 7 incast experiment", (
+        _arg("--scheme", default="clove-ecn", choices=SCHEMES),
+        _arg("--fanouts", type=comma_separated_ints, default="1,2,4,8"),
+        _arg("--requests", type=int, default=8),
+        _arg("--bytes", type=int, default=2_000_000),
+        _arg("--seed", type=int, default=1),
+        _runner_opts, _telemetry_opts)),
+    Command(("schemes",), cmd_schemes, "list available schemes"),
+    Command(("telemetry",), cmd_telemetry, "inspect a telemetry artifact", (
+        _ARTIFACT,
+        _arg("--top", type=int, default=40,
+             help="max counters/gauges to list per section"),
+        _arg("--sample", type=int, default=8,
+             help="sample events to print per section"))),
+    Command(("trace", "summary"),
+            lambda args: _print_trace("render_summary", args.file),
+            "per-run span/flow/reaction overview", (_ARTIFACT,)),
+    Command(("trace", "flow"),
+            lambda args: _print_trace("render_flow", args.file, args.flow_id),
+            "print one flow's causal tree (flowlets, TCP events)", (
+        _ARTIFACT,
+        _arg("flow_id", help="flow span id: '<run-prefix>:<sid>' as printed "
+                             "by `trace summary`, or a bare sid when the "
+                             "artifact holds a single run"))),
+    Command(("trace", "paths"),
+            lambda args: _print_trace("render_paths", args.file),
+            "path residency table (bytes/flowlets/seconds per path)",
+            (_ARTIFACT,)),
+    Command(("trace", "critical"),
+            lambda args: _print_trace("render_critical", args.file, top=args.top),
+            "slowest congestion reaction chains and outages", (
+        _ARTIFACT,
+        _arg("--top", type=int, default=10, help="how many chains to print"))),
+    Command(("trace", "diff"), trace_diff,
+            "compare path-residency shifts between two artifacts "
+            "(e.g. clove-ecn vs ecmp under the same fault plan)",
+            (_ARTIFACT_A, _ARTIFACT_B)),
+    Command(("trace", "chrome"), trace_chrome,
+            "export spans as Chrome trace-event JSON "
+            "(open in Perfetto or chrome://tracing)", (
+        _ARTIFACT, _arg("out", help="output .json (or .json.gz) path"))),
+    Command(("chaos", "presets"), chaos_presets, "list built-in fault plans"),
+    Command(("chaos", "show"), chaos_show,
+            "print a preset's plan as JSON (editable starting point for "
+            "--chaos)", (
+        _arg("name", help="preset name (see `chaos presets`)"),)),
+    Command(("chaos", "report"), chaos_report,
+            "recompute recovery metrics offline from a --telemetry-out "
+            "artifact", (_ARTIFACT,)),
+    Command(("audit", "check"), audit_check,
+            "replay a --telemetry-out artifact through the offline "
+            "invariant checks", (
+        _ARTIFACT,
+        _arg("--strict", action="store_true",
+             help="raise on the first violation instead of collecting a "
+                  "report"))),
+    Command(("audit", "diff"), audit_diff,
+            "compare the determinism digests of two artifacts "
+            "(proves serial-vs-parallel / run-vs-rerun identity)",
+            (_ARTIFACT_A, _ARTIFACT_B)),
+    Command(("suite", "list"), suite_list, "list bundled suites"),
+    Command(("suite", "show"), suite_show,
+            "print a bundled suite's spec as JSON (starting point for "
+            "custom --spec files)", (
+        _arg("name", help="bundled suite name"),)),
+    Command(("suite", "run"), suite_run, "run a suite and print its report", (
+        _suite_target,
+        _arg("--report", choices=("md", "json"), default="md",
+             help="report format printed to stdout"),
+        _arg("--report-out", metavar="FILE", default=None,
+             help="also write the report to FILE (CI artifact)"))),
+    Command(("suite", "record"), suite_record,
+            "run a suite and snapshot per-scenario golden baselines", (
+        _suite_target,
+        _arg("--baselines", metavar="FILE", default=None,
+             help="baseline file to write "
+                  "(default: suites/<name>.baseline.json)"))),
+    Command(("suite", "check"), suite_check,
+            "re-run a suite and exit nonzero on statistically significant "
+            "regressions vs recorded baselines", (
+        _suite_target,
+        _arg("--baselines", metavar="FILE", default=None,
+             help="baseline file to check against "
+                  "(default: suites/<name>.baseline.json)"),
+        _arg("--tolerance", type=float, default=None, metavar="PCT",
+             help="override the suite's tolerance band "
+                  "(percent mean worsening)"),
+        _arg("--alpha", type=float, default=None,
+             help="override the suite's significance level"))),
+    Command(("suite", "diff"), suite_diff,
+            "compare two saved suite-result artifacts offline "
+            "(first = reference); exit 1 on regressions", (
+        _arg("file_a", help="reference result artifact"),
+        _arg("file_b", help="candidate result artifact"),
+        _arg("--metrics", metavar="K1,K2", default=None,
+             help="gate on these metric keys (default: the candidate "
+                  "artifact's recorded protocol)"),
+        _arg("--tolerance", type=float, default=10.0, metavar="PCT",
+             help="tolerance band (percent mean worsening)"),
+        _arg("--alpha", type=float, default=0.05,
+             help="significance level for the paired tests"))),
+    Command(("suite", "report"), suite_report,
+            "render a saved suite-result artifact", (
+        _arg("file", help="result artifact from `suite run --out`"),
+        _arg("--format", choices=("md", "json"), default="md"))),
+    Command(("cache", "list"), cache_list, "list cached experiment points",
+            (_CACHE_DIR,)),
+    Command(("cache", "clear"), cache_clear, "clear cached experiment points",
+            (_CACHE_DIR,)),
+)
 
 
 class _Parser(argparse.ArgumentParser):
-    """An argument parser whose usage errors are one stderr line."""
+    """An argument parser whose usage errors take the one usage-error path."""
 
     def error(self, message):
-        """Exit 2 with ``<prog>: error: <message>`` (no usage dump)."""
-        self.exit(2, f"{self.prog}: error: {message}\n")
+        """``<prog>: error: <message>`` as a :class:`UsageError`."""
+        raise UsageError(f"{self.prog}: error: {message}")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """Build the argparse tree for the `repro` CLI."""
+    """The argparse tree of :data:`COMMANDS`."""
     parser = _Parser(
         prog="repro",
         description="Clove (CoNEXT'17) reproduction toolkit",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_run = sub.add_parser("run", help="run one experiment point")
-    p_run.add_argument("scheme", choices=SCHEMES)
-    _add_common(p_run)
-    _add_runner_opts(p_run)
-    _add_telemetry_opts(p_run)
-    p_run.set_defaults(fn=cmd_run)
-
-    p_sweep = sub.add_parser("sweep", help="scheme x load sweep")
-    p_sweep.add_argument("--schemes", default="ecmp,edge-flowlet,clove-ecn")
-    p_sweep.add_argument("--loads", type=comma_separated_floats,
-                         default="0.3,0.5,0.7")
-    p_sweep.add_argument("--n-seeds", type=int, default=1)
-    _add_common(p_sweep)
-    _add_runner_opts(p_sweep)
-    _add_telemetry_opts(p_sweep)
-    p_sweep.set_defaults(fn=cmd_sweep, scheme="ecmp")
-
-    p_fig = sub.add_parser(
-        "figure", help="render paper figures and score the paper's claims "
-                       "(the paper-figures suite)")
-    p_fig.add_argument("name", help="fig4b ... fig9, ablation-..., or all "
-                                    "(an unknown name lists them)")
-    p_fig.add_argument("--result", metavar="FILE", default=None,
-                       help="render from a saved `suite run --out` artifact "
-                            "instead of running the suite")
-    _add_runner_opts(p_fig)
-    p_fig.set_defaults(fn=cmd_figure)
-
-    p_incast = sub.add_parser("incast", help="Figure 7 incast experiment")
-    p_incast.add_argument("--scheme", default="clove-ecn", choices=SCHEMES)
-    p_incast.add_argument("--fanouts", type=comma_separated_ints,
-                          default="1,2,4,8")
-    p_incast.add_argument("--requests", type=int, default=8)
-    p_incast.add_argument("--bytes", type=int, default=2_000_000)
-    p_incast.add_argument("--seed", type=int, default=1)
-    _add_runner_opts(p_incast)
-    _add_telemetry_opts(p_incast)
-    p_incast.set_defaults(fn=cmd_incast)
-
-    p_schemes = sub.add_parser("schemes", help="list available schemes")
-    p_schemes.set_defaults(fn=cmd_schemes)
-
-    p_tel = sub.add_parser("telemetry", help="inspect a telemetry artifact")
-    p_tel.add_argument("file", help="JSONL file written by --telemetry-out")
-    p_tel.add_argument("--top", type=int, default=40,
-                       help="max counters/gauges to list per section")
-    p_tel.add_argument("--sample", type=int, default=8,
-                       help="sample events to print per section")
-    p_tel.set_defaults(fn=cmd_telemetry)
-
-    p_trace = sub.add_parser(
-        "trace", help="analyze causal flow/flowlet/path spans from a "
-                      "--telemetry-out artifact")
-    trace_sub = p_trace.add_subparsers(dest="trace_command", required=True)
-    p_tsum = trace_sub.add_parser("summary",
-                                  help="per-run span/flow/reaction overview")
-    p_tsum.add_argument("file", help="JSONL file written by --telemetry-out")
-    p_tsum.set_defaults(fn=cmd_trace)
-    p_tflow = trace_sub.add_parser(
-        "flow", help="print one flow's causal tree (flowlets, TCP events)")
-    p_tflow.add_argument("file", help="JSONL file written by --telemetry-out")
-    p_tflow.add_argument("flow_id",
-                         help="flow span id: '<run-prefix>:<sid>' as printed "
-                              "by `trace summary`, or a bare sid when the "
-                              "artifact holds a single run")
-    p_tflow.set_defaults(fn=cmd_trace)
-    p_tpaths = trace_sub.add_parser(
-        "paths", help="path residency table (bytes/flowlets/seconds per path)")
-    p_tpaths.add_argument("file", help="JSONL file written by --telemetry-out")
-    p_tpaths.set_defaults(fn=cmd_trace)
-    p_tcrit = trace_sub.add_parser(
-        "critical", help="slowest congestion reaction chains and outages")
-    p_tcrit.add_argument("file", help="JSONL file written by --telemetry-out")
-    p_tcrit.add_argument("--top", type=int, default=10,
-                         help="how many chains to print")
-    p_tcrit.set_defaults(fn=cmd_trace)
-    p_tdiff = trace_sub.add_parser(
-        "diff", help="compare path-residency shifts between two artifacts "
-                     "(e.g. clove-ecn vs ecmp under the same fault plan)")
-    p_tdiff.add_argument("file_a", help="first telemetry artifact")
-    p_tdiff.add_argument("file_b", help="second telemetry artifact")
-    p_tdiff.set_defaults(fn=cmd_trace)
-    p_tchrome = trace_sub.add_parser(
-        "chrome", help="export spans as Chrome trace-event JSON "
-                       "(open in Perfetto or chrome://tracing)")
-    p_tchrome.add_argument("file", help="JSONL file written by --telemetry-out")
-    p_tchrome.add_argument("out", help="output .json (or .json.gz) path")
-    p_tchrome.set_defaults(fn=cmd_trace)
-
-    p_chaos = sub.add_parser("chaos", help="fault-plan presets and reports")
-    chaos_sub = p_chaos.add_subparsers(dest="chaos_command", required=True)
-    p_presets = chaos_sub.add_parser("presets",
-                                     help="list built-in fault plans")
-    p_presets.set_defaults(fn=cmd_chaos)
-    p_show = chaos_sub.add_parser("show",
-                                  help="print a preset's plan as JSON "
-                                       "(editable starting point for --chaos)")
-    p_show.add_argument("name", help="preset name (see `chaos presets`)")
-    p_show.set_defaults(fn=cmd_chaos)
-    p_report = chaos_sub.add_parser(
-        "report", help="recompute recovery metrics offline from a "
-                       "--telemetry-out artifact")
-    p_report.add_argument("file", help="JSONL file written by --telemetry-out")
-    p_report.set_defaults(fn=cmd_chaos)
-
-    p_audit = sub.add_parser(
-        "audit", help="runtime invariant checks: audited runs, offline "
-                      "artifact replay, determinism digest diffs")
-    audit_sub = p_audit.add_subparsers(dest="audit_command", required=True)
-    p_arun = audit_sub.add_parser(
-        "run", help="run one audited experiment point and print the "
-                    "invariant report (exit 1 on violations)")
-    p_arun.add_argument("scheme", choices=SCHEMES)
-    _add_common(p_arun)
-    _add_telemetry_opts(p_arun)
-    p_arun.set_defaults(fn=cmd_audit, audit=MODE_REPORT)
-    p_acheck = audit_sub.add_parser(
-        "check", help="replay a --telemetry-out artifact through the "
-                      "offline invariant checks")
-    p_acheck.add_argument("file", help="JSONL(.gz) file written by "
-                                       "--telemetry-out")
-    p_acheck.add_argument("--strict", action="store_true",
-                          help="raise on the first violation instead of "
-                               "collecting a report")
-    p_acheck.set_defaults(fn=cmd_audit)
-    p_adiff = audit_sub.add_parser(
-        "diff", help="compare the determinism digests of two artifacts "
-                     "(proves serial-vs-parallel / run-vs-rerun identity)")
-    p_adiff.add_argument("file_a", help="first telemetry artifact")
-    p_adiff.add_argument("file_b", help="second telemetry artifact")
-    p_adiff.set_defaults(fn=cmd_audit)
-
-    p_suite = sub.add_parser(
-        "suite", help="declarative scenario matrices with statistical "
-                      "regression gates (repro.suite)")
-    suite_sub = p_suite.add_subparsers(dest="suite_command", required=True)
-
-    def _suite_target(p, with_runner=True):
-        p.add_argument("name", nargs="?", default=None,
-                       help="bundled suite name (`repro suite list`)")
-        p.add_argument("--spec", metavar="FILE", default=None,
-                       help="load the suite from a JSON/TOML spec file "
-                            "instead of a bundled name")
-        if with_runner:
-            _add_runner_opts(p)
-            _add_telemetry_opts(p)
-
-    p_slist = suite_sub.add_parser("list", help="list bundled suites")
-    p_slist.set_defaults(fn=cmd_suite)
-    p_sshow = suite_sub.add_parser(
-        "show", help="print a bundled suite's spec as JSON (starting point "
-                     "for custom --spec files)")
-    p_sshow.add_argument("name", help="bundled suite name")
-    p_sshow.set_defaults(fn=cmd_suite)
-    p_srun = suite_sub.add_parser(
-        "run", help="run a suite and print its report")
-    _suite_target(p_srun)
-    p_srun.add_argument("--out", metavar="FILE", default=None,
-                        help="also save the result artifact as JSON "
-                             "(consumed by `suite diff`/`suite report`)")
-    p_srun.add_argument("--report", choices=("md", "json"), default="md",
-                        help="report format printed to stdout")
-    p_srun.add_argument("--report-out", metavar="FILE", default=None,
-                        help="also write the report to FILE (CI artifact)")
-    p_srun.set_defaults(fn=cmd_suite)
-    p_srec = suite_sub.add_parser(
-        "record", help="run a suite and snapshot per-scenario golden "
-                       "baselines")
-    _suite_target(p_srec)
-    p_srec.add_argument("--baselines", metavar="FILE", default=None,
-                        help="baseline file to write "
-                             "(default: suites/<name>.baseline.json)")
-    p_srec.add_argument("--out", metavar="FILE", default=None,
-                        help="also save the result artifact as JSON")
-    p_srec.set_defaults(fn=cmd_suite)
-    p_scheck = suite_sub.add_parser(
-        "check", help="re-run a suite and exit nonzero on statistically "
-                      "significant regressions vs recorded baselines")
-    _suite_target(p_scheck)
-    p_scheck.add_argument("--baselines", metavar="FILE", default=None,
-                          help="baseline file to check against "
-                               "(default: suites/<name>.baseline.json)")
-    p_scheck.add_argument("--out", metavar="FILE", default=None,
-                          help="also save the result artifact as JSON")
-    p_scheck.add_argument("--tolerance", type=float, default=None,
-                          metavar="PCT",
-                          help="override the suite's tolerance band "
-                               "(percent mean worsening)")
-    p_scheck.add_argument("--alpha", type=float, default=None,
-                          help="override the suite's significance level")
-    p_scheck.set_defaults(fn=cmd_suite)
-    p_sdiff = suite_sub.add_parser(
-        "diff", help="compare two saved suite-result artifacts offline "
-                     "(first = reference); exit 1 on regressions")
-    p_sdiff.add_argument("file_a", help="reference result artifact")
-    p_sdiff.add_argument("file_b", help="candidate result artifact")
-    p_sdiff.add_argument("--metrics", metavar="K1,K2", default=None,
-                         help="gate on these metric keys (default: the "
-                              "candidate artifact's recorded protocol)")
-    p_sdiff.add_argument("--tolerance", type=float, default=10.0,
-                         metavar="PCT",
-                         help="tolerance band (percent mean worsening)")
-    p_sdiff.add_argument("--alpha", type=float, default=0.05,
-                         help="significance level for the paired tests")
-    p_sdiff.set_defaults(fn=cmd_suite)
-    p_srep = suite_sub.add_parser(
-        "report", help="render a saved suite-result artifact")
-    p_srep.add_argument("file", help="result artifact from `suite run --out`")
-    p_srep.add_argument("--format", choices=("md", "json"), default="md")
-    p_srep.set_defaults(fn=cmd_suite)
-
-    p_cache = sub.add_parser("cache", help="inspect or clear a result cache")
-    cache_sub = p_cache.add_subparsers(dest="cache_command", required=True)
-    for cache_command in ("list", "clear"):
-        p_sub = cache_sub.add_parser(
-            cache_command,
-            help=f"{cache_command} cached experiment points",
-        )
-        p_sub.add_argument("--cache-dir", metavar="DIR", required=True,
-                           help="cache directory used by run/sweep/incast")
-        p_sub.set_defaults(fn=cmd_cache)
+    subparsers = {(): parser.add_subparsers(dest="command", required=True)}
+    for row in COMMANDS:
+        group, leaf = row.words[:-1], row.words[-1]
+        if group not in subparsers:
+            (name,) = group
+            parent = subparsers[()].add_parser(name, help=GROUP_HELP[name])
+            subparsers[group] = parent.add_subparsers(
+                dest=f"{name}_command", required=True)
+        command = subparsers[group].add_parser(leaf, help=row.help)
+        for add in row.args:
+            add(command)
+        command.set_defaults(handler=row.handler)
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    with warnings.catch_warnings():
-        warnings.showwarning = _warn_on_one_line
-        return args.fn(args)
+    try:
+        args = build_parser().parse_args(argv)
+        with warnings.catch_warnings():
+            warnings.showwarning = _warn_on_one_line
+            return args.handler(args) or 0
+    except UsageError as exc:
+        print(exc, file=sys.stderr)
+        return 2
 
 
 def _warn_on_one_line(message, category, filename, lineno, file=None,

@@ -13,18 +13,7 @@
 
 from repro import lazy_exports
 
-_EXPORTS = {
-    "FlowletTable": "flowlet",
-    "WeightedPathTable": "weights",
-    "PathDiscovery": "discovery",
-    "DiscoveryConfig": "discovery",
-    "HealthConfig": "health",
-    "PathHealthMonitor": "health",
-    "EdgeFlowletPolicy": "clove",
-    "CloveEcnPolicy": "clove",
-    "CloveIntPolicy": "clove",
-    "CloveParams": "clove",
-}
+_EXPORTS = {}
 
 __all__ = list(_EXPORTS)
 __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

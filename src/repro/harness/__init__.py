@@ -5,10 +5,6 @@ from repro import lazy_exports
 
 _EXPORTS = {
     "ExperimentConfig": "experiment",
-    "ExperimentResult": "experiment",
-    "SCHEMES": "schemes",
-    "run_experiment": "experiment",
-    "estimate_rtt": "experiment",
 }
 
 __all__ = list(_EXPORTS)

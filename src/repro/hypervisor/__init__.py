@@ -10,12 +10,7 @@ senders in the STT context bits, and masks underlay ECN from guests.
 
 from repro import lazy_exports
 
-_EXPORTS = {
-    "LoadBalancer": "policy",
-    "PathFeedback": "policy",
-    "VSwitch": "vswitch",
-    "Host": "host",
-}
+_EXPORTS = {}
 
 __all__ = list(_EXPORTS)
 __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -2,11 +2,7 @@
 
 from repro import lazy_exports
 
-_EXPORTS = {
-    "MetricsCollector": "collector",
-    "JobRecord": "collector",
-    "FctSummary": "collector",
-}
+_EXPORTS = {}
 
 __all__ = list(_EXPORTS)
 __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

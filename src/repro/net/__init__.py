@@ -8,15 +8,7 @@ handling (so traceroute works), and optional In-band Network Telemetry.
 
 from repro import lazy_exports
 
-_EXPORTS = {
-    "Packet": "packet",
-    "FlowKey": "packet",
-    "EcmpHasher": "hashing",
-    "DropTailQueue": "queue",
-    "Link": "link",
-    "Switch": "switch",
-    "DiscountingRateEstimator": "dre",
-}
+_EXPORTS = {}
 
 __all__ = list(_EXPORTS)
 __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -32,19 +32,12 @@ or from the CLI: ``python -m repro sweep -j 8 --cache-dir .repro-cache``.
 from repro import lazy_exports
 
 _EXPORTS = {
-    "CACHE_FILENAME": "cache",
-    "JOB_KINDS": "job",
-    "JobResult": "pool",
     "JobSpec": "job",
-    "ProgressReporter": "progress",
     "ResultCache": "cache",
     "RunnerConfig": "pool",
     "SCHEMA_VERSION": "job",
     "canonicalize": "job",
-    "execute_job": "worker",
     "fingerprint_payload": "job",
-    "fork_available": "pool",
-    "pool_worker": "worker",
     "run_jobs": "pool",
 }
 

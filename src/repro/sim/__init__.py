@@ -8,11 +8,7 @@ It plays the role that the hardware testbed and NS2 played in the Clove paper.
 
 from repro import lazy_exports
 
-_EXPORTS = {
-    "Event": "engine",
-    "Simulator": "engine",
-    "RngRegistry": "rng",
-}
+_EXPORTS = {}
 
 __all__ = list(_EXPORTS)
 __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -34,16 +34,7 @@ CLI, or programmatically::
 from repro import lazy_exports
 
 _EXPORTS = {
-    "BASELINE_SCHEMA": "baseline",
-    "Comparison": "stats",
-    "CheckReport": "baseline",
-    "Finding": "baseline",
-    "HIGHER_IS_BETTER": "stats",
-    "RESULT_SCHEMA": "execute",
-    "Scenario": "spec",
-    "ScenarioResult": "execute",
     "ScenarioSpec": "spec",
-    "SuiteResult": "execute",
     "SuiteSpec": "spec",
     "TOPOLOGIES": "spec",
     "baselines_from_result": "baseline",
@@ -66,9 +57,7 @@ _EXPORTS = {
     "results_equal": "execute",
     "run_suite": "execute",
     "save_baselines": "baseline",
-    "scheme_comparisons": "report",
     "sign_test": "stats",
-    "spec_digest": "execute",
     "worsening": "stats",
 }
 

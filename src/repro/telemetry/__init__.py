@@ -21,21 +21,10 @@ _EXPORTS = {
     "git_revision": "core",
     "load_jsonl": "core",
     "EventLog": "events",
-    "TelemetryEvent": "events",
-    "open_text": "events",
     "read_jsonl": "events",
-    "Span": "trace",
-    "Tracer": "trace",
-    "TraceView": "trace",
-    "chrome_trace": "trace",
-    "export_chrome": "trace",
-    "weights_fingerprint": "trace",
     "SimProfiler": "profiler",
     "callback_name": "profiler",
     "MetricsRegistry": "registry",
-    "Counter": "registry",
-    "Gauge": "registry",
-    "Histogram": "registry",
     "NULL_INSTRUMENT": "registry",
     "format_key": "registry",
 }

@@ -2,13 +2,7 @@
 
 from repro import lazy_exports
 
-_EXPORTS = {
-    "Network": "network",
-    "LinkSpec": "network",
-    "build_leaf_spine": "leafspine",
-    "LeafSpineConfig": "leafspine",
-    "build_fat_tree": "fattree",
-}
+_EXPORTS = {}
 
 __all__ = list(_EXPORTS)
 __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -8,15 +8,7 @@ the paper compares against / discusses.
 
 from repro import lazy_exports
 
-_EXPORTS = {
-    "TcpSender": "tcp",
-    "TcpReceiver": "tcp",
-    "Connection": "tcp",
-    "open_connection": "tcp",
-    "DctcpSender": "dctcp",
-    "MptcpConnection": "mptcp",
-    "open_mptcp_connection": "mptcp",
-}
+_EXPORTS = {}
 
 __all__ = list(_EXPORTS)
 __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

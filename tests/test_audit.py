@@ -10,6 +10,7 @@ must then report exactly that invariant.
 
 import json
 import math
+import re
 
 import pytest
 
@@ -280,6 +281,17 @@ def test_cache_round_trips_audit_report(tmp_path):
     assert second.audit == first.audit
     report = AuditReport.from_dict(second.audit)
     assert report.ok and report.digest == first.audit["digest"]
+
+
+def test_cli_run_audit_report_prints_the_summary(capsys):
+    from repro.cli import main
+
+    assert main(["run", "clove-ecn", "--load", "0.3", "--jobs-per-client",
+                 "3", "--flow-scale", "0.05", "--audit", "report"]) == 0
+    out = capsys.readouterr().out
+    summary = out[out.index("\naudit: ") + 1:].splitlines()
+    assert summary[0].startswith("audit: PASS (0 invariant(s) violated")
+    assert re.fullmatch(r"digest: [0-9a-f]{16}:\d+", summary[1])
 
 
 # ----------------------------------------------------------------------

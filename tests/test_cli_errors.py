@@ -1,21 +1,16 @@
 """CLI usage-error contract: bad input exits 2 with a one-line stderr
 message and never a traceback; readable-but-empty input exits 1.
 
-``main()`` returns the exit code for handled errors; argparse and the
-pre-flight loaders raise ``SystemExit`` instead — both shapes are pinned
-here so scripts wrapping the CLI can rely on them.
+``main()`` returns the exit code: argparse errors and the pre-flight
+loaders take the same usage-error path as the handlers, so scripts
+wrapping the CLI can rely on one shape.
 """
 
 import json
 
 import pytest
 
-from repro.cli import main
-
-
-def _exit_code(excinfo):
-    code = excinfo.value.code
-    return code if isinstance(code, int) else 1
+from repro.cli import COMMANDS, build_parser, main
 
 
 def _assert_clean_stderr(capsys):
@@ -31,18 +26,14 @@ def _assert_clean_stderr(capsys):
 # --chaos plan files
 # ----------------------------------------------------------------------
 def test_missing_chaos_file_exits_2(tmp_path, capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        main(["run", "clove-ecn", "--chaos", str(tmp_path / "absent.json")])
-    assert _exit_code(excinfo) == 2
+    assert main(["run", "clove-ecn", "--chaos", str(tmp_path / "absent.json")]) == 2
     assert "cannot load fault plan" in _assert_clean_stderr(capsys)
 
 
 def test_malformed_chaos_file_exits_2(tmp_path, capsys):
     plan = tmp_path / "plan.json"
     plan.write_text("{ not json")
-    with pytest.raises(SystemExit) as excinfo:
-        main(["run", "clove-ecn", "--chaos", str(plan)])
-    assert _exit_code(excinfo) == 2
+    assert main(["run", "clove-ecn", "--chaos", str(plan)]) == 2
     assert "cannot load fault plan" in _assert_clean_stderr(capsys)
 
 
@@ -52,16 +43,12 @@ def test_invalid_chaos_event_exits_2(tmp_path, capsys):
         {"events": [{"time": -1.0, "action": "link_down",
                      "a": "L1", "b": "S1"}]}
     ))
-    with pytest.raises(SystemExit) as excinfo:
-        main(["run", "clove-ecn", "--chaos", str(plan)])
-    assert _exit_code(excinfo) == 2
+    assert main(["run", "clove-ecn", "--chaos", str(plan)]) == 2
     _assert_clean_stderr(capsys)
 
 
 def test_unknown_chaos_preset_exits_2(capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        main(["run", "clove-ecn", "--chaos-preset", "no-such-storm"])
-    assert _exit_code(excinfo) == 2
+    assert main(["run", "clove-ecn", "--chaos-preset", "no-such-storm"]) == 2
     _assert_clean_stderr(capsys)
 
 
@@ -81,9 +68,7 @@ def test_telemetry_malformed_artifact_returns_2(tmp_path, capsys):
 
 
 def test_trace_summary_unreadable_artifact_exits_2(tmp_path, capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        main(["trace", "summary", str(tmp_path / "absent.jsonl")])
-    assert _exit_code(excinfo) == 2
+    assert main(["trace", "summary", str(tmp_path / "absent.jsonl")]) == 2
     assert "cannot read" in _assert_clean_stderr(capsys)
 
 
@@ -131,22 +116,63 @@ def test_audit_diff_unreadable_artifact_returns_2(tmp_path, capsys):
 
 
 # ----------------------------------------------------------------------
+# Every leaf that reads a file, from the command table
+# ----------------------------------------------------------------------
+#: the arguments that name a file the command reads
+READS = ("file", "file_a", "file_b", "--chaos", "--spec", "--result")
+
+#: values for the other positionals a reading leaf requires
+POSITIONALS = {"name": "all", "flow_id": "1", "out": "{tmp}/out.json"}
+
+
+def _leaf(parser, words):
+    """The argparse parser of one leaf command."""
+    for word in words:
+        parser = parser._subparsers._group_actions[0].choices[word]
+    return parser
+
+
+def _absent_file_argvs():
+    parser = build_parser()
+    for row in COMMANDS:
+        argv, reads = list(row.words), False
+        for action in _leaf(parser, row.words)._actions:
+            name = (action.option_strings or [action.dest])[-1]
+            if name in READS:
+                if action.option_strings:
+                    argv.append(name)
+                argv.append("{tmp}/absent")
+                reads = True
+            elif not action.option_strings and action.nargs != "?":
+                argv.append(next(iter(action.choices)) if action.choices
+                            else POSITIONALS[action.dest])
+        if reads:
+            yield pytest.param(argv, id=" ".join(row.words))
+
+
+@pytest.mark.parametrize("argv", _absent_file_argvs())
+def test_every_leaf_reading_an_absent_file_exits_2(argv, tmp_path, capsys):
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    assert main(argv) == 2
+    err = _assert_clean_stderr(capsys)
+    assert err.startswith("cannot ") and repr(str(tmp_path / "absent")) in err
+
+
+# ----------------------------------------------------------------------
 # argparse-level usage errors
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("argv", [
     ["run", "no-such-scheme"],
     ["run", "clove-ecn", "--no-such-flag"],
     ["audit"],                       # subcommand required
-    ["audit", "run", "clove-ecn", "--audit", "loudly"],
+    ["run", "clove-ecn", "--audit", "loudly"],
     ["no-such-command"],
     ["sweep", "--loads", "0.5,x"],   # list flags parse inside argparse
     ["figure", "fig4b", "--loads", "x"],
     ["incast", "--fanouts", "1,x"],
 ])
 def test_argparse_usage_errors_exit_2(argv, capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        main(argv)
-    assert _exit_code(excinfo) == 2
+    assert main(argv) == 2
     assert "Traceback" not in capsys.readouterr().err
 
 
@@ -164,9 +190,7 @@ def test_argparse_usage_errors_exit_2(argv, capsys):
     ["--jobs-per-client", "3"],
 ])
 def test_figure_rejects_the_run_flags_it_never_applied(flags, capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        main(["figure", "fig4b", *flags])
-    assert _exit_code(excinfo) == 2
+    assert main(["figure", "fig4b", *flags]) == 2
     assert "unrecognized arguments" in _assert_clean_stderr(capsys)
 
 

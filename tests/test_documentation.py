@@ -1,4 +1,5 @@
-"""Documentation hygiene: every public module/class/function is documented.
+"""Documentation hygiene: every public module/class/function is documented,
+and every documented command line still parses.
 
 A reproduction is only adoptable if its public surface is explained; this
 test walks the package and fails on any public item without a docstring.
@@ -7,8 +8,16 @@ test walks the package and fails on any public item without a docstring.
 import importlib
 import inspect
 import pkgutil
+import re
+import shlex
+from pathlib import Path
+
+import pytest
 
 import repro
+from repro.cli import build_parser
+
+ROOT = Path(__file__).resolve().parents[1]
 
 IGNORED_MODULES = {"repro.__main__"}
 
@@ -53,3 +62,35 @@ def test_every_public_class_and_function_is_documented():
 def test_package_exports_resolve():
     for name in repro.__all__:
         assert hasattr(repro, name), f"__all__ lists missing attribute {name}"
+
+
+#: the documents whose fenced code blocks hold ``python -m repro`` lines:
+#: the three guides and the verification recipes checked into the repo
+CLI_DOCS = [ROOT / name for name in ("README.md", "DESIGN.md", "EXPERIMENTS.md")]
+CLI_DOCS += sorted(ROOT.glob(".*/skills/*/SKILL.md"))
+
+
+def _documented_command_lines():
+    for path in CLI_DOCS:
+        text = path.read_text(encoding="utf-8")
+        doc = path.relative_to(ROOT)
+        for block in re.findall(r"^ *```[^\n]*\n(.*?)^ *```", text, re.M | re.S):
+            for line in block.replace("\\\n", " ").splitlines():
+                _, found, command = line.partition("python -m repro")
+                command = re.sub(r"(^|\s)#.*", "", command).strip()
+                if found and not command.startswith("<command>"):
+                    # (DESIGN.md's module map names the placeholder)
+                    yield pytest.param(command, id=f"{doc}: {command}")
+
+
+def _without_redirections(words):
+    """The arguments before a pipe or an output redirection."""
+    for index, word in enumerate(words):
+        if word == "|" or re.match(r"\d*>", word):
+            return words[:index]
+    return words
+
+
+@pytest.mark.parametrize("command", _documented_command_lines())
+def test_documented_command_lines_parse(command):
+    build_parser().parse_args(_without_redirections(shlex.split(command)))

@@ -272,6 +272,28 @@ class TestOfflineParity:
         assert live.paths_quarantined > 0
         assert _metrics_equal(offline.to_dict(), live.to_dict())
 
+    def test_suspect_count_survives_a_full_event_ring(self, tmp_path, capsys):
+        """The suspect total is the counter, so ``repro chaos report`` on an
+        artifact whose event ring overflowed matches the live report."""
+        from repro.cli import main
+
+        telemetry = Telemetry(event_capacity=64)
+        result = run_experiment(
+            _small(jobs_per_client=20, chaos=single_cable(time=0.01),
+                   failover_delay_s=1.0, health=True, health_config=FAST),
+            telemetry=telemetry,
+        )
+        path = tmp_path / "run.jsonl"
+        telemetry.export_jsonl(str(path))
+        dump = load_jsonl(str(path))
+        counted = sum(value for key, value in dump["counters"].items()
+                      if key.startswith("health.suspect_events"))
+        kept = sum(1 for e in dump["events"] if e["type"] == "health.suspect")
+        assert dump["events_dropped"] > 0 and kept < counted
+        assert _health(result).suspect_events == counted
+        assert main(["chaos", "report", str(path)]) == 0
+        assert f"({counted:.0f} suspect events)" in capsys.readouterr().out
+
     def test_no_health_events_yield_none(self):
         assert health_from_records([], {}) is None
 

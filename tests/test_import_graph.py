@@ -125,6 +125,27 @@ def test_offline_cli_commands_do_not_load_the_simulator(argv, tmp_path):
     assert not {"repro.sim.engine", "repro.net.link"} & modules
 
 
+def _help_argvs():
+    from repro.cli import COMMANDS
+
+    return [pytest.param([*row.words, "--help"], id=" ".join(row.words))
+            for row in COMMANDS]
+
+
+@pytest.mark.parametrize("argv", _help_argvs())
+def test_every_leaf_help_exits_0_and_loads_no_simulator(argv):
+    modules = _modules_after(
+        "import repro.cli, contextlib, io\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    try:\n"
+        "        repro.cli.main(sys.argv[1:])\n"
+        "    except SystemExit as exc:\n"
+        "        assert exc.code == 0, exc.code\n"
+        "    else:\n"
+        "        raise AssertionError('--help did not exit')", *argv)
+    assert not {"repro.sim.engine", "repro.net.link"} & modules
+
+
 #: run one config; report sys.modules at workload.start() and at the end
 _TIMED_REGION = """
 from repro.harness.experiment import ExperimentConfig, run_experiment

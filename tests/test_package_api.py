@@ -2,10 +2,10 @@
 
 Each package ``__init__`` exports its names through one ``_EXPORTS`` table
 and :func:`repro.lazy_exports` instead of importing its submodules.  These
-tests hold the surface to what it was when the imports were eager: the
-same ``__all__`` (pinned below), every name the very object its defining
-module holds, cached after first use, picklable through the package, and
-the standard errors for a name that does not exist.
+tests hold the surface: the ``__all__`` pinned below, every name the very
+object its defining module holds, cached after first use, picklable
+through the package, and the standard errors for a name that does not
+exist.
 """
 
 import importlib
@@ -16,97 +16,54 @@ import pytest
 
 import repro
 
-#: ``__all__`` of every package, as it was before the tables (less the
-#: grid helpers ``sweep_loads``/``average_over_seeds``, whose job is now
-#: an ad-hoc :class:`repro.suite.SuiteSpec`)
+#: ``__all__`` of every package: the names something imports through the
+#: package (``src/``, ``tests/``, ``examples/``, ``benchmarks/`` or a
+#: README/DESIGN code sample); ``repro`` adds ``__version__``
 PUBLIC_API = {
     "repro": (
-        "Simulator RngRegistry CloveEcnPolicy CloveIntPolicy CloveParams "
-        "EdgeFlowletPolicy FlowletTable PathDiscovery DiscoveryConfig "
-        "HealthConfig PathHealthMonitor WeightedPathTable EcmpPolicy "
-        "PrestoPolicy CloveLatencyPolicy ExperimentConfig ExperimentResult "
-        "SCHEMES run_experiment estimate_rtt Host LoadBalancer "
-        "VSwitch LeafSpineConfig build_leaf_spine build_fat_tree "
-        "__version__"
+        "Simulator RngRegistry ExperimentConfig run_experiment Host "
+        "LeafSpineConfig __version__"
     ),
     "repro.audit": (
-        "Auditor AuditError AuditFinding AuditReport LedgerSnapshot "
-        "MODE_REPORT MODE_STRICT MODES SEV_CRITICAL SEV_ERROR SEV_WARNING "
-        "StreamDigest audit_artifact check_conservation diff_digests "
-        "digest_events gather parse_digest render_digest"
+        "Auditor AuditError AuditReport MODE_REPORT MODE_STRICT "
+        "StreamDigest audit_artifact diff_digests digest_events "
+        "parse_digest render_digest"
     ),
-    "repro.baselines": (
-        "EcmpPolicy PrestoPolicy CongaLeafSwitch CongaSpineSwitch "
-        "configure_conga LetFlowSwitch"
-    ),
+    "repro.baselines": "",
     "repro.chaos": (
-        "ACTIONS CONTROL_ACTIONS LINK_ACTIONS PRESETS ChaosEngine "
-        "ControlPlaneReport ControlPlaneState FaultEvent FaultPlan "
-        "FlowSample HealthReport RecoveryReport compute_recovery "
-        "controlplane_from_records degraded echo_storm fault_windows "
-        "flap format_controlplane_report format_health_report "
-        "format_report health_from_records iter_presets "
-        "multi_failure_plan preset random_plan recovery_from_records "
-        "restart_plan run_records single_cable split_brain "
-        "windows_from_markers"
+        "CONTROL_ACTIONS PRESETS ChaosEngine FaultEvent FaultPlan "
+        "FlowSample compute_recovery controlplane_from_records degraded "
+        "echo_storm fault_windows flap format_health_report format_report "
+        "health_from_records multi_failure_plan preset random_plan "
+        "recovery_from_records restart_plan run_records single_cable "
+        "split_brain"
     ),
-    "repro.core": (
-        "FlowletTable WeightedPathTable PathDiscovery DiscoveryConfig "
-        "HealthConfig PathHealthMonitor EdgeFlowletPolicy CloveEcnPolicy "
-        "CloveIntPolicy CloveParams"
-    ),
-    "repro.harness": (
-        "ExperimentConfig ExperimentResult SCHEMES run_experiment "
-        "estimate_rtt"
-    ),
-    "repro.hypervisor": (
-        "LoadBalancer PathFeedback VSwitch Host"
-    ),
-    "repro.metrics": (
-        "MetricsCollector JobRecord FctSummary"
-    ),
-    "repro.net": (
-        "Packet FlowKey EcmpHasher DropTailQueue Link Switch "
-        "DiscountingRateEstimator"
-    ),
+    "repro.core": "",
+    "repro.harness": "ExperimentConfig",
+    "repro.hypervisor": "",
+    "repro.metrics": "",
+    "repro.net": "",
     "repro.runner": (
-        "CACHE_FILENAME JOB_KINDS JobResult JobSpec ProgressReporter "
-        "ResultCache RunnerConfig SCHEMA_VERSION canonicalize execute_job "
-        "fingerprint_payload fork_available pool_worker run_jobs"
+        "JobSpec ResultCache RunnerConfig SCHEMA_VERSION canonicalize "
+        "fingerprint_payload run_jobs"
     ),
-    "repro.sim": (
-        "Event Simulator RngRegistry"
-    ),
+    "repro.sim": "",
     "repro.suite": (
-        "BASELINE_SCHEMA Comparison CheckReport Finding HIGHER_IS_BETTER "
-        "RESULT_SCHEMA Scenario ScenarioResult ScenarioSpec SuiteResult "
-        "SuiteSpec TOPOLOGIES baselines_from_result bootstrap_mean_ci "
-        "build_config bundle_names bundled_suite check_result cliffs_delta "
-        "compare_by_seed compare_paired diff_results iter_bundles "
-        "load_baselines load_result load_suite mann_whitney_u "
-        "render_markdown report_dict results_equal run_suite save_baselines "
-        "scheme_comparisons sign_test spec_digest worsening"
+        "ScenarioSpec SuiteSpec TOPOLOGIES baselines_from_result "
+        "bootstrap_mean_ci build_config bundle_names bundled_suite "
+        "check_result cliffs_delta compare_by_seed compare_paired "
+        "diff_results iter_bundles load_baselines load_result load_suite "
+        "mann_whitney_u render_markdown report_dict results_equal run_suite "
+        "save_baselines sign_test worsening"
     ),
     "repro.telemetry": (
         "Telemetry NULL_TELEMETRY git_revision load_jsonl EventLog "
-        "TelemetryEvent open_text read_jsonl Span Tracer TraceView "
-        "chrome_trace export_chrome weights_fingerprint SimProfiler "
-        "callback_name MetricsRegistry Counter Gauge Histogram "
+        "read_jsonl SimProfiler callback_name MetricsRegistry "
         "NULL_INSTRUMENT format_key"
     ),
-    "repro.topology": (
-        "Network LinkSpec build_leaf_spine LeafSpineConfig build_fat_tree"
-    ),
-    "repro.transport": (
-        "TcpSender TcpReceiver Connection open_connection DctcpSender "
-        "MptcpConnection open_mptcp_connection"
-    ),
-    "repro.workloads": (
-        "WORKLOADS EmpiricalCdf data_mining_distribution "
-        "enterprise_distribution flow_size_distribution validate_workload "
-        "web_search_distribution PoissonWorkload WorkloadConfig "
-        "IncastWorkload IncastConfig"
-    ),
+    "repro.topology": "",
+    "repro.transport": "",
+    "repro.workloads": "",
 }
 
 PUBLIC_API = {package: names.split() for package, names in PUBLIC_API.items()}

@@ -600,19 +600,15 @@ def test_cli_usage_errors_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err and err.strip()
 
-    with pytest.raises(SystemExit) as excinfo:
-        main([
-            "suite", "check", "--spec",
-            str(tmp_path / "absent.json"),
-        ])
-    assert excinfo.value.code == 2
+    assert main([
+        "suite", "check", "--spec",
+        str(tmp_path / "absent.json"),
+    ]) == 2
     capsys.readouterr()
 
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"name": "x"}))  # no scenarios
-    with pytest.raises(SystemExit) as excinfo:
-        main(["suite", "run", "--spec", str(bad)])
-    assert excinfo.value.code == 2
+    assert main(["suite", "run", "--spec", str(bad)]) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
 
