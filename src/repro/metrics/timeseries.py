@@ -56,7 +56,7 @@ class NetworkSampler:
         self.interval = interval
         self._probes: Dict[str, Callable[[], float]] = {}
         self.samples: Dict[str, List[float]] = {}
-        self.timestamps: List[float] = []
+        self.sample_times: List[float] = []
         self._running = False
 
     # ------------------------------------------------------------------
@@ -104,7 +104,7 @@ class NetworkSampler:
     def _tick(self) -> None:
         if not self._running:
             return
-        self.timestamps.append(self.sim.now)
+        self.sample_times.append(self.sim.now)
         for name, probe in self._probes.items():
             self.samples[name].append(probe())
         self.sim.schedule(self.interval, self._tick)

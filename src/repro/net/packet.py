@@ -102,7 +102,7 @@ class Packet:
         "int_enabled", "int_max_util",
         "flowcell_id", "flowcell_seq",
         "dsn", "subflow_id",
-        "tsecr", "sack",
+        "tsecr", "sack_blocks",
         "created_at", "meta",
     )
 
@@ -156,7 +156,7 @@ class Packet:
         # the hypervisor receive path skips its whole control-message demux
         # on falsy meta, and ACKs are roughly half of all packets.
         self.tsecr: Optional[float] = None
-        self.sack: Optional[List[Tuple[int, int]]] = None
+        self.sack_blocks: Optional[List[Tuple[int, int]]] = None
         self.created_at = created_at
         #: Free-form scratch space for protocol extensions (CONGA tags, ...).
         self.meta: Dict[str, Any] = {}

@@ -18,7 +18,9 @@ import json
 import warnings
 from collections import Counter as TallyCounter
 from collections import deque
-from typing import Any, Deque, Dict, Iterator, List, NamedTuple, Optional, TextIO
+from typing import (
+    Any, Deque, Dict, Iterable, Iterator, List, NamedTuple, Optional, TextIO,
+)
 
 
 class TelemetryEvent(NamedTuple):
@@ -133,12 +135,47 @@ def open_text(path: str, mode: str = "r"):
     return open(path, mode, encoding="utf-8")
 
 
+_NUMBER = (int, float)
+
+
+def _numbers(values: Iterable[Any]) -> bool:
+    return all(isinstance(value, _NUMBER) for value in values)
+
+
+def _well_formed(record: Dict[str, Any]) -> bool:
+    """Whether a decoded line has the shape its ``kind`` promises; unknown
+    kinds pass."""
+    kind = record.get("kind")
+    if kind == "event":
+        return (isinstance(record.get("time"), _NUMBER)
+                and isinstance(record.get("type"), str))
+    if kind == "span":
+        return (isinstance(record.get("id"), int)
+                and isinstance(record.get("parent", 0), int)
+                and isinstance(record.get("start", 0.0), _NUMBER)
+                and isinstance(record.get("end"), (*_NUMBER, type(None)))
+                and isinstance(record.get("fields", {}), dict))
+    values = record.get("values", {})
+    if kind in ("counters", "gauges"):
+        return isinstance(values, dict) and _numbers(values.values())
+    if kind == "histograms":
+        stats = ("count", "mean", "p50", "p99", "max")
+        return isinstance(values, dict) and all(
+            isinstance(h, dict) and _numbers(h.get(stat, 0) for stat in stats)
+            for h in values.values())
+    if kind in ("events_dropped", "spans_dropped"):
+        return isinstance(record.get("count", 0), int)
+    return True
+
+
 def read_jsonl(path: str) -> List[Dict[str, Any]]:
     """Parse a telemetry JSONL file into raw record dicts (any ``kind``).
 
     Robust to crash-interrupted runs: corrupt lines are skipped (counted in
     one warning) and a truncated gzip stream yields the records decoded so
-    far instead of raising — the partial artifact is still analyzable.
+    far instead of raising — the partial artifact is still analyzable.  A
+    line is corrupt when it does not decode, or decodes to anything but a
+    well-formed record of its kind.
     """
     records: List[Dict[str, Any]] = []
     skipped = 0
@@ -150,8 +187,12 @@ def read_jsonl(path: str) -> List[Dict[str, Any]]:
                 if not line:
                     continue
                 try:
-                    records.append(json.loads(line))
+                    record = json.loads(line)
                 except json.JSONDecodeError:
+                    record = None
+                if isinstance(record, dict) and _well_formed(record):
+                    records.append(record)
+                else:
                     skipped += 1
         except (EOFError, OSError):  # truncated/corrupt gzip mid-stream
             truncated = True

@@ -1,9 +1,9 @@
 """Guest-VM transport stacks.
 
-The paper keeps tenant VM stacks unmodified; the default stack here is TCP
-NewReno (:mod:`repro.transport.tcp`).  MPTCP (:mod:`repro.transport.mptcp`)
-and DCTCP (:mod:`repro.transport.dctcp`) model the host-based alternatives
-the paper compares against / discusses.
+The paper keeps tenant VM stacks unmodified; every single-path scheme runs
+the one guest TCP of :mod:`repro.transport.tcp`.  MPTCP
+(:mod:`repro.transport.mptcp`) models the host-based alternative the paper
+compares against.
 """
 
 from repro import lazy_exports

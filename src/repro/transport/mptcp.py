@@ -29,7 +29,7 @@ from typing import Callable, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.net.packet import FlowKey, MSS, Packet
 from repro.sim.engine import Simulator
-from repro.transport.tcp import TcpReceiver, TcpSender
+from repro.transport.tcp import TcpReceiver, TcpSender, merge_intervals
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.hypervisor.host import Host
@@ -285,15 +285,8 @@ class MptcpConnection:
                 if e > self.data_rcv_nxt:
                     self.data_rcv_nxt = e
         else:
-            index = bisect.bisect_left(self._ooo, (start, end))
-            self._ooo.insert(index, (start, end))
-            merged: List[Tuple[int, int]] = []
-            for s, e in self._ooo:
-                if merged and s <= merged[-1][1]:
-                    merged[-1] = (merged[-1][0], max(merged[-1][1], e))
-                else:
-                    merged.append((s, e))
-            self._ooo = merged
+            bisect.insort_left(self._ooo, (start, end))
+            self._ooo = merge_intervals(self._ooo)
         while self._thresholds and self._thresholds[0][0] <= self.data_rcv_nxt:
             _, callback = self._thresholds.pop(0)
             callback()
@@ -306,7 +299,7 @@ def open_mptcp_connection(
     dst_port: int,
     n_subflows: int = 4,
     reinjection: bool = False,
-    **tcp_kwargs,
+    min_rto: float = 0.01,
 ) -> MptcpConnection:
     """Create an MPTCP connection with ``n_subflows`` pre-joined subflows.
 
@@ -317,7 +310,7 @@ def open_mptcp_connection(
     for i in range(n_subflows):
         flow = FlowKey(src_host.ip, dst_host.ip, base_src_port + i, dst_port)
         sender = MptcpSubflowSender(
-            connection, i, src_host.sim, src_host, flow, **tcp_kwargs
+            connection, i, src_host.sim, src_host, flow, min_rto
         )
         receiver = MptcpSubflowReceiver(connection, dst_host.sim, dst_host, flow)
         dst_host.register_endpoint(flow, receiver)

@@ -1,27 +1,34 @@
-"""TCP NewReno model.
+"""TCP model of the guest-VM stack.
 
-This is the unmodified guest-VM stack that Clove leaves untouched: byte
-stream, slow start, congestion avoidance, fast retransmit/recovery with
-NewReno partial-ACK handling, RTO with exponential backoff, and standard
-one-mark-per-window ECN response (the sender reacts to ECE on ACKs; whether
-ECE ever appears is decided by the hypervisor, which masks underlay marks
-unless every path is congested).
+This is the unmodified guest-VM stack that Clove leaves untouched, and the
+one every run uses: byte stream, slow start, congestion avoidance, SACK
+loss recovery with NewReno partial-ACK handling, RFC 5827 early
+retransmit, a Linux-style tail loss probe, RTT sampled from echoed
+timestamps, RTO with exponential backoff, and standard one-mark-per-window
+ECN response (the sender reacts to ECE on ACKs; whether ECE ever appears
+is decided by the hypervisor, which masks underlay marks unless every path
+is congested).
 
 Simplifications (documented deviations):
 
 * Connections are pre-established (the paper uses long-lived persistent
   connections; handshake latency is not part of any reported metric).
-* Receive window is unbounded (testbed machines had ample socket buffers).
-* No SACK — NewReno recovery only, matching the NS2 ``Agent/TCP/Newreno``
-  the paper's simulations used.
+* Receive window is unbounded (testbed machines had ample socket buffers);
+  instead the congestion window is capped at ``max_cwnd``.
+* Window growth is NewReno's (slow start, then one segment per RTT), not
+  the CUBIC curve of the testbed's Linux guests.
+* The receiver ACKs every data segment at once (no delayed ACKs, no
+  receive-side coalescing).
+* Every segment carries a timestamp, so RTT is sampled on every ACK,
+  retransmissions included; there is no cumulative-ACK sampler and so no
+  Karn's rule.
 """
 
 from __future__ import annotations
 
 import bisect
-from collections import deque
 from functools import partial
-from typing import Callable, Deque, List, Optional, Tuple, TYPE_CHECKING
+from typing import Callable, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.net.packet import FlowKey, MSS, Packet, make_ack_packet, make_data_packet
 from repro.sim.engine import Event, Simulator
@@ -34,6 +41,17 @@ FLAG_ECE = "E"   # ECN-Echo (receiver -> sender, or injected by hypervisor)
 FLAG_CWR = "W"   # Congestion Window Reduced (sender -> receiver)
 
 
+def merge_intervals(intervals: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
+    """Merge sorted ``(start, end)`` byte ranges where they overlap or touch."""
+    merged: List[Tuple[int, int]] = []
+    for start, end in intervals:
+        if merged and start <= merged[-1][1]:
+            merged[-1] = (merged[-1][0], max(merged[-1][1], end))
+        else:
+            merged.append((start, end))
+    return merged
+
+
 class TcpSender:
     """Sending half of a TCP connection.
 
@@ -41,44 +59,23 @@ class TcpSender:
     is observable on the paired :class:`TcpReceiver`.
     """
 
+    #: segment payload size
+    mss = MSS
+    #: initial window: 10 segments (RFC 6928)
+    init_cwnd = float(10 * MSS)
+    #: socket-buffer / TSQ-style bound on the window: real stacks do not let
+    #: one flow build multi-megabyte self-queues at the NIC
+    max_cwnd = float(256 * MSS)
+    #: ceiling of the RTO before backoff (seconds)
+    max_rto = 2.0
+
     def __init__(
-        self,
-        sim: Simulator,
-        host: "Host",
-        flow: FlowKey,
-        mss: int = MSS,
-        init_cwnd_segments: int = 10,
-        max_cwnd_segments: int = 256,
-        min_rto: float = 0.01,
-        max_rto: float = 2.0,
-        ecn_capable: bool = True,
-        early_retransmit: bool = True,
-        tail_loss_probe: bool = True,
-        sack: bool = True,
-        timestamps: bool = True,
+        self, sim: Simulator, host: "Host", flow: FlowKey, min_rto: float = 0.01
     ) -> None:
         self.sim = sim
         self.host = host
         self.flow = flow
-        self.mss = mss
         self.min_rto = min_rto
-        self.max_rto = max_rto
-        self.ecn_capable = ecn_capable
-        #: RFC 5827 early retransmit: lower the dupack threshold when the
-        #: flight is too small to ever produce three duplicate ACKs.
-        self.early_retransmit = early_retransmit
-        #: Linux-style tail loss probe: re-send the head-of-line segment
-        #: after ~2 SRTT of ACK silence instead of waiting out a full RTO.
-        self.tail_loss_probe = tail_loss_probe
-        #: selective acknowledgements: the receiver reports out-of-order
-        #: blocks and the sender retransmits across holes instead of one
-        #: hole per RTT (all modern guest stacks have this on).
-        self.sack = sack
-        #: TCP timestamps: ACKs echo the triggering packet's send time, so
-        #: RTT samples measure the actual network path.  Without them,
-        #: cumulative-ACK sampling folds hole-repair latency into SRTT
-        #: during recovery and the RTO snowballs.
-        self.timestamps = timestamps
         #: merged SACKed intervals above snd_una
         self._sacked: List[Tuple[int, int]] = []
         #: retransmission cursor within the current recovery episode
@@ -90,10 +87,7 @@ class TcpSender:
         self.app_bytes = 0        # total bytes the app has asked us to send
 
         # Congestion control.
-        self.cwnd = float(init_cwnd_segments * mss)
-        #: socket-buffer / TSQ-style bound on the window: real stacks do not
-        #: let one flow build multi-megabyte self-queues at the NIC
-        self.max_cwnd = float(max_cwnd_segments * mss)
+        self.cwnd = self.init_cwnd
         self.ssthresh = float(1 << 30)
         self.dupacks = 0
         self.in_recovery = False
@@ -110,18 +104,15 @@ class TcpSender:
         # ``_rto_deadline`` / ``_tlp_deadline`` forward, and the (single)
         # scheduled event re-schedules itself toward the live deadline when
         # it fires early.  Observable fire times are identical to the
-        # classic cancel-and-rearm scheme, but the per-ACK cost drops from
-        # two Event allocations + heap pushes to two float stores.
+        # classic cancel-and-rearm scheme (tests/test_tcp_timer_reference.py
+        # holds them to it), but the per-ACK cost drops from two Event
+        # allocations + heap pushes to two float stores.
         self._rto_event: Optional[Event] = None
         self._tlp_event: Optional[Event] = None
         self._rto_deadline: Optional[float] = None
         self._tlp_deadline: Optional[float] = None
         self._tlp_pending = False
         self.tlp_probes = 0
-        # (seq_end, sent_time) samples for non-retransmitted segments; only
-        # kept when timestamps are off (ACK timestamps sample RTT instead).
-        self._rtt_samples: Optional[Deque[Tuple[int, float]]] = (
-            None if timestamps else deque())
 
         # Counters.
         self.fast_retransmits = 0
@@ -129,9 +120,6 @@ class TcpSender:
         self.ecn_reductions = 0
         self.packets_sent = 0
         self.bytes_sent = 0
-
-        #: called when snd_una reaches app_bytes (all data acked)
-        self.on_all_acked: Optional[Callable[[], None]] = None
 
     # ------------------------------------------------------------------
     # Application interface
@@ -163,31 +151,24 @@ class TcpSender:
             if payload < self.mss and self.snd_nxt + payload < self.app_bytes:
                 if self.flight_size > 0:
                     break  # wait for more cwnd instead of sending a runt
-            self._transmit(self.snd_nxt, payload, retransmit=False)
+            self._transmit(self.snd_nxt, payload)
             self.snd_nxt += payload
         self._arm_rto()
 
-    def _transmit(self, seq: int, payload: int, retransmit: bool) -> None:
+    def _transmit(self, seq: int, payload: int) -> None:
         flags = ""
         if self.cwr_pending:
             flags += FLAG_CWR
             self.cwr_pending = False
         packet = make_data_packet(self.flow, seq, payload, self.sim.now, flags)
         self._decorate_packet(packet)
-        samples = self._rtt_samples
-        if samples is not None:
-            if not retransmit:
-                samples.append((seq + payload, self.sim.now))
-            else:
-                # Karn's rule: the ACK for a retransmitted range is
-                # ambiguous (original or retransmission?), so its sample
-                # must not feed the RTT estimator — otherwise recovery time
-                # leaks into SRTT and the RTO snowballs.
-                end = seq + payload
-                self._rtt_samples = deque((e, t) for (e, t) in samples if e > end)
         self.packets_sent += 1
         self.bytes_sent += payload
         self.host.send_from_guest(packet)
+
+    def _resend_head(self) -> None:
+        """Re-send the segment at ``snd_una``."""
+        self._transmit(self.snd_una, min(self.mss, self.snd_nxt - self.snd_una))
 
     def _decorate_packet(self, packet: Packet) -> None:
         """Hook for subclasses to stamp extra headers (MPTCP DSN, ...)."""
@@ -228,7 +209,7 @@ class TcpSender:
             self._tlp_event = None
 
     def _arm_tlp(self) -> None:
-        if not self.tail_loss_probe or self.srtt is None or self.in_recovery:
+        if self.srtt is None or self.in_recovery:
             return
         if self._tlp_deadline is None:
             pto = min(max(2 * self.srtt, 1e-4), self.rto * self.backoff * 0.9)
@@ -263,11 +244,7 @@ class TcpSender:
             return
         self.tlp_probes += 1
         self._tlp_pending = True
-        self._transmit(
-            self.snd_una,
-            min(self.mss, self.snd_nxt - self.snd_una),
-            retransmit=True,
-        )
+        self._resend_head()
         # Do not rearm immediately: the next ACK (via _restart_rto) will.
 
     # ------------------------------------------------------------------
@@ -278,11 +255,11 @@ class TcpSender:
         ack = packet.ack
         if ack < 0:
             return
-        if self.ecn_capable and FLAG_ECE in packet.flags:
+        if FLAG_ECE in packet.flags:
             self._react_to_ecn()
-        if self.sack and packet.sack is not None:
-            self._merge_sack(packet.sack)
-        if self.timestamps and packet.tsecr is not None:
+        if packet.sack_blocks is not None:
+            self._merge_sack(packet.sack_blocks)
+        if packet.tsecr is not None:
             self._record_rtt(self.sim.now - packet.tsecr)
         if ack > self.snd_una:
             self._on_new_ack(ack)
@@ -299,13 +276,7 @@ class TcpSender:
                 continue
             intervals.append((max(start, self.snd_una), end))
         intervals.sort()
-        merged: List[Tuple[int, int]] = []
-        for s, e in intervals:
-            if merged and s <= merged[-1][1]:
-                merged[-1] = (merged[-1][0], max(merged[-1][1], e))
-            else:
-                merged.append((s, e))
-        self._sacked = merged
+        self._sacked = merge_intervals(intervals)
 
     def _advance_sack(self) -> None:
         """Drop SACK state below the new snd_una."""
@@ -330,8 +301,6 @@ class TcpSender:
         acked = ack - self.snd_una
         self.snd_una = ack
         self.backoff = 1
-        if self._rtt_samples is not None:
-            self._sample_rtt(ack)
         self._advance_sack()
 
         if self._tlp_pending:
@@ -362,8 +331,6 @@ class TcpSender:
 
         if self.done:
             self._cancel_rto()
-            if self.on_all_acked is not None:
-                self.on_all_acked()
             return
         self._restart_rto()
         self._try_send()
@@ -382,23 +349,21 @@ class TcpSender:
         if self.in_recovery:
             # Each dupack signals a delivery: retransmit another hole if the
             # scoreboard shows one, else inflate so new data clocks out.
-            if self.sack and self._next_hole(self._recovery_cursor) is not None:
+            if self._next_hole(self._recovery_cursor) is not None:
                 self._retransmit_hole()
             else:
                 self.cwnd += self.mss
                 self._try_send()
             return
         threshold = 3
-        if self.early_retransmit:
-            # RFC 5827: with fewer than four segments outstanding, three
-            # duplicate ACKs can never arrive — lower the threshold.
-            outstanding = max(1, -(-self.flight_size // self.mss))  # ceil
-            if outstanding < 4 and self.snd_nxt >= self.app_bytes:
-                threshold = min(3, max(1, outstanding - 1))
+        # RFC 5827 early retransmit: with fewer than four segments
+        # outstanding, three duplicate ACKs can never arrive, so lower the
+        # threshold.
+        outstanding = max(1, -(-self.flight_size // self.mss))  # ceil
+        if outstanding < 4 and self.snd_nxt >= self.app_bytes:
+            threshold = min(3, max(1, outstanding - 1))
         if self.dupacks >= threshold:
             self._enter_recovery()
-        elif self.sack and not self.in_recovery:
-            pass  # wait for the threshold; scoreboard already updated
 
     def _enter_recovery(self) -> None:
         self.in_recovery = True
@@ -429,20 +394,15 @@ class TcpSender:
         retransmitted this recovery; otherwise (pure NewReno) it is the
         segment at ``snd_una``.
         """
-        if self.sack:
-            hole = self._next_hole(self._recovery_cursor)
-            if hole is not None:
-                start, end = hole
-                self._transmit(start, end - start, retransmit=True)
-                self._recovery_cursor = end
-                return
-            if self._recovery_cursor > self.snd_una:
-                return  # everything below the highest SACK was retransmitted
-        self._transmit(
-            self.snd_una,
-            min(self.mss, self.snd_nxt - self.snd_una),
-            retransmit=True,
-        )
+        hole = self._next_hole(self._recovery_cursor)
+        if hole is not None:
+            start, end = hole
+            self._transmit(start, end - start)
+            self._recovery_cursor = end
+            return
+        if self._recovery_cursor > self.snd_una:
+            return  # everything below the highest SACK was retransmitted
+        self._resend_head()
         self._recovery_cursor = self.snd_una + self.mss
 
     def _react_to_ecn(self) -> None:
@@ -496,29 +456,12 @@ class TcpSender:
         self.in_recovery = False
         self.dupacks = 0
         self.backoff = min(self.backoff * 2, 64)
-        if self._rtt_samples is not None:
-            # Karn: invalidate outstanding samples.
-            self._rtt_samples.clear()
-        self._transmit(
-            self.snd_una,
-            min(self.mss, self.snd_nxt - self.snd_una),
-            retransmit=True,
-        )
+        self._resend_head()
         self._arm_rto()
 
     # ------------------------------------------------------------------
     # RTT estimation
     # ------------------------------------------------------------------
-    def _sample_rtt(self, ack: int) -> None:
-        """Cumulative-ACK sampling, used only when timestamps are off."""
-        sample: Optional[float] = None
-        samples = self._rtt_samples
-        while samples and samples[0][0] <= ack:
-            _seq_end, sent_at = samples.popleft()
-            sample = self.sim.now - sent_at
-        if sample is not None:
-            self._record_rtt(sample)
-
     def _record_rtt(self, sample: float) -> None:
         """Fold one RTT sample into SRTT/RTTVAR (RFC 6298)."""
         if sample < 0:
@@ -575,8 +518,9 @@ class TcpReceiver:
         self.packets_received += 1
         self._tsecr = packet.created_at  # timestamp echo for the next ACK
         if packet.ce:
-            # In Clove deployments the hypervisor strips CE before delivery,
-            # so this fires only in non-overlay / DCTCP configurations.
+            # The vswitch strips CE before delivery in every mode, so in a
+            # run the guest sees congestion only as the ECE the vswitch
+            # injects; this is the stock RFC 3168 receiver latch.
             self.ece_latched = True
         if FLAG_CWR in packet.flags:
             self.ece_latched = False
@@ -593,17 +537,8 @@ class TcpReceiver:
         self._send_ack()
 
     def _insert_ooo(self, start: int, end: int) -> None:
-        intervals = self._ooo
-        index = bisect.bisect_left(intervals, (start, end))
-        intervals.insert(index, (start, end))
-        # Merge overlapping/adjacent intervals.
-        merged: List[Tuple[int, int]] = []
-        for s, e in intervals:
-            if merged and s <= merged[-1][1]:
-                merged[-1] = (merged[-1][0], max(merged[-1][1], e))
-            else:
-                merged.append((s, e))
-        self._ooo = merged
+        bisect.insort_left(self._ooo, (start, end))
+        self._ooo = merge_intervals(self._ooo)
 
     def _drain_ooo(self) -> None:
         while self._ooo and self._ooo[0][0] <= self.rcv_nxt:
@@ -617,7 +552,7 @@ class TcpReceiver:
         if self._ooo:
             # SACK: report up to three out-of-order blocks, most recent info
             # is implicit in the intervals themselves.
-            ack.sack = self._ooo[:3]
+            ack.sack_blocks = self._ooo[:3]
         ack.tsecr = self._tsecr
         self.host.send_from_guest(ack)
 
@@ -646,11 +581,11 @@ def open_connection(
     dst_host: "Host",
     src_port: int,
     dst_port: int,
-    **tcp_kwargs,
+    min_rto: float = 0.01,
 ) -> Connection:
     """Create a pre-established TCP connection between two hosts."""
     flow = FlowKey(src_host.ip, dst_host.ip, src_port, dst_port)
-    sender = TcpSender(src_host.sim, src_host, flow, **tcp_kwargs)
+    sender = TcpSender(src_host.sim, src_host, flow, min_rto)
     receiver = TcpReceiver(dst_host.sim, dst_host, flow)
     # Demux: data arrives at dst keyed by the forward tuple; ACKs arrive at
     # src keyed by the reverse tuple.

@@ -67,6 +67,33 @@ def test_telemetry_malformed_artifact_returns_2(tmp_path, capsys):
     assert "cannot read" in _assert_clean_stderr(capsys)
 
 
+#: lines that are valid JSON but not a well-formed artifact record
+MALFORMED_RECORDS = {
+    "not-an-object": [1, 2],
+    "values-not-a-map": {"kind": "counters", "values": [1]},
+    "span-without-id": {"kind": "span", "run": "r", "parent": 0,
+                        "span": "flow", "name": "f", "start": 0.0,
+                        "end": 1.0, "fields": {}},
+    "string-counter": {"kind": "counters",
+                       "values": {"host.tx_nic_packets{host=h1}": "7"}},
+}
+
+
+@pytest.mark.parametrize("record", MALFORMED_RECORDS.values(),
+                         ids=MALFORMED_RECORDS.keys())
+@pytest.mark.parametrize("command", [
+    ["telemetry"], ["chaos", "report"], ["audit", "check"],
+    ["trace", "summary"],
+], ids=" ".join)
+def test_malformed_record_is_a_corrupt_line(command, record, tmp_path,
+                                            capsys):
+    artifact = tmp_path / "malformed.jsonl"
+    artifact.write_text(json.dumps(record) + "\n")
+    assert main(command + [str(artifact)]) == 2
+    err = _assert_clean_stderr(capsys)
+    assert "skipped 1 corrupt line(s); no valid records" in err
+
+
 def test_trace_summary_unreadable_artifact_exits_2(tmp_path, capsys):
     assert main(["trace", "summary", str(tmp_path / "absent.jsonl")]) == 2
     assert "cannot read" in _assert_clean_stderr(capsys)

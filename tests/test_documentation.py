@@ -94,3 +94,38 @@ def _without_redirections(words):
 @pytest.mark.parametrize("command", _documented_command_lines())
 def test_documented_command_lines_parse(command):
     build_parser().parse_args(_without_redirections(shlex.split(command)))
+
+
+def _resolve(dotted):
+    """Import the longest module prefix of ``dotted``, then walk the rest
+    as attributes (lazy exports included)."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        name = ".".join(parts[:cut])
+        try:
+            found = importlib.import_module(name)
+        except ModuleNotFoundError as exc:
+            if exc.name != name:
+                raise
+            continue
+        for attr in parts[cut:]:
+            found = getattr(found, attr)
+        return found
+
+
+@pytest.mark.parametrize("path", CLI_DOCS, ids=lambda p: str(p.relative_to(ROOT)))
+def test_documented_names_and_paths_resolve(path):
+    """A guide cannot name code that is gone: every dotted ``repro.*`` name
+    must import or resolve as an attribute, and every ``*.py`` path must
+    match a file in the tree (paths may be relative to any directory)."""
+    text = path.read_text(encoding="utf-8")
+    missing = []
+    for dotted in sorted(set(re.findall(r"\brepro(?:\.[A-Za-z_]\w*)+", text))):
+        try:
+            _resolve(dotted)
+        except (ImportError, AttributeError):
+            missing.append(dotted)
+    for name in sorted(set(re.findall(r"[\w./-]*\w\.py\b", text))):
+        if not any(ROOT.glob(f"**/{name.lstrip('./')}")):
+            missing.append(name)
+    assert not missing, f"names nothing in the tree resolves: {missing}"
