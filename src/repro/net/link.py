@@ -22,26 +22,35 @@ delivered ``delay_s`` later — all computed at admission, so the whole hop
 costs one simulator event (the delivery) instead of the three a
 start/finish/deliver chain pays.
 
-Every admitted packet is one FIFO entry ``(packet, enqueued_at, start, end,
-delivery_event)`` in the queue.  :meth:`Link.send` is the one admission
-rule (capacity drop, ECN mark-on-enqueue, occupancy counters) and
-:meth:`Link._settle` the one eviction rule (byte count, dequeue count,
-queueing delay, tx counters).  Entries stay queued until their
-serialization start passes and are evicted lazily — at the next admission
-(so occupancy/ECN decisions see exactly the store-and-forward waiting set),
-at the next delivery (so the conservation ledger never observes a delivery
-outrunning its dequeue) or on :meth:`Link.sync`.
+Every admitted packet is one FIFO entry ``(packet, enqueued_at, start,
+end, delivery_event)`` in the queue, followed by the running admission
+totals up to and including it (packets, bytes, queueing wait).
+:meth:`Link.send` is the one admission rule (capacity drop, ECN
+mark-on-enqueue, occupancy counters).  Eviction is a bare pop: entries
+stay queued until their serialization start passes and leave lazily — at
+the next admission (so occupancy/ECN decisions see exactly the
+store-and-forward waiting set), at the next delivery (so the conservation
+ledger never observes a delivery outrunning its dequeue) or on
+:meth:`Link.sync`.  The dequeue-side counters (``dequeued``, queueing
+delay, ``tx_*``) are the last evicted entry's totals, less what
+:meth:`Link.fail` flushed, so evicting updates only the byte count.
+
+A hop costs three frames: ``_deliver`` hands the packet to the far side,
+whose ``receive`` calls the next link's ``send``.  ``send`` evicts inline
+and pushes the delivery event itself, the one place outside
+:mod:`repro.sim.engine` that builds an :class:`~repro.sim.engine.Event`.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from heapq import heappush
 from typing import Callable, Deque, Optional
 
 from repro.net.dre import DiscountingRateEstimator
 from repro.net.packet import Packet
 from repro.net.queue import DropTailQueue, Entry
-from repro.sim.engine import Simulator
+from repro.sim.engine import Event, Simulator
 
 #: the far-side handler: ``receive(packet, link)`` (switches and hosts alike)
 ReceiveFn = Callable[[Packet, "Link"], None]
@@ -50,7 +59,6 @@ ReceiveFn = Callable[[Packet, "Link"], None]
 #: per-packet paths spell ``[2]`` inline, saving a global lookup per hop)
 _START = 2
 _END = 3
-_NEVER = float("inf")
 
 
 class Link:
@@ -87,9 +95,9 @@ class Link:
         #: when the serializer finishes its last accepted packet
         self._free_at = 0.0
         self._receive: Optional[ReceiveFn] = None
+        #: the delivery callback, bound once (every delivery event's ``fn``)
+        self._delivery = self._deliver
         # Counters.
-        self.tx_packets = 0
-        self.tx_bytes = 0
         #: packets handed to the far-side receive handler
         self.rx_delivered = 0
         #: packets that were on the wire when the link died (the only loss
@@ -97,6 +105,18 @@ class Link:
         self.lost_in_flight = 0
         #: queued packets discarded by :meth:`fail` (also in stats.dropped)
         self.flushed_packets = 0
+        #: their bytes (evicted, but not transmitted)
+        self._flushed_bytes = 0
+
+    @property
+    def tx_packets(self) -> int:
+        """Packets that left the buffer for the wire."""
+        return self.queue.stats.evicted[5] - self.flushed_packets
+
+    @property
+    def tx_bytes(self) -> int:
+        """Bytes that left the buffer for the wire."""
+        return self.queue.stats.evicted[6] - self._flushed_bytes
 
     #: telemetry hooks; instances overwrite these via :meth:`attach_telemetry`
     #: (class attributes keep the uninstrumented path to one ``is None`` test)
@@ -156,12 +176,16 @@ class Link:
         now = sim.now
         queue = self.queue
         items = queue._items
+        stats = queue.stats
         # Fold already-started transmissions out of the buffer first, so the
         # occupancy the drop/ECN decision sees is exactly the waiting set a
         # store-and-forward port would hold.
         if items and items[0][2] <= now:
-            self._settle(now)
-        stats = queue.stats
+            entry = items.popleft()
+            while items and items[0][2] <= now:
+                entry = items.popleft()
+            queue.byte_count -= entry[6] - stats.evicted[6]
+            stats.evicted = entry
         depth = len(items)
         if depth >= queue.capacity_packets:
             stats.dropped += 1
@@ -190,8 +214,14 @@ class Link:
         self._free_at = end
         if self.dre is not None:
             self.dre.record(size, start)
-        items.append((packet, now, start, end,
-                      sim.at(end + self.delay_s, self._deliver, packet)))
+        # What Simulator.at does, without its frame: the delivery is never
+        # in the past (end >= now, delay_s >= 0).
+        event = Event((end + self.delay_s, next(sim._seq), self._delivery,
+                       (packet,)))
+        heappush(sim._queue, event)
+        last = items[-1] if items else stats.evicted
+        items.append((packet, now, start, end, event, last[5] + 1,
+                      last[6] + size, last[7] + (start - now)))
         depth += 1
         byte_count = queue.byte_count + size
         queue.byte_count = byte_count
@@ -202,35 +232,23 @@ class Link:
             stats.peak_bytes = byte_count
         return True
 
-    def _settle(
-        self, until: float, column: int = _START, flushed_at: Optional[float] = None,
-    ) -> Optional[Entry]:
+    def _settle(self, until: float, column: int = _START) -> Optional[Entry]:
         """Evict, in FIFO order, every head entry whose ``column`` time
-        (serialization start or end) is at or before ``until``.
+        (serialization start or end) is at or before ``until``; returns
+        the last entry evicted (None when there was none).
 
-        A transmitted packet leaves the buffer at its serialization start
-        and counts towards ``tx_*``; with ``flushed_at`` the evicted packets
-        were discarded at that time instead.  Returns the last entry
-        evicted (None when there was none).
+        The data path evicts inline; this serves :meth:`sync` and
+        :meth:`fail`.
         """
         queue = self.queue
         items = queue._items
-        stats = queue.stats
-        delay = stats.total_queue_delay
-        count = nbytes = 0
         entry = None
         while items and items[0][column] <= until:
             entry = items.popleft()
-            nbytes += entry[0].size
-            delay += (entry[2] if flushed_at is None else flushed_at) - entry[1]
-            count += 1
         if entry is not None:
-            queue.byte_count -= nbytes
-            stats.dequeued += count
-            stats.total_queue_delay = delay
-            if flushed_at is None:
-                self.tx_packets += count
-                self.tx_bytes += nbytes
+            stats = queue.stats
+            queue.byte_count -= entry[6] - stats.evicted[6]
+            stats.evicted = entry
         return entry
 
     def sync(self) -> None:
@@ -244,13 +262,20 @@ class Link:
             self._settle(self.sim.now)
 
     def _deliver(self, packet: Packet) -> None:
-        # Deliveries are FIFO, so settling up to now always evicts this
+        # Deliveries are FIFO, so evicting up to now always evicts this
         # packet's own entry first — keeping ``rx_delivered`` from ever
         # outrunning the queue's dequeue count.
-        now = self.sim.now
-        items = self.queue._items
-        if items and items[0][2] <= now:
-            self._settle(now)
+        queue = self.queue
+        items = queue._items
+        if items:
+            now = self.sim.now
+            if items[0][2] <= now:
+                entry = items.popleft()
+                while items and items[0][2] <= now:
+                    entry = items.popleft()
+                stats = queue.stats
+                queue.byte_count -= entry[6] - stats.evicted[6]
+                stats.evicted = entry
         receive = self._receive
         if receive is None:
             self.lost_in_flight += 1
@@ -283,13 +308,26 @@ class Link:
         if on_wire is not None:
             on_wire[4].cancel()
             self.lost_in_flight += 1
-        # Waiting: flushed, like the buffer of a yanked line card.
-        waiting = self.queue._items
+        # Waiting: flushed, like the buffer of a yanked line card.  Their
+        # wait ends now, not at a start that never comes, so the running
+        # totals are re-seeded with the exact queueing delay.
+        queue = self.queue
+        waiting = queue._items
         flushed = len(waiting)
-        for entry in waiting:
-            entry[4].cancel()
-        self._settle(_NEVER, flushed_at=now)
-        self.queue.stats.dropped += flushed
+        if flushed:
+            stats = queue.stats
+            evicted = stats.evicted
+            delay = evicted[7]
+            for entry in waiting:
+                entry[4].cancel()
+                delay += now - entry[1]
+            last = waiting[-1]
+            nbytes = last[6] - evicted[6]
+            queue.byte_count -= nbytes
+            self._flushed_bytes += nbytes
+            stats.evicted = (None, now, now, now, None, last[5], last[6], delay)
+            waiting.clear()
+        queue.stats.dropped += flushed
         self.flushed_packets += flushed
         if self.dre is not None:
             # Their serializations will never happen.
@@ -333,11 +371,15 @@ class Link:
         replanned = []
         rebuilt: Deque[Entry] = deque()
         prev_end: Optional[float] = None
+        # The running waits after the first re-planned entry change with
+        # its start: re-seed them in FIFO order.
+        wait = queue.stats.evicted[7]
         for entry in queue._items:
-            packet, enqueued_at, start, end, event = entry
+            packet, enqueued_at, start, end, event, packets, nbytes, _ = entry
             if start <= now:
                 rebuilt.append(entry)
                 prev_end = end
+                wait = entry[7]
                 continue
             # The first waiting packet stays anchored to the in-flight
             # packet's (old-rate) end; the rest chain at the new rate.
@@ -345,8 +387,10 @@ class Link:
             new_end = new_start + packet.size * 8.0 / rate_bps
             if new_start != start or new_end != end:
                 event.cancel()
-                event = sim.at(new_end + self.delay_s, self._deliver, packet)
-            rebuilt.append((packet, enqueued_at, new_start, new_end, event))
+                event = sim.at(new_end + self.delay_s, self._delivery, packet)
+            wait += new_start - enqueued_at
+            rebuilt.append((packet, enqueued_at, new_start, new_end, event,
+                            packets, nbytes, wait))
             replanned.append((packet.size, new_start))
             prev_end = new_end
         queue._items = rebuilt

@@ -16,6 +16,11 @@ hardware:
 
 Switches intended to run CONGA subclass this, override :meth:`select_port`
 and set the :attr:`Switch.on_egress` hook; everything else is shared.
+
+A switch whose egress is the plain static hash keeps a forwarding cache,
+as hardware keeps the hash's choice in its flow table: routed 5-tuple ->
+egress link, valid under the rule that guards the live member lists.  A
+hop that hits it is ``receive`` -> ``Link.send`` and nothing else.
 """
 
 from __future__ import annotations
@@ -67,6 +72,17 @@ class Switch:
         #: moved back or past a kept dead link: every link then lands on
         #: the same side of the ``down_since > horizon`` test.
         self._live_cache: Dict[int, tuple] = {}
+        #: routed 5-tuple -> (egress link, then the ``_live_cache`` validity
+        #: of the member list it was chosen from: Link.state_gen, horizon,
+        #: earliest ``down_since``); filled by :meth:`forward` only, and
+        #: None on a switch whose egress is not the plain static hash (one
+        #: that overrides ``forward`` or ``select_port``, sets ``on_egress``
+        #: or stamps INT — all fixed at construction)
+        cls = type(self)
+        static = (cls.forward is Switch.forward
+                  and cls.select_port is Switch.select_port
+                  and self.on_egress is None and not int_capable)
+        self._fib: Optional[Dict[FlowKey, tuple]] = {} if static else None
         #: reply destination -> interned ICMP 5-tuple (ECMP memo hits by
         #: identity, as for the vswitch's outer keys)
         self._icmp_keys: Dict[int, FlowKey] = {}
@@ -91,6 +107,8 @@ class Switch:
         """Install/replace the ECMP group towards ``dst_ip``."""
         self.routes[dst_ip] = list(links)
         self._live_cache.pop(dst_ip, None)
+        if self._fib:
+            self._fib.clear()
         if self.int_capable:
             # INT stamping reads the egress link's utilization.
             for link in links:
@@ -112,10 +130,22 @@ class Switch:
                                       dst=packet.route_key.dst_ip)
             self._send_time_exceeded(packet, link_in)
             return
+        fib = self._fib
+        if fib is not None:
+            key = packet.outer
+            if key is None:
+                key = packet.inner
+            hit = fib.get(key)
+            if hit is not None and hit[1] == Link.state_gen:
+                horizon = self.sim.now - self.failover_delay
+                if hit[2] <= horizon < hit[3]:
+                    hit[0].send(packet)
+                    return
         self.forward(packet, link_in)
 
     def forward(self, packet: Packet, link_in: Optional[Link]) -> None:
-        """Route ``packet`` towards its (outer) destination IP."""
+        """Route ``packet`` towards its (outer) destination IP, and note
+        the choice in the forwarding cache (on a switch that keeps one)."""
         key = packet.outer
         if key is None:
             key = packet.inner
@@ -136,15 +166,14 @@ class Switch:
         horizon = self.sim.now - self.failover_delay
         gen = Link.state_gen
         cached = self._live_cache.get(dst_ip)
-        if (cached is not None and cached[1] == gen
-                and cached[2] <= horizon < cached[3]):
-            live = cached[0]
-        else:
+        if (cached is None or cached[1] != gen
+                or not cached[2] <= horizon < cached[3]):
             live = [link for link in group
                     if link.up or link.down_since > horizon]
             earliest = min((link.down_since for link in live if not link.up),
                            default=float("inf"))
-            self._live_cache[dst_ip] = (live, gen, horizon, earliest)
+            cached = self._live_cache[dst_ip] = (live, gen, horizon, earliest)
+        live = cached[0]
         if not live:
             self.blackholed += 1
             if self._tel_events is not None:
@@ -153,6 +182,8 @@ class Switch:
                                       dst=dst_ip)
             return
         link_out = self.select_port(packet, key, live, link_in)
+        if self._fib is not None:
+            self._fib[key] = (link_out, cached[1], cached[2], cached[3])
         if self.int_capable and packet.int_enabled:
             util = link_out.utilization()
             if util > packet.int_max_util:

@@ -2,6 +2,9 @@
 
 The execution policy, in order:
 
+0. specs with equal fingerprints run once: the first occurrence executes
+   (or is served from the cache) and the others receive a copy of its
+   result;
 1. every spec is first looked up in the result cache (when a cache dir is
    configured) — hits never execute and never touch the pool;
 2. ``jobs <= 1``, or a platform without ``fork``, runs the misses serially
@@ -28,8 +31,8 @@ import warnings
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.runner.cache import ResultCache
 from repro.runner.job import JobSpec
@@ -95,11 +98,17 @@ def run_jobs(
     """Execute a batch of jobs; returns one :class:`JobResult` per spec,
     in input order.
 
+    Each distinct fingerprint runs once per batch, at its first index; a
+    later spec with the same fingerprint gets a copy of that result under
+    its own spec, with ``attempts`` and ``wall_s`` 0 (it executed nothing),
+    and the cache gets one line.  Progress counts distinct jobs.
+
     ``telemetry`` is the parent :class:`~repro.telemetry.Telemetry` scope:
     serial execution reports into it directly; pooled workers build their
-    own scope and the parent absorbs each worker's dump as it completes
-    (one manifest per job either way — cache hits record a ``cached``
-    manifest).
+    own scope and the parent absorbs each worker's dump as it completes.
+    The artifact holds one manifest per distinct job either way (cache
+    hits record a ``cached`` manifest); a duplicate records none, since it
+    is not a run.
     """
     cfg = runner if runner is not None else RunnerConfig()
     specs = list(specs)
@@ -108,8 +117,17 @@ def run_jobs(
     tel_enabled = telemetry is not None and getattr(telemetry, "enabled", False)
 
     pending: List[int] = []
+    #: fingerprint -> the index that runs it
+    first: Dict[str, int] = {}
+    #: (duplicate index, index whose result it copies)
+    copies: List[Tuple[int, int]] = []
     for index, spec in enumerate(specs):
-        entry = cache.get(spec.fingerprint) if cache is not None else None
+        fingerprint = spec.fingerprint
+        if fingerprint in first:
+            copies.append((index, first[fingerprint]))
+            continue
+        first[fingerprint] = index
+        entry = cache.get(fingerprint) if cache is not None else None
         if entry is not None:
             results[index] = JobResult(
                 spec, dict(entry["metrics"]), cached=True,
@@ -118,15 +136,15 @@ def run_jobs(
             if tel_enabled:
                 telemetry.manifest(
                     run="cached",
-                    fingerprint=spec.fingerprint,
+                    fingerprint=fingerprint,
                     label=spec.label,
                     cache_dir=str(cache.dir),
                 )
         else:
             pending.append(index)
 
-    progress = ProgressReporter(total=len(specs), enabled=cfg.progress)
-    progress.note_cached(len(specs) - len(pending))
+    progress = ProgressReporter(total=len(first), enabled=cfg.progress)
+    progress.note_cached(len(first) - len(pending))
 
     if pending:
         use_pool = cfg.jobs > 1 and len(pending) > 1
@@ -142,6 +160,12 @@ def run_jobs(
         else:
             _run_serial(specs, pending, results, cache, telemetry, progress)
 
+    for index, source in copies:
+        done = results[source]  # filled: a fingerprint's first index ran
+        results[index] = replace(  # type: ignore[arg-type]
+            done, spec=specs[index], attempts=0, wall_s=0.0,
+            metrics=None if done.metrics is None else dict(done.metrics),
+        )
     progress.finish()
     return results  # type: ignore[return-value]  # every slot is filled
 

@@ -16,6 +16,10 @@ Design notes
 * An :class:`Event` is its own heap entry — a ``(time, seq, fn, args)``
   tuple, so the heap orders entries with C-level tuple comparison and,
   ``seq`` being unique, never looks past it — and its own cancel handle.
+  :meth:`Simulator.schedule` and :meth:`Simulator.at` build them, and so
+  does one place outside this module: ``Link.send``
+  (:mod:`repro.net.link`) pushes each packet's delivery event itself, with
+  the same ``(time, next(_seq))`` ordering, to keep a frame off every hop.
 * Events may be cancelled in O(1) (lazy deletion): cancellation marks the
   entry and the run loop skips it when popped.  Cancels are rare
   (TCP's deadline timers re-arm without them; about one event in 200 is

@@ -165,6 +165,11 @@ def _well_formed(record: Dict[str, Any]) -> bool:
             for h in values.values())
     if kind in ("events_dropped", "spans_dropped"):
         return isinstance(record.get("count", 0), int)
+    if kind == "manifest":
+        config = record.get("config", {})
+        return (isinstance(record.get("sim_duration"), (*_NUMBER, type(None)))
+                and isinstance(config, dict)
+                and isinstance(config.get("chaos"), (dict, type(None))))
     return True
 
 

@@ -76,6 +76,10 @@ MALFORMED_RECORDS = {
                         "end": 1.0, "fields": {}},
     "string-counter": {"kind": "counters",
                        "values": {"host.tx_nic_packets{host=h1}": "7"}},
+    "sim-duration-not-a-number": {"kind": "manifest", "run": "experiment",
+                                  "sim_duration": "y"},
+    "config-not-a-map": {"kind": "manifest", "run": "experiment",
+                         "config": 3},
 }
 
 
@@ -92,6 +96,55 @@ def test_malformed_record_is_a_corrupt_line(command, record, tmp_path,
     assert main(command + [str(artifact)]) == 2
     err = _assert_clean_stderr(capsys)
     assert "skipped 1 corrupt line(s); no valid records" in err
+
+
+#: manifest fields a reader indexes, each made the wrong type
+BAD_MANIFESTS = {
+    "sim-duration-not-a-number": {"sim_duration": "y"},
+    "config-not-a-map": {"config": 3},
+    "chaos-not-a-map": {"config": {"chaos": [1]}},
+}
+
+OFFLINE_COMMANDS = [["telemetry"], ["chaos", "report"], ["audit", "check"],
+                    ["trace", "summary"]]
+
+
+@pytest.fixture(scope="module")
+def artifacts(tmp_path_factory):
+    """One tiny run's artifact per scheme: with a fault plan and without."""
+    out = {}
+    for name, argv in (("flap", ["clove-ecn", "--chaos-preset", "flap"]),
+                       ("plain", ["ecmp"])):
+        path = tmp_path_factory.mktemp("artifacts") / f"{name}.jsonl"
+        assert main(["run", *argv, "--jobs-per-client", "2",
+                     "--flow-scale", "0.05", "--telemetry-out",
+                     str(path)]) == 0
+        out[name] = path.read_text().splitlines()
+    return out
+
+
+@pytest.mark.parametrize("bad", BAD_MANIFESTS.values(), ids=BAD_MANIFESTS.keys())
+@pytest.mark.parametrize("run", ["flap", "plain"])
+@pytest.mark.parametrize("command", OFFLINE_COMMANDS, ids=" ".join)
+def test_malformed_manifest_reads_as_an_absent_one(
+        artifacts, run, bad, command, tmp_path, capsys):
+    """A run artifact whose manifest has a mistyped field behaves exactly
+    as the same artifact without that line, plus the one-line warning."""
+    lines = artifacts[run]
+    (at,) = [i for i, line in enumerate(lines)
+             if json.loads(line)["kind"] == "manifest"]
+    manifest = {**json.loads(lines[at]), **bad}
+    mangled, absent = tmp_path / "mangled.jsonl", tmp_path / "absent.jsonl"
+    mangled.write_text("\n".join(
+        lines[:at] + [json.dumps(manifest)] + lines[at + 1:]) + "\n")
+    absent.write_text("\n".join(lines[:at] + lines[at + 1:]) + "\n")
+    expected_code = main(command + [str(absent)])
+    expected = capsys.readouterr()
+    assert main(command + [str(mangled)]) == expected_code
+    got = capsys.readouterr()
+    assert got.out.replace("mangled", "absent") == expected.out
+    assert "Traceback" not in got.err
+    assert "skipped 1 corrupt line(s); returning partial artifact" in got.err
 
 
 def test_trace_summary_unreadable_artifact_exits_2(tmp_path, capsys):

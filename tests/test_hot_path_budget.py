@@ -13,6 +13,9 @@ budget, together with the structural facts the budget relies on:
 * no ``FlowKey.__eq__`` on the ECMP run (every flow-table and demux lookup
   hits by identity: outer keys are interned, endpoints registered under the
   very key object the peer stamps on its packets);
+* a cached ECMP switch hop is ``Link._deliver`` -> ``Switch.receive`` ->
+  ``Link.send``: no ``Link._settle`` or ``Simulator.at`` frame, and
+  ``Switch.forward`` only on a forwarding-cache miss;
 * no run attaches a rate estimator to any link (nothing reads one);
 * observing the flap costs at most ``OBSERVER_BUDGET`` calls per packet
   over the same run unobserved.
@@ -39,7 +42,10 @@ import repro.audit.auditor  # noqa: F401
 import repro.runner.job  # noqa: F401
 from repro.chaos.plan import preset
 from repro.harness.experiment import ExperimentConfig, run_experiment
+from repro.net.link import Link
 from repro.net.packet import FlowKey
+from repro.net.switch import Switch
+from repro.sim.engine import Simulator
 from repro.telemetry import Telemetry
 from repro.telemetry.core import git_revision
 
@@ -47,7 +53,7 @@ from repro.telemetry.core import git_revision
 MEASURED_ON = (3, 11)
 
 #: Python calls per NIC packet allowed on each configuration
-BUDGET = {"ecmp": 58.0, "clove-ecn-asym": 54.0, "flap": 54.0, "observed": 57.0}
+BUDGET = {"ecmp": 43.0, "clove-ecn-asym": 38.0, "flap": 41.0, "observed": 44.0}
 
 #: observed minus plain flap, calls per NIC packet
 OBSERVER_BUDGET = 4.0
@@ -120,6 +126,14 @@ def test_observers_cost_little_per_packet(counted):
 def test_ecmp_lookups_hit_by_identity(counted):
     _result, per_code, _py, _c = counted["ecmp"]
     assert per_code[_EQ_CODE] == 0
+
+
+def test_ecmp_hop_is_three_frames(counted):
+    result, per_code, _py, _c = counted["ecmp"]
+    packets = nic_packets(result)
+    assert per_code[Link._settle.__code__] == 0
+    assert per_code[Simulator.at.__code__] / packets < 0.1
+    assert per_code[Switch.forward.__code__] / packets < 0.1
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))

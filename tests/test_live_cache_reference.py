@@ -14,6 +14,14 @@ Hypothesis drives switches through random programs of ``fail`` /
 packet through each switch: the list ``select_port`` is handed must equal
 the comprehension evaluated right then.
 
+A plain ``Switch`` (one whose egress is the static hash) also keeps a
+forwarding cache: routed 5-tuple -> egress link, under the same validity
+rule.  The second oracle drives plain switches through the same programs,
+hands a few fixed flows to ``Switch.receive`` after every step, and reads
+the egress off links that record every ``send``: it must be the
+comprehension's list indexed by ``hash % len``, and with an empty list
+nothing is sent and ``blackholed`` counts the packet.
+
 Two simulators run interleaved in one process, and their links share one
 ``Link.state_gen`` (a class attribute).  What each may assume: a ``fail``
 or ``recover`` in the *other* simulator bumps the generation, so this
@@ -25,6 +33,7 @@ test reads the switch's own simulator.
 
 from hypothesis import given, settings, strategies as st
 
+from repro.net.hashing import EcmpHasher
 from repro.net.link import Link
 from repro.net.packet import FlowKey, Packet
 from repro.net.switch import Switch
@@ -93,6 +102,55 @@ class Fabric:
             assert self.switch.seen is None     # blackholed, no choice made
 
 
+class RecordingLink(Link):
+    """A link that notes every packet a switch hands it."""
+
+    def __init__(self, sim, name, sent):
+        super().__init__(sim, name, 1e9, 1e-6)
+        self.sent = sent
+
+    def send(self, packet):
+        self.sent.append((self, packet))
+        return super().send(packet)
+
+
+class CachedFabric(Fabric):
+    """One plain switch (forwarding cache on) over recording links."""
+
+    #: flows handed to the switch after every step: the same key objects
+    #: each time, so all but the first pass can hit the cache
+    FLOWS = [FlowKey(1, DST, sport, 80) for sport in (1, 2, 3)]
+
+    def __init__(self, index, failover_delay):
+        self.sim = Simulator()
+        self.switch = Switch(self.sim, f"S{index}", ip=index, hash_seed=index)
+        assert self.switch._fib is not None
+        self.switch.failover_delay = failover_delay
+        self.sent = []
+        self.links = [RecordingLink(self.sim, f"S{index}#{i}", self.sent)
+                      for i in range(N_LINKS)]
+        for link in self.links:
+            link.connect(lambda packet, link: None)
+        self.switch.add_route(DST, self.links)
+        self.hasher = EcmpHasher(index)
+
+    def check(self):
+        """Each flow's egress is the uncached members at ``hash % len``."""
+        live = self.uncached()
+        for key in self.FLOWS:
+            del self.sent[:]
+            blackholed = self.switch.blackholed
+            packet = Packet(key, payload_bytes=100)
+            self.switch.receive(packet, None)
+            if live:
+                expected = live[self.hasher.hash_key(key) % len(live)]
+                assert self.sent == [(expected, packet)]
+                assert self.switch.blackholed == blackholed
+            else:
+                assert self.sent == []
+                assert self.switch.blackholed == blackholed + 1
+
+
 _ops = st.one_of(
     st.tuples(st.just("fail"), st.integers(0, N_LINKS - 1)),
     st.tuples(st.just("recover"), st.integers(0, N_LINKS - 1)),
@@ -128,3 +186,27 @@ def test_a_flip_in_another_simulator_is_a_spurious_miss():
     mine.sim.run(until=0.02)
     mine.check()
     assert mine.switch.seen == mine.links[1:]     # the window has closed
+
+
+@settings(max_examples=300, deadline=None)
+@given(delays=st.tuples(_DELAYS, _DELAYS), program=_program)
+def test_cached_egress_equals_the_uncached_hash(delays, program):
+    fabrics = [CachedFabric(i, delay) for i, delay in enumerate(delays)]
+    for fabric in fabrics:
+        fabric.check()
+    for which, op in program:
+        fabrics[which].apply(op)
+        for fabric in fabrics:
+            fabric.check()
+
+
+def test_only_the_plain_static_hash_keeps_a_forwarding_cache():
+    from repro.baselines.conga import CongaLeafSwitch, CongaSpineSwitch
+    from repro.baselines.letflow import LetFlowSwitch
+
+    sim = Simulator()
+    assert Switch(sim, "plain", ip=1, hash_seed=1)._fib is not None
+    assert Switch(sim, "int", ip=2, hash_seed=1, int_capable=True)._fib is None
+    for cls in (RecordingSwitch, CongaLeafSwitch, CongaSpineSwitch,
+                LetFlowSwitch):
+        assert cls(sim, cls.__name__, ip=3, hash_seed=1)._fib is None

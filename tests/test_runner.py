@@ -214,6 +214,71 @@ class TestRunJobsSerial:
         assert [r.cached for r in results] == [False, True, False]
 
 
+def _counting_stub(log):
+    """An ``execute_job`` that runs nothing and appends each call's
+    fingerprint to ``log`` (a file: forked pool workers share it)."""
+
+    def execute_job(spec, telemetry=None):
+        with open(log, "a") as fp:
+            fp.write(spec.fingerprint + "\n")
+        return {"metrics": {"fingerprint": spec.fingerprint},
+                "wall_s": 0.5, "audit": {"ok": True}}
+
+    return execute_job
+
+
+def _paper_figures_jobs():
+    from repro.suite.bundles import paper_figures
+
+    spec = paper_figures()
+    return [scenario.job(seed) for scenario in spec.expand()
+            for seed in spec.seeds]
+
+
+class TestEachFingerprintRunsOnce:
+    """Equal fingerprints in one batch execute once; the rest copy."""
+
+    @pytest.fixture(params=[1, 2], ids=["serial", "pooled"])
+    def stubbed(self, request, tmp_path, monkeypatch):
+        log = tmp_path / "calls.log"
+        stub = _counting_stub(log)
+        monkeypatch.setattr("repro.runner.pool.execute_job", stub)
+        monkeypatch.setattr("repro.runner.worker.execute_job", stub)
+        runner = RunnerConfig(jobs=request.param, cache_dir=str(tmp_path / "c"))
+
+        def run(specs):
+            results = run_jobs(specs, runner=runner)
+            calls = log.read_text().split() if log.exists() else []
+            return results, calls
+
+        return run
+
+    def test_paper_figures_runs_each_distinct_point_once(self, stubbed,
+                                                         tmp_path):
+        specs = _paper_figures_jobs()
+        distinct = {spec.fingerprint for spec in specs}
+        assert (len(specs), len(distinct)) == (80, 77)
+        results, calls = stubbed(specs)
+        assert sorted(calls) == sorted(distinct)
+        assert [r.spec for r in results] == specs
+        for result in results:
+            assert result.ok and result.audit == {"ok": True}
+            assert result.metrics["fingerprint"] == result.spec.fingerprint
+        assert sum(r.attempts for r in results) == 77
+        assert len(ResultCache(tmp_path / "c")) == 77
+
+    def test_a_repeated_spec_runs_once(self, stubbed, tmp_path):
+        spec = JobSpec.experiment(_quick(seed=7), label="twice")
+        (first, second), calls = stubbed([spec, spec])
+        assert calls == [spec.fingerprint]
+        assert first.metrics == second.metrics
+        assert first.metrics is not second.metrics
+        assert first.audit == second.audit
+        assert (first.attempts, second.attempts) == (1, 0)
+        assert (first.wall_s, second.wall_s) == (0.5, 0.0)
+        assert len(ResultCache(tmp_path / "c")) == 1
+
+
 def _sweep(loads=(0.3, 0.5), seeds=(1,), **base) -> SuiteSpec:
     """The ad-hoc suite `repro sweep` builds: one scheme x load matrix."""
     return SuiteSpec(
