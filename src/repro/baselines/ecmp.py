@@ -18,6 +18,8 @@ _PORT_LO, _PORT_SPAN = 49152, 16384
 class EcmpPolicy(LoadBalancer):
     """Outer source port = hash(inner 5-tuple); never changes mid-flow."""
 
+    static_ports = True
+
     def __init__(self, hash_seed: int = 0) -> None:
         self._hasher = EcmpHasher(hash_seed)
         self._cache = {}

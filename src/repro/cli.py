@@ -233,8 +233,11 @@ def cmd_run(args) -> int:
     from repro.runner.job import JobSpec
     from repro.runner.pool import run_jobs
 
+    try:
+        config = ExperimentConfig(scheme=args.scheme, **_config_fields(args))
+    except ValueError as exc:
+        raise UsageError(f"invalid run: {exc}") from exc
     tel = _make_telemetry(args)
-    config = ExperimentConfig(scheme=args.scheme, **_config_fields(args))
     (result,) = run_jobs(
         [JobSpec.experiment(config)],
         runner=_make_runner(args, progress=False),
@@ -346,6 +349,10 @@ def cmd_sweep(args) -> None:
             "sweep", base=base, matrix={"scheme": schemes, "load": args.loads},
         )],
     )
+    try:
+        spec.expand()
+    except ValueError as exc:
+        raise UsageError(f"invalid sweep: {exc}") from exc
     tel = _make_telemetry(args)
     result = run_suite(spec, runner=_make_runner(args), telemetry=tel)
     _finish_telemetry(tel, args)

@@ -123,6 +123,8 @@ class _TablePolicyBase(_FlowletPolicyBase):
     """Clove-ECN and Clove-INT: new flowlets placed over one
     :class:`~repro.core.weights.WeightedPathTable`."""
 
+    reports_all_congested = True
+
     def __init__(self, params: Optional[CloveParams], hash_seed: int) -> None:
         super().__init__(params, hash_seed)
         self.weights = WeightedPathTable(

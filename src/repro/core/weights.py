@@ -90,8 +90,9 @@ class WeightedPathTable:
         #: dst_ip -> weight-table generation; bumped on every structural
         #: respread (a set_paths that changes an existing install's port
         #: set) and on a restart wipe.  Survives :meth:`clear` so epochs
-        #: stay monotonic across a vswitch crash-restart.
-        self._epochs: Dict[int, int] = {}
+        #: stay monotonic across a vswitch crash-restart.  Mutated in
+        #: place, never rebound: the vswitch reads it per packet.
+        self.epochs: Dict[int, int] = {}
         # Counters.
         self.weight_reductions = 0
         self.quarantined_total = 0
@@ -133,12 +134,12 @@ class WeightedPathTable:
         Stamped into outgoing packets; echoes reflecting an older epoch
         describe a path set that no longer exists and must not be applied.
         """
-        return self._epochs.get(dst_ip, 0)
+        return self.epochs.get(dst_ip, 0)
 
     def bump_epoch(self, dst_ip: int) -> int:
         """Advance ``dst_ip``'s generation; returns the new epoch."""
-        epoch = self._epochs.get(dst_ip, 0) + 1
-        self._epochs[dst_ip] = epoch
+        epoch = self.epochs.get(dst_ip, 0) + 1
+        self.epochs[dst_ip] = epoch
         self.epoch_bumps += 1
         return epoch
 
@@ -468,7 +469,11 @@ class WeightedPathTable:
                 f"echo for unknown destination {dst_ip} (port {port}); "
                 f"known destinations: {sorted(self._paths)}"
             )
-        target = next((s for s in states if s.port == port), None)
+        for target in states:
+            if target.port == port:
+                break
+        else:
+            target = None
         if target is None:
             self.unknown_ports += 1
             raise KeyError(
@@ -533,10 +538,11 @@ class WeightedPathTable:
         states = self._paths.get(dst_ip)
         if not states:
             return False
-        return all(
-            state.state == STATE_QUARANTINED or state.congested_until > now
-            for state in states
-        )
+        for state in states:
+            if not (state.state == STATE_QUARANTINED
+                    or state.congested_until > now):
+                return False
+        return True
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -553,6 +559,6 @@ class WeightedPathTable:
         for state in selectable:
             if state.weight < _MIN_WEIGHT:
                 state.weight = _MIN_WEIGHT
-        total = sum(state.weight for state in selectable)
+        total = sum([state.weight for state in selectable])
         for state in selectable:
             state.weight /= total

@@ -9,6 +9,7 @@ one runs, are the rows of :data:`repro.harness.schemes.SCHEMES`.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import asdict, dataclass, field, replace
 from typing import (
@@ -93,6 +94,22 @@ class ExperimentConfig:
     #: engine loop), "strict" raises at the first violation, "report"
     #: accumulates findings into ``ExperimentResult.audit``
     audit: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        """Reject values that would crash the run mid-build or quietly
+        run something else (an infinite load, an empty run, a negative
+        failover delay read as none)."""
+        for name in ("load", "flow_scale"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0, not {value!r}")
+        if self.jobs_per_client < 1:
+            raise ValueError(
+                f"jobs_per_client must be >= 1, not {self.jobs_per_client!r}")
+        if not (math.isfinite(self.failover_delay_s)
+                and self.failover_delay_s >= 0):
+            raise ValueError(f"failover_delay_s must be finite and >= 0, "
+                             f"not {self.failover_delay_s!r}")
 
     def fault_plan(self) -> Optional[FaultPlan]:
         """The effective fault plan: ``chaos`` merged with the

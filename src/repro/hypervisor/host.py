@@ -8,7 +8,7 @@ guest connections, and optionally a traceroute daemon
 
 from __future__ import annotations
 
-from typing import Dict, Optional, TYPE_CHECKING
+from typing import Dict, Optional, Set, TYPE_CHECKING
 
 from repro.net.packet import FlowKey, Packet
 from repro.hypervisor.policy import LoadBalancer
@@ -38,13 +38,17 @@ class Host:
         self.net = net
         self.name = name
         self.ip = net.host_ip(name)
+        # The uplink and the demux table exist before the vswitch, which
+        # binds both: it sends on the one and delivers through the other.
+        self._uplink = net.host_link(name)
+        self._endpoints: Dict[FlowKey, object] = {}
+        #: destinations the prober has been told about (see send_from_guest)
+        self._noticed: Set[int] = set()
         self.vswitch = VSwitch(
             sim, self, policy, ecn_relay_interval,
             reassembly_timeout=reassembly_timeout,
             mode=vswitch_mode,
         )
-        self._uplink = net.host_link(name)
-        self._endpoints: Dict[FlowKey, object] = {}
         #: (prober ip, reply sport) -> interned probe-reply 5-tuple
         self._reply_keys: Dict[tuple, FlowKey] = {}
         self.prober: Optional["PathDiscovery"] = None
@@ -84,13 +88,23 @@ class Host:
         self._endpoints.pop(key, None)
 
     def send_from_guest(self, packet: Packet) -> None:
-        """Guest stack transmits: route through the virtual switch."""
+        """Guest stack transmits: route through the virtual switch.
+
+        The prober hears of each destination once.  That is all it needs:
+        it ignores a destination it already watches, and its crash-restart
+        ``reset`` is followed at once by re-noticing every watched one.
+        """
         if self.prober is not None:
-            self.prober.notice_destination(packet.inner.dst_ip)
+            dst_ip = packet.inner.dst_ip
+            if dst_ip not in self._noticed:
+                self._noticed.add(dst_ip)
+                self.prober.notice_destination(dst_ip)
         self.vswitch.transmit(packet)
 
     def deliver_to_guest(self, packet: Packet) -> None:
-        """Hand a decapsulated packet to the guest transport demux."""
+        """Hand a decapsulated packet to the guest transport demux (the
+        overlay receive path does this lookup inline; reassembly, rewrite
+        mode and plain packets come through here)."""
         endpoint = self._endpoints.get(packet.inner)
         if endpoint is not None:
             endpoint.on_packet(packet)
@@ -99,7 +113,9 @@ class Host:
     # NIC
     # ------------------------------------------------------------------
     def nic_send(self, packet: Packet) -> None:
-        """Put a (possibly encapsulated) packet on the access link."""
+        """Put a packet on the access link: control traffic and the
+        non-overlay paths (``VSwitch.transmit`` sends tunnelled data
+        itself, with the same count)."""
         self.tx_nic_packets += 1
         self._uplink.send(packet)
 

@@ -58,6 +58,13 @@ class LoadBalancer:
     weights = None
     #: whether the receive side must run Presto-style flowcell reassembly
     needs_reassembly: bool = False
+    #: whether the outer source port is a pure function of the inner key
+    #: (no state, time or feedback enters it): the vswitch then asks
+    #: :meth:`select_source_port` once per inner key and caches the answer
+    static_ports: bool = False
+    #: whether :meth:`all_paths_congested` can ever answer True: the
+    #: vswitch asks it on each received ACK only when this is set
+    reports_all_congested: bool = False
     #: bound event log of the attached telemetry scope (None = uninstrumented)
     _tel_events = None
     #: bound span tracer of the attached scope (None = tracing off)
@@ -147,7 +154,8 @@ class LoadBalancer:
     def all_paths_congested(self, dst_ip: int, now: float) -> bool:
         """True when every known path to ``dst_ip`` is currently congested.
 
-        The vswitch relays ECN to the guest only in this case (Section 3.2).
+        The vswitch relays ECN to the guest only in this case (Section 3.2),
+        and asks only a policy that declares ``reports_all_congested``.
         """
         return False
 

@@ -3,11 +3,13 @@
 Transmit side (guest -> fabric):
 
 1. ask the :class:`~repro.hypervisor.policy.LoadBalancer` for an outer
-   source port (the indirect-source-routing knob);
+   source port (the indirect-source-routing knob), once per flow when the
+   policy declares ``static_ports``;
 2. encapsulate with an STT-style header (fixed destination port, hypervisor
    IPs, ECT set when the policy uses ECN, INT requested when it uses INT);
 3. piggyback at most one pending telemetry echo for the destination
-   hypervisor in the STT context bits.
+   hypervisor in the STT context bits;
+4. count the NIC send on the host and put the packet on its uplink.
 
 Receive side (fabric -> guest):
 
@@ -18,14 +20,16 @@ Receive side (fabric -> guest):
 3. mask underlay ECN from the guest — unless the policy reports *all*
    paths congested, in which case ECE is injected into ACKs so the guest
    TCP throttles (Section 3.2);
-4. optionally run Presto-style in-order reassembly before delivery.
+4. optionally run Presto-style in-order reassembly before delivery;
+   otherwise hand the packet straight to the guest endpoint the host's
+   demux table names.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Optional, TYPE_CHECKING
 
-from repro.net.packet import FlowKey, Packet, STT_DST_PORT
+from repro.net.packet import ENCAP_BYTES, FlowKey, Packet, STT_DST_PORT
 from repro.hypervisor.policy import LoadBalancer, PathFeedback
 from repro.sim.engine import Simulator
 from repro.transport.tcp import FLAG_ECE
@@ -106,11 +110,23 @@ class VSwitch:
         declared = policy if policy is not None else LoadBalancer
         #: the policy's WeightedPathTable (None without a policy or a table)
         self.weights = declared.weights
+        #: its destination -> epoch map, stamped on each packet without a
+        #: call (the table mutates it in place, never rebinds it)
+        self._epochs = None if self.weights is None else self.weights.epochs
         self._wants_ecn = declared.wants_ecn
         self._wants_int = declared.wants_int
         self._wants_latency = declared.wants_latency
+        self._asks_all_congested = declared.reports_all_congested
+        self._reassembles = declared.needs_reassembly
         #: outer (dst_hyp, sport) -> interned FlowKey (see :meth:`outer_key`)
         self._outer_keys: Dict[tuple, FlowKey] = {}
+        #: inner FlowKey -> interned outer key, for a policy whose port is a
+        #: pure function of the inner key (None for every other policy)
+        self._static_outer: Optional[Dict[FlowKey, FlowKey]] = (
+            {} if declared.static_ports else None)
+        # The host's access link and guest demux table, bound once.
+        self._uplink = host._uplink
+        self._endpoints = host._endpoints
         # Counters.
         self.tx_encapsulated = 0
         self.rx_encapsulated = 0
@@ -152,8 +168,15 @@ class VSwitch:
     # Transmit path
     # ------------------------------------------------------------------
     def transmit(self, packet: Packet) -> None:
-        """Encapsulate (or rewrite) a guest packet and hand it to the NIC."""
-        if self.policy is None:
+        """Encapsulate (or rewrite) a guest packet and put it on the uplink.
+
+        The overlay path does its NIC send itself: the host's
+        ``tx_nic_packets`` count (which the conservation ledger balances
+        on), then ``Link.send``.  A static-port policy is asked once per
+        inner key; later packets of the flow reuse the cached outer key.
+        """
+        policy = self.policy
+        if policy is None:
             self.host.nic_send(packet)  # non-overlay pass-through
             return
         if self.mode == "rewrite":
@@ -162,25 +185,38 @@ class VSwitch:
         now = self.sim.now
         inner = packet.inner
         dst_hyp = inner.dst_ip
-        sport = self.policy.select_source_port(inner, packet, now)
+        static = self._static_outer
+        if static is not None:
+            outer = static.get(inner)
+            if outer is None:
+                outer = static[inner] = self.outer_key(
+                    dst_hyp, policy.select_source_port(inner, packet, now))
+        else:
+            sport = policy.select_source_port(inner, packet, now)
+            outer = self._outer_keys.get((dst_hyp, sport))
+            if outer is None:
+                outer = self.outer_key(dst_hyp, sport)
         if self._tel_trace is not None and packet.payload_bytes:
             self._tel_trace.flowlet_bytes(inner, packet.payload_bytes)
-        outer = self._outer_keys.get((dst_hyp, sport))
-        if outer is None:
-            outer = self.outer_key(dst_hyp, sport)
-        packet.encapsulate(outer, ect=self._wants_ecn)
+        # Encapsulate: the outer (STT-style) header that switches route on.
+        if packet.outer is not None:
+            raise ValueError("packet is already encapsulated")
+        packet.outer = outer
+        packet.size += ENCAP_BYTES
+        packet.ect = self._wants_ecn
         if self._wants_int:
             packet.int_enabled = True
         if self._wants_latency:
             # Stand-in for the NIC timestamp of Section 7 (perfectly
             # synchronized clocks in simulation).
             packet.meta["clove_ts"] = now
-        if self.weights is not None:
-            packet.clove_epoch = self.weights.epoch_of(dst_hyp)
+        if self._epochs is not None:
+            packet.clove_epoch = self._epochs.get(dst_hyp, 0)
         if self._echo_maybe.get(dst_hyp):
             self._attach_echo(packet, dst_hyp)
         self.tx_encapsulated += 1
-        self.host.nic_send(packet)
+        self.host.tx_nic_packets += 1
+        self._uplink.send(packet)
 
     def outer_key(self, dst_hyp: int, sport: int) -> FlowKey:
         """The interned encapsulation 5-tuple towards ``dst_hyp`` from
@@ -300,7 +336,11 @@ class VSwitch:
     def receive_encapsulated(self, packet: Packet) -> None:
         """Process a tunnelled packet arriving from the fabric."""
         self.rx_encapsulated += 1
-        outer = packet.decapsulate()
+        outer = packet.outer
+        if outer is None:
+            raise ValueError("packet is not encapsulated")
+        packet.outer = None
+        packet.size -= ENCAP_BYTES
         self._collect_and_deliver(packet, outer.src_ip, outer.src_port)
 
     def _collect_and_deliver(self, packet: Packet, remote: int, path_port: int) -> None:
@@ -351,29 +391,30 @@ class VSwitch:
             if args is not None:
                 self._consume_echo(*args)
 
-        # (3) mask underlay ECN from the guest; inject ECE only when every
-        # path to the remote is congested.
+        # (3) mask underlay ECN from the guest; inject ECE into an ACK only
+        # when every path to the remote is congested (asked only of a
+        # policy that can say so).
         packet.ce = False
         packet.ect = False
         packet.int_enabled = False
         if (
-            self.policy is not None
-            and packet.is_ack
+            self._asks_all_congested
+            and packet.payload_bytes == 0
+            and packet.ack >= 0
             and self.policy.all_paths_congested(remote, self.sim.now)
         ):
             if FLAG_ECE not in packet.flags:
                 packet.flags += FLAG_ECE
                 self.guest_ecn_injected += 1
 
-        # (4) deliver (optionally through Presto reassembly).
-        if (
-            self.policy is not None
-            and self.policy.needs_reassembly
-            and packet.payload_bytes > 0
-        ):
+        # (4) deliver to the guest demux (optionally through Presto
+        # reassembly).
+        if self._reassembles and packet.payload_bytes > 0:
             self._reassemble(packet)
         else:
-            self.host.deliver_to_guest(packet)
+            endpoint = self._endpoints.get(packet.inner)
+            if endpoint is not None:
+                endpoint.on_packet(packet)
 
     def _consume_echo(
         self,
@@ -414,7 +455,7 @@ class VSwitch:
             self.epoch_guard
             and weights is not None
             and epoch is not None
-            and epoch != weights.epoch_of(remote)
+            and epoch != self._epochs.get(remote, 0)
         ):
             self.echoes_stale_rejected += 1
             weights.stale_echoes += 1

@@ -162,26 +162,6 @@ class Packet:
         self.meta: Dict[str, Any] = {}
 
     # ------------------------------------------------------------------
-    # Encapsulation
-    # ------------------------------------------------------------------
-    def encapsulate(self, outer: FlowKey, ect: bool = True) -> None:
-        """Attach an outer (STT-style) header; switches now route on it."""
-        if self.outer is not None:
-            raise ValueError("packet is already encapsulated")
-        self.outer = outer
-        self.size += ENCAP_BYTES
-        self.ect = ect
-
-    def decapsulate(self) -> FlowKey:
-        """Strip the outer header, returning it."""
-        if self.outer is None:
-            raise ValueError("packet is not encapsulated")
-        outer = self.outer
-        self.outer = None
-        self.size -= ENCAP_BYTES
-        return outer
-
-    # ------------------------------------------------------------------
     # Convenience views
     # ------------------------------------------------------------------
     @property
@@ -200,14 +180,3 @@ class Packet:
             f"ack={self.ack} len={self.payload_bytes} flags={self.flags!r})"
         )
 
-
-def make_data_packet(
-    flow: FlowKey, seq: int, payload: int, now: float, flags: str = ""
-) -> Packet:
-    """Build a data segment carrying ``payload`` bytes starting at ``seq``."""
-    return Packet(flow, payload_bytes=payload, seq=seq, flags=flags, created_at=now)
-
-
-def make_ack_packet(flow: FlowKey, ack: int, now: float, flags: str = "") -> Packet:
-    """Build a pure ACK for the given cumulative ``ack`` byte offset."""
-    return Packet(flow, payload_bytes=0, ack=ack, flags=flags, created_at=now)

@@ -471,4 +471,6 @@ def load_suite(path: Union[str, Path]) -> SuiteSpec:
             data = json.loads(text)
         except ValueError as exc:
             raise ValueError(f"{path}: invalid JSON: {exc}") from exc
-    return SuiteSpec.from_dict(data)
+    spec = SuiteSpec.from_dict(data)
+    spec.expand()  # a point no ExperimentConfig accepts is an invalid spec
+    return spec

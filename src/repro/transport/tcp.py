@@ -30,7 +30,7 @@ import bisect
 from functools import partial
 from typing import Callable, List, Optional, Tuple, TYPE_CHECKING
 
-from repro.net.packet import FlowKey, MSS, Packet, make_ack_packet, make_data_packet
+from repro.net.packet import FlowKey, MSS, Packet
 from repro.sim.engine import Event, Simulator
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -149,7 +149,7 @@ class TcpSender:
             payload = min(self.mss, limit - self.snd_nxt)
             # Avoid a runt segment when more data will fit later.
             if payload < self.mss and self.snd_nxt + payload < self.app_bytes:
-                if self.flight_size > 0:
+                if self.snd_nxt > self.snd_una:
                     break  # wait for more cwnd instead of sending a runt
             self._transmit(self.snd_nxt, payload)
             self.snd_nxt += payload
@@ -160,7 +160,8 @@ class TcpSender:
         if self.cwr_pending:
             flags += FLAG_CWR
             self.cwr_pending = False
-        packet = make_data_packet(self.flow, seq, payload, self.sim.now, flags)
+        packet = Packet(self.flow, payload_bytes=payload, seq=seq, flags=flags,
+                        created_at=self.sim.now)
         self._decorate_packet(packet)
         self.packets_sent += 1
         self.bytes_sent += payload
@@ -175,7 +176,7 @@ class TcpSender:
 
     def _arm_rto(self) -> None:
         """Ensure the RTO (and TLP) deadlines are set; keep earlier ones."""
-        if self.flight_size <= 0:
+        if self.snd_nxt <= self.snd_una:  # nothing in flight
             self._cancel_rto()
             return
         if self._rto_deadline is None:
@@ -191,7 +192,8 @@ class TcpSender:
                 self._rto_event = self.sim.at(deadline, self._on_rto)
             # else: the pending event fires at/before the deadline and will
             # chase it forward from _on_rto.
-        self._arm_tlp()
+        if self._tlp_deadline is None:
+            self._arm_tlp()
 
     def _restart_rto(self) -> None:
         self._rto_deadline = None
@@ -301,7 +303,8 @@ class TcpSender:
         acked = ack - self.snd_una
         self.snd_una = ack
         self.backoff = 1
-        self._advance_sack()
+        if self._sacked:
+            self._advance_sack()
 
         if self._tlp_pending:
             # The ACK for a tail-loss probe arrived.  If un-ACKed data
@@ -309,7 +312,7 @@ class TcpSender:
             # the tail was lost too: enter recovery instead of crawling one
             # probe per PTO (Linux's TLP loss detection).
             self._tlp_pending = False
-            if self.flight_size > 0 and not self._sacked and not self.in_recovery:
+            if self.snd_nxt > ack and not self._sacked and not self.in_recovery:
                 self._enter_recovery()
                 return
 
@@ -329,7 +332,7 @@ class TcpSender:
             self.dupacks = 0
             self._increase_cwnd(acked)
 
-        if self.done:
+        if ack >= self.app_bytes > 0:  # done: everything acknowledged
             self._cancel_rto()
             return
         self._restart_rto()
@@ -528,12 +531,15 @@ class TcpReceiver:
         if end > self.rcv_nxt:
             if start <= self.rcv_nxt:
                 self.rcv_nxt = end
-                self._drain_ooo()
+                if self._ooo:
+                    self._drain_ooo()
             else:
                 self.ooo_packets += 1
                 self._insert_ooo(start, end)
         self.bytes_delivered = self.rcv_nxt
-        self._fire_thresholds()
+        thresholds = self._thresholds
+        if thresholds and thresholds[0][0] <= self.rcv_nxt:
+            self._fire_thresholds()
         self._send_ack()
 
     def _insert_ooo(self, start: int, end: int) -> None:
@@ -548,7 +554,8 @@ class TcpReceiver:
 
     def _send_ack(self) -> None:
         flags = FLAG_ECE if self.ece_latched else ""
-        ack = make_ack_packet(self.reverse, self.rcv_nxt, self.sim.now, flags)
+        ack = Packet(self.reverse, ack=self.rcv_nxt, flags=flags,
+                     created_at=self.sim.now)
         if self._ooo:
             # SACK: report up to three out-of-order blocks, most recent info
             # is implicit in the intervals themselves.

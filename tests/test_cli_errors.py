@@ -257,6 +257,56 @@ def test_argparse_usage_errors_exit_2(argv, capsys):
 
 
 # ----------------------------------------------------------------------
+# Run flags that parse but describe no runnable experiment
+# ----------------------------------------------------------------------
+#: each crashed (``--load inf``: ZeroDivisionError, exit 1) or ran
+#: something else (an empty run; a negative delay read as none) before
+#: ExperimentConfig checked its fields
+INVALID_RUN_FLAGS = {
+    "load-inf": ["--load", "inf"],
+    "load-nan": ["--load", "nan"],
+    "load-zero": ["--load", "0"],
+    "flow-scale-negative": ["--flow-scale", "-0.1"],
+    "jobs-per-client-zero": ["--jobs-per-client", "0"],
+    "jobs-per-client-negative": ["--jobs-per-client", "-3"],
+    "failover-delay-negative": ["--failover-delay", "-1"],
+    "failover-delay-inf": ["--failover-delay", "inf"],
+}
+
+
+@pytest.mark.parametrize("flags", INVALID_RUN_FLAGS.values(),
+                         ids=INVALID_RUN_FLAGS.keys())
+def test_run_rejects_a_config_it_cannot_run(flags, capsys):
+    assert main(["run", "ecmp", *flags]) == 2
+    assert _assert_clean_stderr(capsys).startswith("invalid run: ")
+
+
+@pytest.mark.parametrize("flags", [
+    ["--loads", "0.5,inf"],
+    ["--jobs-per-client", "0"],
+    ["--failover-delay", "-1"],
+], ids=" ".join)
+def test_sweep_rejects_a_grid_it_cannot_run(flags, capsys):
+    # checked before any point runs (the first grid point here is valid)
+    assert main(["sweep", "--schemes", "ecmp", *flags]) == 2
+    assert _assert_clean_stderr(capsys).startswith("invalid sweep: ")
+
+
+@pytest.mark.parametrize("base", [
+    {"scheme": "no-such-scheme"},
+    {"scheme": "ecmp", "jobs_per_client": 0},
+    {"scheme": "ecmp", "load": -0.5},
+], ids=["unknown-scheme", "jobs-per-client-zero", "load-negative"])
+def test_suite_spec_with_a_point_it_cannot_run_exits_2(base, tmp_path,
+                                                       capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"name": "bad", "seeds": [1], "scenarios": [
+        {"name": "s", "base": base}]}))
+    assert main(["suite", "run", "--spec", str(spec)]) == 2
+    assert "cannot load suite spec" in _assert_clean_stderr(capsys)
+
+
+# ----------------------------------------------------------------------
 # `repro figure` takes only what it uses
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("flags", [

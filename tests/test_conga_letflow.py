@@ -11,11 +11,13 @@ from repro.baselines.conga import (
 )
 from repro.baselines.letflow import LetFlowSwitch
 from repro.hypervisor.host import Host
-from repro.net.packet import FlowKey, make_data_packet
+from repro.net.packet import FlowKey
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
 from repro.topology.leafspine import LeafSpineConfig, build_leaf_spine
 from repro.transport.tcp import open_connection
+
+from tests.conftest import make_data_packet
 
 
 def _conga_fabric(hosts_per_leaf=2, asymmetric=False):

@@ -4,10 +4,10 @@ import pytest
 
 from repro.core.clove import CloveEcnPolicy, CloveParams
 from repro.hypervisor.policy import PathFeedback
-from repro.net.packet import FlowKey, make_data_packet
+from repro.net.packet import FlowKey
 from repro.transport.tcp import open_connection
 
-from tests.conftest import make_fabric
+from tests.conftest import make_data_packet, make_fabric
 
 FLOW = FlowKey(1, 42, 1000, 80)
 PORTS = [50001, 50002, 50003, 50004]

@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.net.packet import FlowKey, make_data_packet
+from repro.net.packet import FlowKey
 from repro.transport.tcp import open_connection
 
-from tests.conftest import make_fabric
+from tests.conftest import make_data_packet, make_fabric
 
 
 class TestHostDemux:

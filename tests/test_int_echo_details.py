@@ -5,13 +5,13 @@ import pytest
 
 from repro.baselines.conga import CongaLeafSwitch
 from repro.hypervisor.vswitch import VSwitch, _PathEchoState
-from repro.net.packet import FlowKey, make_data_packet
+from repro.net.packet import FlowKey
 from repro.net.switch import Switch
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
 from repro.topology.leafspine import LeafSpineConfig, build_leaf_spine
 
-from tests.conftest import make_fabric
+from tests.conftest import make_data_packet, make_fabric
 
 
 class TestIntStamping:

@@ -1,16 +1,43 @@
-"""Unit tests for packets and header handling."""
+"""Unit tests for packets and header handling.
+
+Encapsulation is the virtual switch's job (``VSwitch.transmit`` attaches
+the outer header, ``VSwitch.receive_encapsulated`` strips it), so those
+cases drive a two-host overlay fabric.
+"""
 
 import pytest
 
+from repro.hypervisor.policy import LoadBalancer
 from repro.net.packet import (
     ACK_BYTES,
     ENCAP_BYTES,
     FlowKey,
     HEADER_BYTES,
-    Packet,
-    make_ack_packet,
-    make_data_packet,
+    STT_DST_PORT,
 )
+
+from tests.conftest import make_ack_packet, make_data_packet, make_fabric
+
+
+class _PortPolicy(LoadBalancer):
+    """Outer source port 5000 for every packet."""
+
+    def select_source_port(self, inner, packet, now):
+        return 5000
+
+
+class _EcnPortPolicy(_PortPolicy):
+    wants_ecn = True
+
+
+def _overlay(policy_cls=_PortPolicy):
+    """(sim, sending host, receiving host) on a fresh overlay fabric."""
+    sim, _net, hosts = make_fabric(policy_factory=lambda name, i: policy_cls())
+    return sim, hosts["h1_0"], hosts["h2_0"]
+
+
+def _guest_packet(src, dst, payload=1000):
+    return make_data_packet(FlowKey(src.ip, dst.ip, 3, 4), 0, payload, 0.0)
 
 
 class TestFlowKey:
@@ -33,44 +60,57 @@ class TestFlowKey:
 
 class TestEncapsulation:
     def test_encapsulate_adds_header_bytes(self):
-        packet = make_data_packet(FlowKey(1, 2, 3, 4), 0, 1000, 0.0)
+        _sim, src, dst = _overlay()
+        packet = _guest_packet(src, dst)
         size_before = packet.size
-        packet.encapsulate(FlowKey(10, 20, 5000, 7471))
+        src.vswitch.transmit(packet)
         assert packet.size == size_before + ENCAP_BYTES
-        assert packet.outer == FlowKey(10, 20, 5000, 7471)
+        assert packet.outer == FlowKey(src.ip, dst.ip, 5000, STT_DST_PORT)
 
     def test_decapsulate_restores_size_and_returns_outer(self):
-        packet = make_data_packet(FlowKey(1, 2, 3, 4), 0, 1000, 0.0)
-        outer = FlowKey(10, 20, 5000, 7471)
-        packet.encapsulate(outer)
-        assert packet.decapsulate() == outer
-        assert packet.outer is None
-        assert packet.size == 1000 + HEADER_BYTES
+        sim, src, dst = _overlay()
+        packet = _guest_packet(src, dst)
+        seen = []
+
+        class Endpoint:
+            def on_packet(self, packet):
+                seen.append((packet.outer, packet.size))
+
+        dst.register_endpoint(packet.inner, Endpoint())
+        src.vswitch.transmit(packet)
+        sim.run(until=0.01)
+        assert seen == [(None, 1000 + HEADER_BYTES)]
+        # the stripped outer header names the path the echo state is kept for
+        assert list(dst.vswitch._echo[src.ip]) == [5000]
 
     def test_double_encapsulation_rejected(self):
-        packet = make_data_packet(FlowKey(1, 2, 3, 4), 0, 100, 0.0)
-        packet.encapsulate(FlowKey(10, 20, 1, 2))
+        _sim, src, dst = _overlay()
+        packet = _guest_packet(src, dst, payload=100)
+        src.vswitch.transmit(packet)
         with pytest.raises(ValueError):
-            packet.encapsulate(FlowKey(10, 20, 1, 2))
+            src.vswitch.transmit(packet)
 
     def test_decapsulate_plain_packet_rejected(self):
-        packet = make_data_packet(FlowKey(1, 2, 3, 4), 0, 100, 0.0)
+        _sim, src, dst = _overlay()
+        packet = _guest_packet(src, dst, payload=100)
         with pytest.raises(ValueError):
-            packet.decapsulate()
+            dst.vswitch.receive_encapsulated(packet)
 
     def test_route_key_prefers_outer(self):
-        packet = make_data_packet(FlowKey(1, 2, 3, 4), 0, 100, 0.0)
+        _sim, src, dst = _overlay()
+        packet = _guest_packet(src, dst, payload=100)
         assert packet.route_key == packet.inner
-        outer = FlowKey(10, 20, 1, 2)
-        packet.encapsulate(outer)
-        assert packet.route_key == outer
+        src.vswitch.transmit(packet)
+        assert packet.route_key == FlowKey(src.ip, dst.ip, 5000, STT_DST_PORT)
 
     def test_ect_set_by_encapsulation_flag(self):
-        packet = make_data_packet(FlowKey(1, 2, 3, 4), 0, 100, 0.0)
-        packet.encapsulate(FlowKey(10, 20, 1, 2), ect=False)
+        _sim, src, dst = _overlay(_PortPolicy)
+        packet = _guest_packet(src, dst, payload=100)
+        src.vswitch.transmit(packet)
         assert not packet.ect
-        packet2 = make_data_packet(FlowKey(1, 2, 3, 4), 0, 100, 0.0)
-        packet2.encapsulate(FlowKey(10, 20, 1, 2), ect=True)
+        _sim, src, dst = _overlay(_EcnPortPolicy)
+        packet2 = _guest_packet(src, dst, payload=100)
+        src.vswitch.transmit(packet2)
         assert packet2.ect
 
 

@@ -13,7 +13,9 @@ from repro.core.clove import (
     EdgeFlowletPolicy,
 )
 from repro.hypervisor.policy import PathFeedback
-from repro.net.packet import FlowKey, make_data_packet
+from repro.net.packet import FlowKey
+
+from tests.conftest import make_data_packet
 
 FLOW = FlowKey(1, 42, 1000, 80)
 PORTS = [50001, 50002, 50003, 50004]

@@ -3,9 +3,11 @@
 import pytest
 
 from repro.net.link import Link
-from repro.net.packet import FlowKey, Packet, make_data_packet
+from repro.net.packet import FlowKey, Packet
 from repro.net.queue import DropTailQueue
 from repro.sim.engine import Simulator
+
+from tests.conftest import make_data_packet
 
 
 def _packet(payload=1460, ect=False):

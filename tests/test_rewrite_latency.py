@@ -10,7 +10,7 @@ from repro.hypervisor.policy import PathFeedback
 from repro.net.packet import FlowKey
 from repro.transport.tcp import open_connection
 
-from tests.conftest import make_fabric
+from tests.conftest import make_data_packet, make_fabric
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
 from repro.topology.leafspine import LeafSpineConfig, build_leaf_spine
@@ -128,7 +128,6 @@ class TestCloveLatency:
         policy.on_path_feedback(PathFeedback(9, 1, False, util=500e-6), now=0.0)
         policy.on_path_feedback(PathFeedback(9, 2, False, util=20e-6), now=0.0)
         flow = FlowKey(1, 9, 77, 80)
-        from repro.net.packet import make_data_packet
         assert policy.select_source_port(flow, make_data_packet(flow, 0, 100, 0.0), 0.0) == 2
 
     def test_end_to_end_experiment(self):

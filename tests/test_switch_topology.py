@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.clove import CloveEcnPolicy, CloveParams
-from repro.net.packet import STT_DST_PORT, FlowKey, make_data_packet
+from repro.net.packet import STT_DST_PORT, FlowKey
 from repro.net.switch import Switch
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
@@ -11,7 +11,7 @@ from repro.topology.fattree import FatTreeConfig, build_fat_tree
 from repro.topology.leafspine import LeafSpineConfig, build_leaf_spine
 from repro.transport.tcp import open_connection
 
-from tests.conftest import make_fabric
+from tests.conftest import make_data_packet, make_fabric
 
 
 def _net(sim=None, **overrides):

@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.net.packet import MSS, make_ack_packet
+from repro.net.packet import MSS
 from repro.transport.tcp import FLAG_ECE, open_connection
 
-from tests.conftest import make_fabric
+from tests.conftest import make_ack_packet, make_data_packet, make_fabric
 
 
 def _open(hosts, a="h1_0", b="h2_0", **kwargs):
@@ -185,7 +185,6 @@ class TestEcnResponse:
         receiver = connection.receiver
         receiver.ece_latched = True
         # Latch persists across ACKs until a CWR-marked segment arrives.
-        from repro.net.packet import make_data_packet
         data = make_data_packet(receiver.flow, 0, 100, 0.0, flags="W")
         receiver.on_packet(data)
         assert not receiver.ece_latched
@@ -195,7 +194,6 @@ class TestReceiverReassembly:
     def test_out_of_order_segments_reassembled(self, fabric):
         sim, net, hosts = fabric
         receiver = _open(hosts).receiver
-        from repro.net.packet import make_data_packet
         flow = receiver.flow
         receiver.on_packet(make_data_packet(flow, 1460, 1460, 0.0))
         assert receiver.rcv_nxt == 0
@@ -206,7 +204,6 @@ class TestReceiverReassembly:
     def test_duplicate_segment_ignored(self, fabric):
         sim, net, hosts = fabric
         receiver = _open(hosts).receiver
-        from repro.net.packet import make_data_packet
         flow = receiver.flow
         receiver.on_packet(make_data_packet(flow, 0, 1460, 0.0))
         receiver.on_packet(make_data_packet(flow, 0, 1460, 0.0))
@@ -215,7 +212,6 @@ class TestReceiverReassembly:
     def test_overlapping_segments_merge(self, fabric):
         sim, net, hosts = fabric
         receiver = _open(hosts).receiver
-        from repro.net.packet import make_data_packet
         flow = receiver.flow
         receiver.on_packet(make_data_packet(flow, 2920, 1460, 0.0))
         receiver.on_packet(make_data_packet(flow, 1460, 2920, 0.0))  # overlaps
@@ -227,7 +223,6 @@ class TestReceiverReassembly:
         receiver = _open(hosts).receiver
         fired = []
         receiver.add_threshold(1460, lambda: fired.append(1))
-        from repro.net.packet import make_data_packet
         receiver.on_packet(make_data_packet(receiver.flow, 0, 1460, 0.0))
         receiver.on_packet(make_data_packet(receiver.flow, 1460, 1460, 0.0))
         assert fired == [1]
@@ -235,7 +230,6 @@ class TestReceiverReassembly:
     def test_threshold_already_met_fires_immediately(self, fabric):
         sim, net, hosts = fabric
         receiver = _open(hosts).receiver
-        from repro.net.packet import make_data_packet
         receiver.on_packet(make_data_packet(receiver.flow, 0, 1460, 0.0))
         fired = []
         receiver.add_threshold(1000, lambda: fired.append(1))

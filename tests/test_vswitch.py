@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.clove import CloveEcnPolicy, CloveIntPolicy, CloveParams
 from repro.hypervisor.policy import LoadBalancer, PathFeedback
-from repro.net.packet import FlowKey, Packet, STT_DST_PORT, make_data_packet
+from repro.net.packet import FlowKey, Packet, STT_DST_PORT
 from repro.transport.tcp import FLAG_ECE, open_connection
 
 from tests.conftest import make_fabric
@@ -129,12 +129,21 @@ class TestIntEcho:
         assert any(u > 0 for u in utils), "no INT utilization echoed back"
 
 
+class AllCongestedPolicy(FixedPortPolicy):
+    """Test double: reports every path to every destination congested."""
+
+    reports_all_congested = True
+
+    def all_paths_congested(self, dst_ip, now):
+        return True
+
+
 class TestGuestEceInjection:
     def test_ece_injected_when_all_paths_congested(self):
-        sim, net, hosts, policies = _overlay_fabric(ecn_threshold_packets=0)
-
-        # Make the sending host's policy report "everything is congested".
-        policies["h1_0"].all_paths_congested = lambda dst, now: True
+        # The sending host's policy reports "everything is congested" (the
+        # vswitch asks only a policy that declares it can).
+        sim, net, hosts, policies = _overlay_fabric(
+            AllCongestedPolicy, ecn_threshold_packets=0)
         connection = open_connection(hosts["h1_0"], hosts["h2_0"], 1000, 80)
         connection.start_flow(200_000, lambda: None)
         sim.run(until=1.0)
