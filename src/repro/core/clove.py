@@ -186,15 +186,10 @@ class _TablePolicyBase(_FlowletPolicyBase):
 class CloveEcnPolicy(_TablePolicyBase):
     """Clove-ECN: WRR over discovered paths, weights adapted by ECN echoes.
 
-    Two Section 7 "flowlet optimization" extensions are available:
-
-    * ``reorder_shield`` — carry flowlet sequence numbers and let the
-      receiving virtual switch put segments back in order before delivery
-      (the Presto-style option the discussion proposes), hiding the
-      residual reordering of aggressive gaps from the guest TCP;
-    * ``adaptive_gap`` — scale the flowlet gap with the measured spread of
-      per-path one-way delays, so the gap automatically grows when paths
-      diverge (requires latency echoes; enables ``wants_latency``).
+    ``adaptive_gap`` is Section 7's "flowlet optimization": scale the
+    flowlet gap with the measured spread of per-path one-way delays, so the
+    gap automatically grows when paths diverge (requires latency echoes;
+    enables ``wants_latency``).
     """
 
     wants_ecn = True
@@ -203,11 +198,9 @@ class CloveEcnPolicy(_TablePolicyBase):
         self,
         params: Optional[CloveParams] = None,
         hash_seed: int = 0,
-        reorder_shield: bool = False,
         adaptive_gap: bool = False,
     ) -> None:
         super().__init__(params, hash_seed)
-        self.needs_reassembly = reorder_shield
         self.adaptive_gap = adaptive_gap
         if adaptive_gap:
             self.wants_latency = True

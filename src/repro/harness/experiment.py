@@ -99,17 +99,19 @@ class ExperimentConfig:
         """Reject values that would crash the run mid-build or quietly
         run something else (an infinite load, an empty run, a negative
         failover delay read as none)."""
-        for name in ("load", "flow_scale"):
+        for name in ("load", "flow_scale", "min_rto", "max_sim_time"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and > 0, not {value!r}")
-        if self.jobs_per_client < 1:
-            raise ValueError(
-                f"jobs_per_client must be >= 1, not {self.jobs_per_client!r}")
-        if not (math.isfinite(self.failover_delay_s)
-                and self.failover_delay_s >= 0):
-            raise ValueError(f"failover_delay_s must be finite and >= 0, "
-                             f"not {self.failover_delay_s!r}")
+        for name in ("failover_delay_s", "warmup"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, not {value!r}")
+        for name in ("jobs_per_client", "connections_per_client",
+                     "mptcp_subflows", "clients_per_leaf"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be >= 1, not {value!r}")
 
     def fault_plan(self) -> Optional[FaultPlan]:
         """The effective fault plan: ``chaos`` merged with the

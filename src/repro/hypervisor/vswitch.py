@@ -56,6 +56,11 @@ class _PathEchoState:
         self.epoch: Optional[int] = None
 
 
+#: buffered out-of-order segments per flow before reassembly gives up on
+#: the gap and flushes
+REASSEMBLY_LIMIT = 128
+
+
 class _ReassemblyBuffer:
     """Per-flow in-order delivery buffer (Presto's receiver logic)."""
 
@@ -77,7 +82,6 @@ class VSwitch:
         policy: Optional[LoadBalancer],
         ecn_relay_interval: float = 0.0,
         reassembly_timeout: float = 2e-3,
-        reassembly_limit: int = 128,
         mode: str = "overlay",
     ) -> None:
         if mode not in ("overlay", "rewrite"):
@@ -93,7 +97,6 @@ class VSwitch:
         #: min seconds between ECN relays for the same path (½RTT in paper).
         self.ecn_relay_interval = ecn_relay_interval
         self.reassembly_timeout = reassembly_timeout
-        self.reassembly_limit = reassembly_limit
         #: remote hypervisor ip -> port -> pending echo state
         self._echo: Dict[int, Dict[int, _PathEchoState]] = {}
         self._echo_rotation: Dict[int, int] = {}
@@ -535,7 +538,7 @@ class VSwitch:
             return
         buffer.segments[packet.seq] = packet
         self._drain(packet.inner, buffer)
-        if buffer.segments and len(buffer.segments) >= self.reassembly_limit:
+        if buffer.segments and len(buffer.segments) >= REASSEMBLY_LIMIT:
             self._flush(packet.inner, buffer)
         elif buffer.segments and buffer.flush_event is None:
             buffer.flush_event = self.sim.schedule(

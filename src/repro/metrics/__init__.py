@@ -1,4 +1,4 @@
-"""Measurement: flow-completion times and network statistics."""
+"""Measurement: flow-completion times."""
 
 from repro import lazy_exports
 

@@ -101,7 +101,6 @@ class Packet:
         "stt_echo_epoch",
         "int_enabled", "int_max_util",
         "flowcell_id", "flowcell_seq",
-        "dsn", "subflow_id",
         "tsecr", "sack_blocks",
         "created_at", "meta",
     )
@@ -148,9 +147,6 @@ class Packet:
         # Presto flowcell metadata (carried in the encapsulation header).
         self.flowcell_id: Optional[int] = None
         self.flowcell_seq: Optional[int] = None
-        # MPTCP: data-level sequence number and subflow index.
-        self.dsn: Optional[int] = None
-        self.subflow_id: Optional[int] = None
         # TCP option fields carried on ACKs.  These are slots rather than
         # ``meta`` entries so that a pure ACK keeps an *empty* meta dict —
         # the hypervisor receive path skips its whole control-message demux

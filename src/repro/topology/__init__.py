@@ -1,4 +1,5 @@
-"""Topology builders: leaf-spine (the paper's testbed) and fat-tree."""
+"""Topology: the leaf-spine builder (the paper's testbed) and the Network
+container it populates."""
 
 from repro import lazy_exports
 

@@ -1,9 +1,9 @@
 """The :class:`Network` container: switches, links, hosts and ECMP routes.
 
 A ``Network`` owns every physical element of a simulated fabric and knows
-how to (re)compute shortest-path ECMP routing tables over it.  Topology
-builders (:mod:`repro.topology.leafspine`, :mod:`repro.topology.fattree`)
-populate a ``Network``; experiments then attach hosts and inject failures.
+how to (re)compute shortest-path ECMP routing tables over it.  The
+leaf-spine builder (:mod:`repro.topology.leafspine`) populates a
+``Network``; experiments then attach hosts and inject failures.
 """
 
 from __future__ import annotations

@@ -17,8 +17,8 @@ Models the properties the paper attributes to MPTCP v0.89:
   receiver.
 
 A segment once mapped to a subflow is only ever retransmitted on that same
-subflow (no opportunistic reinjection), matching the stock v0.89 scheduler's
-behaviour that the paper observed.
+subflow, matching the stock v0.89 scheduler's behaviour that the paper
+observed.
 """
 
 from __future__ import annotations
@@ -38,10 +38,9 @@ if TYPE_CHECKING:  # pragma: no cover
 class MptcpSubflowSender(TcpSender):
     """One subflow: a TCP sender whose byte stream is fed by the scheduler."""
 
-    def __init__(self, connection: "MptcpConnection", subflow_id: int, *args, **kwargs):
+    def __init__(self, connection: "MptcpConnection", *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.connection = connection
-        self.subflow_id = subflow_id
         #: (subflow_seq_start, dsn_start, length) in subflow-seq order.
         self._mappings: List[Tuple[int, int, int]] = []
 
@@ -55,24 +54,14 @@ class MptcpSubflowSender(TcpSender):
         self._mappings.append((self.app_bytes, dsn, length))
         self.app_bytes += length
 
-    def _decorate_packet(self, packet: Packet) -> None:
-        packet.subflow_id = self.subflow_id
-        packet.dsn = self._dsn_for(packet.seq)
-        # A segment may span several scheduler mappings whose DSN ranges are
-        # NOT contiguous (chunks interleave across subflows); carry the
-        # explicit span list so the receiver credits the right data ranges.
-        if packet.payload_bytes > 0:
-            packet.meta["dsn_spans"] = self._spans_for(packet.seq, packet.payload_bytes)
-
-    def _dsn_for(self, seq: int) -> int:
-        index = bisect.bisect_right([m[0] for m in self._mappings], seq) - 1
-        if index < 0:
-            raise KeyError(f"no DSN mapping for subflow seq {seq}")
-        sf_start, dsn_start, _length = self._mappings[index]
-        return dsn_start + (seq - sf_start)
-
     def _spans_for(self, seq: int, length: int) -> List[Tuple[int, int]]:
-        """(dsn, length) spans covering subflow range [seq, seq+length)."""
+        """(dsn, length) spans covering subflow range [seq, seq+length).
+
+        A segment may span several scheduler mappings whose DSN ranges are
+        not contiguous (chunks interleave across subflows).  Mappings are
+        only ever appended, so a sent segment's spans never change, and the
+        subflow's receiver can read them here when the segment arrives.
+        """
         spans: List[Tuple[int, int]] = []
         index = bisect.bisect_right([m[0] for m in self._mappings], seq) - 1
         if index < 0:
@@ -107,60 +96,37 @@ class MptcpSubflowSender(TcpSender):
         # Freed cwnd on this subflow may allow more data to be scheduled.
         self.connection.pump()
 
-    def _on_rto(self) -> None:
-        super()._on_rto()
-        self.connection.on_subflow_timeout(self)
-
-    def outstanding_dsn_ranges(self) -> List[Tuple[int, int]]:
-        """DSN ranges assigned to this subflow but not yet subflow-ACKed."""
-        out: List[Tuple[int, int]] = []
-        for sf_start, dsn_start, length in self._mappings:
-            sf_end = sf_start + length
-            if sf_end <= self.snd_una:
-                continue
-            offset = max(0, self.snd_una - sf_start)
-            out.append((dsn_start + offset, length - offset))
-        return out
-
 
 class MptcpSubflowReceiver(TcpReceiver):
-    """Subflow receiver that additionally reports DSN ranges upward."""
+    """Subflow receiver that additionally reports DSN ranges upward.
 
-    def __init__(self, connection: "MptcpConnection", *args, **kwargs):
+    The DSN mapping is read from the subflow's own sender (both ends share
+    one :class:`MptcpConnection`), which stands in for the DSS option a
+    real MPTCP segment carries.
+    """
+
+    def __init__(self, connection: "MptcpConnection",
+                 sender: MptcpSubflowSender, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.connection = connection
+        self.sender = sender
 
     def on_packet(self, packet: Packet) -> None:
         if packet.payload_bytes > 0:
-            spans = packet.meta.get("dsn_spans")
-            if spans:
-                for dsn, length in spans:
-                    self.connection.on_data_received(dsn, length)
-            elif packet.dsn is not None:
-                self.connection.on_data_received(packet.dsn, packet.payload_bytes)
+            for dsn, length in self.sender._spans_for(packet.seq,
+                                                      packet.payload_bytes):
+                self.connection.on_data_received(dsn, length)
         super().on_packet(packet)
 
 
 class MptcpConnection:
-    """An MPTCP connection: scheduler + DSN reassembly over N subflows.
+    """An MPTCP connection: scheduler + DSN reassembly over N subflows."""
 
-    ``reinjection=True`` enables opportunistic reinjection: when a subflow
-    times out, its outstanding DSN ranges are also rescheduled onto the
-    other subflows (the receiver dedups by DSN).  Stock v0.89 — what the
-    paper measured — does not do this, which is why its 99th percentile
-    suffers when subflows are stuck on congested paths (Figure 5c); the
-    option exists to ablate exactly that claim.
-    """
-
-    def __init__(
-        self, sim: Simulator, n_subflows: int = 4, reinjection: bool = False
-    ) -> None:
+    def __init__(self, sim: Simulator, n_subflows: int = 4) -> None:
         if n_subflows < 1:
             raise ValueError("need at least one subflow")
         self.sim = sim
         self.n_subflows = n_subflows
-        self.reinjection = reinjection
-        self.reinjected_bytes = 0
         self.senders: List[MptcpSubflowSender] = []
         self.receivers: List[MptcpSubflowReceiver] = []
         self.app_bytes = 0            # total data-level bytes queued
@@ -212,24 +178,6 @@ class MptcpConnection:
                     TcpSender._try_send(sender)  # bypass refill reentry
         finally:
             self._pumping = False
-
-    def on_subflow_timeout(self, stalled: MptcpSubflowSender) -> None:
-        """Opportunistic reinjection after a subflow RTO (optional)."""
-        if not self.reinjection or len(self.senders) < 2:
-            return
-        ranges = stalled.outstanding_dsn_ranges()
-        if not ranges:
-            return
-        # Re-map the stalled data onto the healthiest other subflow; the
-        # receiver's DSN-level reassembly dedups whichever copy loses.
-        others = [s for s in self._by_rtt() if s is not stalled]
-        target = others[0]
-        for dsn, length in ranges:
-            if dsn + length <= self.data_rcv_nxt:
-                continue  # already delivered at the data level
-            target.assign(dsn, length)
-            self.reinjected_bytes += length
-        TcpSender._try_send(target)
 
     def refill(self, sender: MptcpSubflowSender) -> None:
         """Called by a subflow about to transmit; grant it more data."""
@@ -298,7 +246,6 @@ def open_mptcp_connection(
     base_src_port: int,
     dst_port: int,
     n_subflows: int = 4,
-    reinjection: bool = False,
     min_rto: float = 0.01,
 ) -> MptcpConnection:
     """Create an MPTCP connection with ``n_subflows`` pre-joined subflows.
@@ -306,13 +253,13 @@ def open_mptcp_connection(
     Subflow *i* uses inner source port ``base_src_port + i``, giving each a
     distinct 5-tuple for ECMP (which may still collide, as in the paper).
     """
-    connection = MptcpConnection(src_host.sim, n_subflows, reinjection=reinjection)
+    connection = MptcpConnection(src_host.sim, n_subflows)
     for i in range(n_subflows):
         flow = FlowKey(src_host.ip, dst_host.ip, base_src_port + i, dst_port)
-        sender = MptcpSubflowSender(
-            connection, i, src_host.sim, src_host, flow, min_rto
-        )
-        receiver = MptcpSubflowReceiver(connection, dst_host.sim, dst_host, flow)
+        sender = MptcpSubflowSender(connection, src_host.sim, src_host, flow,
+                                    min_rto)
+        receiver = MptcpSubflowReceiver(connection, sender, dst_host.sim,
+                                        dst_host, flow)
         dst_host.register_endpoint(flow, receiver)
         src_host.register_endpoint(receiver.reverse, sender)
         connection.senders.append(sender)

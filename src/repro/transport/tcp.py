@@ -162,7 +162,6 @@ class TcpSender:
             self.cwr_pending = False
         packet = Packet(self.flow, payload_bytes=payload, seq=seq, flags=flags,
                         created_at=self.sim.now)
-        self._decorate_packet(packet)
         self.packets_sent += 1
         self.bytes_sent += payload
         self.host.send_from_guest(packet)
@@ -170,9 +169,6 @@ class TcpSender:
     def _resend_head(self) -> None:
         """Re-send the segment at ``snd_una``."""
         self._transmit(self.snd_una, min(self.mss, self.snd_nxt - self.snd_una))
-
-    def _decorate_packet(self, packet: Packet) -> None:
-        """Hook for subclasses to stamp extra headers (MPTCP DSN, ...)."""
 
     def _arm_rto(self) -> None:
         """Ensure the RTO (and TLP) deadlines are set; keep earlier ones."""

@@ -292,11 +292,23 @@ def test_sweep_rejects_a_grid_it_cannot_run(flags, capsys):
     assert _assert_clean_stderr(capsys).startswith("invalid sweep: ")
 
 
+_MPTCP = {"scheme": "mptcp", "jobs_per_client": 2}
+
+
 @pytest.mark.parametrize("base", [
     {"scheme": "no-such-scheme"},
     {"scheme": "ecmp", "jobs_per_client": 0},
     {"scheme": "ecmp", "load": -0.5},
-], ids=["unknown-scheme", "jobs-per-client-zero", "load-negative"])
+    {**_MPTCP, "mptcp_subflows": 0},
+    {**_MPTCP, "connections_per_client": 0},
+    {**_MPTCP, "clients_per_leaf": 0},
+    {**_MPTCP, "min_rto": -1},
+    {**_MPTCP, "warmup": -1},
+    {**_MPTCP, "max_sim_time": 0},
+], ids=["unknown-scheme", "jobs-per-client-zero", "load-negative",
+        "mptcp-subflows-zero", "connections-per-client-zero",
+        "clients-per-leaf-zero", "min-rto-negative", "warmup-negative",
+        "max-sim-time-zero"])
 def test_suite_spec_with_a_point_it_cannot_run_exits_2(base, tmp_path,
                                                        capsys):
     spec = tmp_path / "spec.json"

@@ -1,13 +1,9 @@
-"""Tests for the extension modules: extra workloads, time series,
-the text renderers (their edge cases are in ``test_report.py``) and the CLI."""
+"""Tests for the extension modules: extra workloads, the text renderers
+(their edge cases are in ``test_report.py``) and the CLI."""
 
 import random
 
-import pytest
-
 from repro.harness.report import render_bar_chart, render_cdf, render_table
-from repro.metrics.timeseries import NetworkSampler, summarize
-from repro.sim.engine import Simulator
 from repro.workloads.distributions import (
     data_mining_distribution,
     enterprise_distribution,
@@ -32,68 +28,6 @@ class TestExtraDistributions:
         dist = enterprise_distribution()
         rng = random.Random(3)
         assert all(dist.sample(rng) <= 30_000_000 for _ in range(2000))
-
-
-class TestTimeseries:
-    def test_sampler_records_at_interval(self):
-        sim = Simulator()
-        sampler = NetworkSampler(sim, interval=0.1)
-        counter = {"n": 0}
-        sampler.add_probe("x", lambda: float(counter["n"]))
-        sampler.start()
-        sim.schedule(0.35, sampler.stop)
-        sim.schedule(1.0, lambda: None)
-        sim.run()
-        assert len(sampler.samples["x"]) == 3
-        assert sampler.sample_times == pytest.approx([0.1, 0.2, 0.3])
-
-    def test_duplicate_probe_rejected(self):
-        sampler = NetworkSampler(Simulator(), interval=0.1)
-        sampler.add_probe("x", lambda: 0.0)
-        with pytest.raises(ValueError):
-            sampler.add_probe("x", lambda: 1.0)
-
-    def test_invalid_interval(self):
-        with pytest.raises(ValueError):
-            NetworkSampler(Simulator(), interval=0.0)
-
-    def test_summarize(self):
-        stats = summarize([1.0, 2.0, 3.0])
-        assert stats.mean == pytest.approx(2.0)
-        assert stats.minimum == 1.0 and stats.maximum == 3.0
-        assert stats.oscillation == pytest.approx(stats.std / 2.0)
-
-    def test_summarize_empty_rejected(self):
-        with pytest.raises(ValueError):
-            summarize([])
-
-    def test_summarize_constant_series(self):
-        stats = summarize([0.4] * 10)
-        assert stats.mean == pytest.approx(0.4)
-        assert stats.std == pytest.approx(0.0, abs=1e-12)
-        assert stats.minimum == stats.maximum == 0.4
-        assert stats.oscillation == pytest.approx(0.0, abs=1e-12)
-
-    def test_summarize_all_zero_series_has_zero_oscillation(self):
-        stats = summarize([0.0, 0.0, 0.0])
-        assert stats.mean == 0.0
-        assert stats.oscillation == 0.0  # no division by a zero mean
-
-    def test_summarize_single_sample(self):
-        stats = summarize([2.5])
-        assert stats.mean == 2.5
-        assert stats.std == 0.0
-
-    def test_imbalance_balanced(self):
-        sim = Simulator()
-        sampler = NetworkSampler(sim, interval=0.1)
-        sampler.add_probe("a", lambda: 1.0)
-        sampler.add_probe("b", lambda: 1.0)
-        sampler.start()
-        sim.schedule(0.5, sampler.stop)
-        sim.run()
-        values = sampler.imbalance(["a", "b"])
-        assert all(v == pytest.approx(1.0) for v in values)
 
 
 class TestReport:

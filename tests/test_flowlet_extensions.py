@@ -1,66 +1,16 @@
-"""Tests for the Section 7 flowlet optimizations on Clove-ECN."""
+"""Tests for the Section 7 flowlet optimization on Clove-ECN: the adaptive gap."""
 
 import pytest
 
 from repro.core.clove import CloveEcnPolicy, CloveParams
 from repro.hypervisor.policy import PathFeedback
 from repro.net.packet import FlowKey
-from repro.transport.tcp import open_connection
 
-from tests.conftest import make_data_packet, make_fabric
+from tests.conftest import make_data_packet
 
 FLOW = FlowKey(1, 42, 1000, 80)
 PORTS = [50001, 50002, 50003, 50004]
 TRACES = [("a",), ("b",), ("c",), ("d",)]
-
-
-class TestReorderShield:
-    def test_enables_reassembly(self):
-        assert CloveEcnPolicy(reorder_shield=True).needs_reassembly
-        assert not CloveEcnPolicy().needs_reassembly
-
-    def test_transfer_completes_with_shield(self):
-        policies = {}
-
-        def factory(name, index):
-            policies[name] = CloveEcnPolicy(
-                CloveParams(flowlet_gap=1e-6),  # aggressive: reorders a lot
-                reorder_shield=True,
-            )
-            return policies[name]
-
-        sim, net, hosts = make_fabric(policy_factory=factory)
-        for name, host in hosts.items():
-            for other, o in hosts.items():
-                if other != name:
-                    policies[name].set_paths(o.ip, PORTS, TRACES)
-        connection = open_connection(hosts["h1_0"], hosts["h2_0"], 1000, 80)
-        done = []
-        connection.start_flow(500_000, lambda: done.append(True))
-        sim.run(until=2.0)
-        assert done
-
-    def test_shield_reduces_guest_visible_reordering(self):
-        results = {}
-        for shield in (False, True):
-            policies = {}
-
-            def factory(name, index, _s=shield):
-                policies[name] = CloveEcnPolicy(
-                    CloveParams(flowlet_gap=1e-6), reorder_shield=_s
-                )
-                return policies[name]
-
-            sim, net, hosts = make_fabric(policy_factory=factory)
-            for name, host in hosts.items():
-                for other, o in hosts.items():
-                    if other != name:
-                        policies[name].set_paths(o.ip, PORTS, TRACES)
-            connection = open_connection(hosts["h1_0"], hosts["h2_0"], 1000, 80)
-            connection.start_flow(500_000, lambda: None)
-            sim.run(until=2.0)
-            results[shield] = connection.receiver.ooo_packets
-        assert results[True] <= results[False]
 
 
 class TestAdaptiveGap:

@@ -6,9 +6,11 @@ the ones DESIGN.md's "Import layering" section states: a package import
 loads nothing, the run path stays free of observers, unselected schemes
 and the process-pool machinery, offline CLI commands never load the
 simulator, and no import lands between ``workload.start()`` and the end
-of a run.
+of a run.  One static check closes the file: every module is reachable
+from the CLI or the scheme table.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -201,3 +203,76 @@ def test_no_import_lands_in_the_timed_region(overrides):
         assert seen["suspects"] > 0
     elif overrides.get("asymmetric"):
         assert seen["injections"] > 0   # the cable failure went through chaos
+
+
+#: modules that no import reaches by design, each with its reason
+UNREACHED_BY_DESIGN = {
+    # the ``python -m repro`` entry point: the interpreter runs it, nothing
+    # imports it
+    "repro.__main__",
+}
+
+
+def _module_files():
+    """Every ``src/repro`` module name -> its file."""
+    root = Path(SRC)
+    files = {}
+    for path in (root / "repro").rglob("*.py"):
+        parts = path.relative_to(root).with_suffix("").parts
+        if parts[-1] == "__init__":
+            parts = parts[:-1]
+        files[".".join(parts)] = path
+    return files
+
+
+def _static_imports(module, path):
+    """The modules ``path`` names in its import statements (type-only
+    imports under ``if TYPE_CHECKING:`` load nothing and do not count),
+    plus the submodules of a package's ``_EXPORTS`` table."""
+    named = set()
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.If)
+                    and getattr(child.test, "id", None) == "TYPE_CHECKING"):
+                continue
+            if isinstance(child, ast.Import):
+                named.update(alias.name for alias in child.names)
+            elif isinstance(child, ast.ImportFrom) and not child.level:
+                named.add(child.module)
+                # ``from pkg import submodule``
+                named.update(f"{child.module}.{alias.name}"
+                             for alias in child.names)
+            visit(child)
+
+    tree = ast.parse(path.read_text())
+    visit(tree)
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and getattr(node.targets[0], "id", None) == "_EXPORTS"):
+            named.update(f"{module}.{sub}"
+                         for sub in ast.literal_eval(node.value).values())
+    return named
+
+
+def test_every_module_is_reachable_from_the_cli_or_a_table():
+    # A module that no command, scheme row or import of theirs reaches is
+    # code that no run selects: wire it into a table or delete it.
+    from repro.cli import COMMANDS
+    from repro.harness.schemes import SCHEMES
+
+    files = _module_files()
+    roots = {"repro.cli"}
+    roots.update(field.partition(":")[0] for row in SCHEMES.values()
+                 for field in row if isinstance(field, str) and ":" in field)
+    roots.update(row.handler.__module__ for row in COMMANDS)
+    reached, todo = set(), sorted(roots)
+    while todo:
+        module = todo.pop()
+        if module in reached or module not in files:
+            continue
+        reached.add(module)
+        parts = module.split(".")
+        todo.extend(".".join(parts[:i]) for i in range(1, len(parts)))
+        todo.extend(_static_imports(module, files[module]))
+    assert set(files) - reached == UNREACHED_BY_DESIGN

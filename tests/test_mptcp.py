@@ -95,9 +95,10 @@ class TestDsnReassembly:
         sim.run(until=0.001)
         for sender in connection.senders:
             for sf_start, dsn_start, length in sender._mappings:
-                assert sender._dsn_for(sf_start) == dsn_start
+                assert sender._spans_for(sf_start, length) == [(dsn_start, length)]
                 if length > 1:
-                    assert sender._dsn_for(sf_start + length - 1) == dsn_start + length - 1
+                    assert sender._spans_for(sf_start + length - 1, 1) == [
+                        (dsn_start + length - 1, 1)]
 
 
 class TestLia:
@@ -128,45 +129,11 @@ class TestLia:
         )
 
 
-class TestReinjection:
-    def test_disabled_by_default(self, fabric):
-        sim, net, hosts = fabric
-        connection = _open(hosts)
-        assert not connection.reinjection
-
-    def test_reinjection_remaps_stalled_data(self, fabric):
-        sim, net, hosts = fabric
-        connection = open_mptcp_connection(
-            hosts["h1_0"], hosts["h2_0"], 20000, 80,
-            n_subflows=2, reinjection=True, min_rto=2e-3,
-        )
-        done = []
-        connection.start_flow(500_000, lambda: done.append(sim.now))
-        sim.run(until=1e-4)
-        net.fail_cable("h1_0", "L1")
-        sim.run(until=5e-3)
-        net.recover_cable("h1_0", "L1")
-        sim.run(until=2.0)
-        assert done
-        assert connection.reinjected_bytes > 0
-
-    def test_outstanding_ranges_shrink_with_acks(self, fabric):
-        sim, net, hosts = fabric
-        connection = _open(hosts, n_subflows=2)
-        connection.start_flow(200_000, lambda: None)
-        sim.run(until=1e-5)
-        sender = max(connection.senders, key=lambda s: s.app_bytes)
-        before = sum(l for _d, l in sender.outstanding_dsn_ranges())
-        sim.run(until=1.0)
-        after = sum(l for _d, l in sender.outstanding_dsn_ranges())
-        assert after <= before
-        assert after == 0  # everything delivered and acked
-
-
 class TestStaticMapping:
     def test_mapping_never_reassigned_across_subflows(self, fabric):
-        """A DSN range granted to one subflow stays there (v0.89 behaviour
-        the paper highlights: no opportunistic reinjection)."""
+        """A DSN range granted to one subflow stays there (the v0.89
+        behaviour the paper highlights: a stalled subflow's data is never
+        re-sent on another)."""
         sim, net, hosts = fabric
         connection = _open(hosts)
         connection.start_flow(500_000, lambda: None)

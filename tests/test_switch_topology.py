@@ -7,7 +7,6 @@ from repro.net.packet import STT_DST_PORT, FlowKey
 from repro.net.switch import Switch
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
-from repro.topology.fattree import FatTreeConfig, build_fat_tree
 from repro.topology.leafspine import LeafSpineConfig, build_leaf_spine
 from repro.transport.tcp import open_connection
 
@@ -53,6 +52,15 @@ class TestLeafSpineBuild:
         leaf = net.switches["L1"]
         remote_ip = net.host_ip("h2_0")
         assert len(leaf.routes[remote_ip]) == 4
+
+    def test_two_node_level_paths_between_leaves(self):
+        # The node-level graph collapses the two parallel cables per
+        # leaf-spine pair: one shortest (two-hop) path per spine.  The four
+        # ECMP uplinks above are spines x cables.
+        _sim, net = _net()
+        adjacency = net.graph()
+        assert "L2" not in adjacency["L1"]
+        assert sum("L2" in adjacency[node] for node in adjacency["L1"]) == 2
 
     def test_leaf_has_single_downlink_to_local_host(self):
         _sim, net = _net()
@@ -186,36 +194,3 @@ class TestUplinkSpread:
         sim.run(until=2.0)
         assert _uplinks_used(net) > 1
 
-
-class TestFatTree:
-    def test_k4_counts(self):
-        sim = Simulator()
-        net = build_fat_tree(sim, RngRegistry(1), FatTreeConfig(k=4))
-        # 4 cores + 4 pods x (2 agg + 2 edge) = 20 switches; 16 hosts.
-        assert len(net.switches) == 20
-        assert len(net.hosts) == 16
-
-    def test_cross_pod_ecmp_width(self):
-        sim = Simulator()
-        net = build_fat_tree(sim, RngRegistry(1), FatTreeConfig(k=4))
-        edge = net.switches["E0_0"]
-        remote = net.host_ip("h3_1_0")
-        assert len(edge.routes[remote]) == 2   # two aggregation choices
-
-    def test_cross_pod_delivery(self):
-        sim = Simulator()
-        net = build_fat_tree(sim, RngRegistry(1), FatTreeConfig(k=4))
-        received = []
-        net.register_host_receiver("h3_1_1", lambda packet, _link: received.append(packet))
-        packet = make_data_packet(
-            FlowKey(net.host_ip("h0_0_0"), net.host_ip("h3_1_1"), 1234, 80),
-            0, 100, 0.0,
-        )
-        net.host_link("h0_0_0").send(packet)
-        sim.run()
-        assert len(received) == 1
-
-    def test_odd_k_rejected(self):
-        sim = Simulator()
-        with pytest.raises(ValueError):
-            build_fat_tree(sim, RngRegistry(1), FatTreeConfig(k=3))
