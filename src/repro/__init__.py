@@ -60,7 +60,7 @@ __version__ = "1.0.0"
 _EXPORTS = {
     "Simulator": "sim.engine",
     "RngRegistry": "sim.rng",
-    "ExperimentConfig": "harness.experiment",
+    "ExperimentConfig": "harness.config",
     "run_experiment": "harness.experiment",
     "Host": "hypervisor.host",
     "LeafSpineConfig": "topology.leafspine",

@@ -23,11 +23,13 @@ from pathlib import Path
 from typing import (TYPE_CHECKING, Any, Callable, Dict, List, NamedTuple,
                     Optional, Tuple)
 
-# The parser needs only these two leaf modules (scheme table, audit modes);
-# each handler imports what it runs, so ``repro --help`` or ``repro cache
-# list`` never loads the simulator (DESIGN.md, "Import layering").
-from repro.audit.report import MODES
+# The parser needs only the knob declarations and the scheme table; each
+# handler imports what it runs, so ``repro --help`` or ``repro cache list``
+# never loads the simulator (DESIGN.md, "Import layering").
+from repro.harness.config import ExperimentConfig, incast_configs
 from repro.harness.schemes import SCHEMES
+from repro.knobs import Choices, knobs
+from repro.workloads.incast import INCAST_AXES, IncastConfig
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.chaos.plan import FaultPlan
@@ -90,17 +92,50 @@ def _runner_opts(parser: argparse.ArgumentParser) -> None:
                              "inspect with `repro cache list --cache-dir DIR`")
 
 
+#: flag defaults that are not the field's own.  A `repro run|sweep` point
+#: is a 70%-load run of 150 jobs per client, long enough to tell schemes
+#: apart (suites and tests build shorter points on the field defaults);
+#: `repro incast` runs the Fig 7 point of `paper-figures`.
+CLI_DEFAULTS = {"load": 0.7, "jobs_per_client": 150,
+                "n_requests": 8, "total_bytes": 2_000_000}
+#: every knob by name (the two classes share no field name)
+_KNOBS = {f.name: f for config in (ExperimentConfig, IncastConfig)
+          for f in knobs(config)}
+
+
+def _knob_flags(parser: argparse.ArgumentParser, names) -> None:
+    """The flags of the knobs ``names`` that have one, each built from its
+    declaration; a flag's help ends with its bound."""
+    for name in names:
+        knob = _KNOBS[name]
+        meta, bound = knob.metadata, knob.metadata["bound"]
+        if meta["flag"] is None:
+            continue
+        suffix = f" ({bound})" if bound is not None else ""
+        kwargs = dict(dest=name, default=CLI_DEFAULTS.get(name, knob.default),
+                      help=meta["help"] + suffix)
+        if isinstance(knob.default, bool):
+            kwargs["action"] = (argparse.BooleanOptionalAction
+                                if meta["negatable"] else "store_true")
+        elif isinstance(bound, Choices):
+            kwargs.update(choices=bound.options, metavar=meta["metavar"])
+        else:
+            kwargs.update(type=type(knob.default), metavar=meta["metavar"]
+                          or meta["flag"][2:].replace("-", "_").upper())
+        parser.add_argument(meta["flag"], **kwargs)
+
+
+def _knob_args(args) -> Dict[str, Any]:
+    """The value of every knob whose flag the parsed command has."""
+    return {name: getattr(args, name) for name, knob in _KNOBS.items()
+            if knob.metadata["flag"] is not None and hasattr(args, name)}
+
+
 def _run_flags(parser: argparse.ArgumentParser) -> None:
-    """The ExperimentConfig flags of ``run`` and ``sweep``."""
-    parser.add_argument("--load", type=float, default=0.7,
-                        help="offered load as a fraction of bisection bandwidth")
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--jobs-per-client", type=int, default=150,
-                        help="jobs per client (run horizon)")
-    parser.add_argument("--asymmetric", action="store_true",
-                        help="fail one S2-L2 cable (the paper's scenario)")
-    parser.add_argument("--flow-scale", type=float, default=0.1,
-                        help="flow-size scale vs the paper's web-search CDF")
+    """The ExperimentConfig flags of ``run`` and ``sweep`` (the scheme is
+    ``run``'s positional and ``sweep``'s axis)."""
+    _knob_flags(parser, [f.name for f in knobs(ExperimentConfig)
+                         if f.name != "scheme"])
     chaos = parser.add_mutually_exclusive_group()
     chaos.add_argument("--chaos", metavar="FILE", default=None,
                        help="inject the FaultPlan serialized in FILE (JSON); "
@@ -108,19 +143,6 @@ def _run_flags(parser: argparse.ArgumentParser) -> None:
     chaos.add_argument("--chaos-preset", metavar="NAME", default=None,
                        help="inject a named built-in fault plan "
                             "(`repro chaos presets` lists them)")
-    parser.add_argument("--health", action=argparse.BooleanOptionalAction,
-                        default=False,
-                        help="run the per-hypervisor path health monitor "
-                             "(liveness probing, quarantine, re-discovery)")
-    parser.add_argument("--failover-delay", type=float, default=0.0,
-                        metavar="SECONDS",
-                        help="how long switches keep a dead link in their "
-                             "ECMP groups (0 = idealized instant failover)")
-    parser.add_argument("--audit", choices=MODES, default=None,
-                        metavar="MODE",
-                        help="run under the invariant auditor and print its "
-                             "report: 'strict' raises on the first "
-                             "violation, 'report' collects them")
 
 
 def _suite_target(parser: argparse.ArgumentParser) -> None:
@@ -212,29 +234,13 @@ def _chaos_plan(args) -> Optional[FaultPlan]:
     return None
 
 
-def _config_fields(args) -> Dict[str, Any]:
-    """The ExperimentConfig fields the run flags set (all but scheme)."""
-    return dict(
-        load=args.load,
-        seed=args.seed,
-        jobs_per_client=args.jobs_per_client,
-        asymmetric=args.asymmetric,
-        flow_scale=args.flow_scale,
-        chaos=_chaos_plan(args),
-        health=args.health,
-        failover_delay_s=args.failover_delay,
-        audit=args.audit,
-    )
-
-
 def cmd_run(args) -> int:
     """``repro run``: one experiment point, print its summary."""
-    from repro.harness.experiment import ExperimentConfig
     from repro.runner.job import JobSpec
     from repro.runner.pool import run_jobs
 
     try:
-        config = ExperimentConfig(scheme=args.scheme, **_config_fields(args))
+        config = ExperimentConfig(chaos=_chaos_plan(args), **_knob_args(args))
     except ValueError as exc:
         raise UsageError(f"invalid run: {exc}") from exc
     tel = _make_telemetry(args)
@@ -337,10 +343,7 @@ def cmd_sweep(args) -> None:
     from repro.suite.spec import ScenarioSpec, SuiteSpec
 
     schemes = args.schemes.split(",")
-    for scheme in schemes:
-        if scheme not in SCHEMES:
-            raise UsageError(f"unknown scheme {scheme!r}; see `schemes`")
-    base = _config_fields(args)
+    base = dict(_knob_args(args), chaos=_chaos_plan(args))
     del base["load"], base["seed"]
     spec = SuiteSpec(
         name="sweep",
@@ -394,14 +397,14 @@ def cmd_incast(args) -> int:
     from repro.runner.job import JobSpec
     from repro.runner.pool import run_jobs
 
+    points = [dict(_knob_args(args), fanout=fanout) for fanout in args.fanouts]
+    try:
+        for point in points:
+            incast_configs(**point)
+    except ValueError as exc:
+        raise UsageError(f"invalid incast: {exc}") from exc
     tel = _make_telemetry(args)
-    specs = [
-        JobSpec.incast(
-            scheme=args.scheme, fanout=fanout, seed=args.seed,
-            n_requests=args.requests, total_bytes=args.bytes,
-        )
-        for fanout in args.fanouts
-    ]
+    specs = [JobSpec.incast(**point) for point in points]
     job_results = run_jobs(specs, runner=_make_runner(args), telemetry=tel)
     _finish_telemetry(tel, args)
     results = {}
@@ -742,11 +745,8 @@ COMMANDS = (
                   "instead of running the suite"),
         _runner_opts)),
     Command(("incast",), cmd_incast, "Figure 7 incast experiment", (
-        _arg("--scheme", default="clove-ecn", choices=SCHEMES),
+        lambda parser: _knob_flags(parser, (*INCAST_AXES, "seed")),
         _arg("--fanouts", type=comma_separated_ints, default="1,2,4,8"),
-        _arg("--requests", type=int, default=8),
-        _arg("--bytes", type=int, default=2_000_000),
-        _arg("--seed", type=int, default=1),
         _runner_opts, _telemetry_opts)),
     Command(("schemes",), cmd_schemes, "list available schemes"),
     Command(("telemetry",), cmd_telemetry, "inspect a telemetry artifact", (

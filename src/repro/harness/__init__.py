@@ -4,7 +4,7 @@ text rendering (grids of runs are :mod:`repro.suite` scenarios)."""
 from repro import lazy_exports
 
 _EXPORTS = {
-    "ExperimentConfig": "experiment",
+    "ExperimentConfig": "config",
 }
 
 __all__ = list(_EXPORTS)

@@ -9,7 +9,6 @@ one runs, are the rows of :data:`repro.harness.schemes.SCHEMES`.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import asdict, dataclass, field, replace
 from typing import (
@@ -23,6 +22,7 @@ from typing import (
 import repro.baselines.ecmp  # noqa: F401
 from repro.core.clove import CloveParams
 from repro.core.discovery import DiscoveryConfig, PathDiscovery
+from repro.harness.config import ExperimentConfig
 from repro.harness.schemes import SCHEMES, PolicySite, resolve
 from repro.hypervisor.host import Host
 from repro.metrics.collector import MetricsCollector
@@ -32,97 +32,12 @@ from repro.sim.rng import RngRegistry
 from repro.telemetry import NULL_TELEMETRY, Telemetry
 from repro.topology.leafspine import LeafSpineConfig, build_leaf_spine
 from repro.topology.network import Network
-from repro.workloads.distributions import flow_size_distribution, validate_workload
-from repro.workloads.generator import PoissonWorkload, WorkloadConfig
+from repro.workloads.distributions import WORKLOADS
+from repro.workloads.generator import PoissonWorkload
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.audit.report import AuditReport
     from repro.chaos.engine import ChaosEngine
-    from repro.chaos.plan import FaultPlan
-    from repro.core.health import HealthConfig
-
-
-@dataclass
-class ExperimentConfig:
-    """One experiment point."""
-
-    scheme: str = "clove-ecn"
-    load: float = 0.5
-    seed: int = 1
-    asymmetric: bool = False          # fail one S2-L2 cable before traffic
-    jobs_per_client: int = 30
-    #: persistent connections per client, each to an independently chosen
-    #: random server (the NS2 setup used three per client).  Six keeps the
-    #: ECMP hash-placement variance low enough that the asymmetric
-    #: bottleneck is reliably overloaded at high load.
-    connections_per_client: int = 6
-    #: "permutation" (balanced, low variance) or "random" (paper protocol)
-    pairing: str = "permutation"
-    #: topology; None = the scaled-down default (8 hosts/leaf).  Its switch
-    #: classes are the scheme row's
-    topology: Optional[LeafSpineConfig] = None
-    #: flow sizes are the web-search CDF times this factor (0.1 keeps the
-    #: elephant/mice mix meaningful against the fabric BDP at CI speed)
-    flow_scale: float = 0.1
-    #: flow-size distribution name (see
-    #: :data:`repro.workloads.distributions.WORKLOADS`): "web-search" (the
-    #: paper's), "data-mining" or "enterprise"
-    workload: str = "web-search"
-    #: Clove parameters; gap/expiry default to multiples of the fabric RTT
-    flowlet_gap_rtt: float = 1.0
-    congestion_expiry_rtt: float = 3.0
-    ecn_relay_interval_rtt: float = 0.5
-    weight_reduction: float = 1.0 / 3.0
-    mptcp_subflows: int = 4
-    min_rto: float = 5e-3
-    clients_per_leaf: Optional[int] = None   # default: all leaf-1 hosts
-    warmup: float = 0.02              # seconds before traffic starts
-    max_sim_time: float = 60.0        # hard stop (simulated seconds)
-    discovery: Optional[DiscoveryConfig] = None
-    #: declarative fault schedule executed by a ChaosEngine; ``asymmetric``
-    #: above is sugar for the single-cable plan and composes with this
-    chaos: Optional[FaultPlan] = None
-    #: run a per-hypervisor PathHealthMonitor on every policy with a weight
-    #: table (the Clove variants); a no-op for the other schemes
-    health: bool = False
-    #: health tuning; None = RTT-derived defaults
-    health_config: Optional[HealthConfig] = None
-    #: seconds a dead link lingers in switch ECMP groups before the
-    #: (modeled) routing agent repairs them; 0 = idealized instant failover
-    failover_delay_s: float = 0.0
-    #: runtime invariant auditing (repro.audit): None = off (the fast
-    #: engine loop), "strict" raises at the first violation, "report"
-    #: accumulates findings into ``ExperimentResult.audit``
-    audit: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        """Reject values that would crash the run mid-build or quietly
-        run something else (an infinite load, an empty run, a negative
-        failover delay read as none)."""
-        for name in ("load", "flow_scale", "min_rto", "max_sim_time"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and > 0, not {value!r}")
-        for name in ("failover_delay_s", "warmup"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be finite and >= 0, not {value!r}")
-        for name in ("jobs_per_client", "connections_per_client",
-                     "mptcp_subflows", "clients_per_leaf"):
-            value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ValueError(f"{name} must be >= 1, not {value!r}")
-
-    def fault_plan(self) -> Optional[FaultPlan]:
-        """The effective fault plan: ``chaos`` merged with the
-        ``asymmetric`` sugar (one L2-S2 cable down from t=0)."""
-        plan = self.chaos
-        if self.asymmetric:
-            from repro.chaos.plan import single_cable
-
-            asym = single_cable()
-            plan = asym if plan is None else plan + asym
-        return plan if plan else None
 
 
 def default_topology() -> LeafSpineConfig:
@@ -220,8 +135,6 @@ def assemble(config: ExperimentConfig, tel: Telemetry) -> Assembly:
     :func:`run_experiment` and :func:`~repro.harness.incast.run_incast`
     differ only in the workload they drive over the result.
     """
-    if config.scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {config.scheme!r}")
     row = SCHEMES[config.scheme]
     sim = Simulator()
     rng = RngRegistry(config.seed)
@@ -341,8 +254,6 @@ def run_experiment(
     hold fabric counters and structured decision events.  Pass the same
     scope to several runs (a sweep) to accumulate one artifact.
     """
-    # Fail fast on a mistyped workload name, before any fabric is built.
-    validate_workload(config.workload)
     tel = telemetry if telemetry is not None else NULL_TELEMETRY
     sim, rng, topo, rtt, net, hosts, chaos_engine, open_connection = assemble(
         config, tel)
@@ -369,22 +280,12 @@ def run_experiment(
     baseline_bisection = (
         topo.n_spines * topo.cables_per_pair * topo.fabric_rate_bps * topo.scale
     )
-    size_dist = flow_size_distribution(config.workload, scale=config.flow_scale)
+    size_dist = WORKLOADS[config.workload](scale=config.flow_scale)
 
     collector = MetricsCollector()
     workload = PoissonWorkload(
-        sim, rng, clients, servers,
-        size_dist,
-        baseline_bisection,
-        WorkloadConfig(
-            load=config.load,
-            jobs_per_client=config.jobs_per_client,
-            connections_per_client=config.connections_per_client,
-            start_time=config.warmup,
-            pairing=config.pairing,
-        ),
-        collector,
-        factory,
+        sim, rng, clients, servers, size_dist, baseline_bisection, config,
+        collector, factory,
     )
 
     prewarm_discovery(pairs)

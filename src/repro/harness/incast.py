@@ -3,40 +3,42 @@
 from __future__ import annotations
 
 import time
-from typing import Dict, Optional
+from typing import Any, Dict, Optional
 
-from repro.harness.experiment import ExperimentConfig, assemble, prewarm_discovery
+from repro.harness.config import incast_configs
+from repro.harness.experiment import assemble, prewarm_discovery
 from repro.hypervisor.host import Host
 from repro.telemetry import NULL_TELEMETRY, Telemetry
-from repro.workloads.incast import IncastConfig, IncastWorkload
+from repro.workloads.incast import INCAST_AXES, IncastWorkload
 
 
 def run_incast(
-    scheme: str = "clove-ecn",
-    fanout: int = 8,
+    scheme: Optional[str] = None,
+    *,
     seed: int = 1,
-    n_requests: int = 20,
-    total_bytes: int = 1_000_000,
-    mptcp_subflows: int = 4,
-    min_rto: float = 5e-3,
     telemetry: Optional[Telemetry] = None,
     stats_out: Optional[Dict[str, float]] = None,
+    **knobs: Any,
 ) -> float:
     """Run the partition-aggregate workload; returns client goodput (bps).
 
     One client on leaf 1 requests ``total_bytes`` split over ``fanout``
     servers on leaf 2, repeatedly; all servers respond simultaneously,
     stressing the client's access link exactly as in the paper's incast
-    experiment.  A ``telemetry`` scope, when given, instruments the run the
-    same way :func:`~repro.harness.experiment.run_experiment` does.
+    experiment.  ``scheme`` (None: the config's default) and ``knobs``
+    are the point's :data:`~repro.workloads.incast.INCAST_AXES` keywords.  A
+    ``telemetry`` scope, when given, instruments the run the same way
+    :func:`~repro.harness.experiment.run_experiment` does.
 
     ``stats_out``, when given, is filled with the run's raw throughput
     counters (``packets`` = NIC-injected, ``events``, ``sim_s``) for the
     benchmark tier.
     """
+    if scheme is not None:
+        knobs["scheme"] = scheme
+    config, incast = incast_configs(seed, **knobs)
     tel = telemetry if telemetry is not None else NULL_TELEMETRY
-    built = assemble(ExperimentConfig(scheme=scheme, seed=seed, min_rto=min_rto,
-                                      mptcp_subflows=mptcp_subflows), tel)
+    built = assemble(config, tel)
     sim, net, hosts = built.sim, built.net, built.hosts
 
     client = hosts["h1_0"]
@@ -55,29 +57,19 @@ def run_incast(
         if tel.trace.enabled:
             from repro.runner.job import fingerprint_payload
 
+            filled = {**vars(config), **vars(incast)}
             tel.trace.begin_run(fingerprint_payload("incast", dict(
-                scheme=scheme, fanout=fanout, seed=seed,
-                n_requests=n_requests, total_bytes=total_bytes,
-                mptcp_subflows=mptcp_subflows, min_rto=min_rto,
-            )))
+                {name: filled[name] for name in INCAST_AXES}, seed=seed)))
         tel.instrument(sim=sim, net=net, hosts=hosts)
         manifest = tel.manifest(
-            run="incast", scheme=scheme, seed=seed, fanout=fanout,
-            n_requests=n_requests, total_bytes=total_bytes,
+            run="incast", scheme=config.scheme, seed=seed,
+            fanout=incast.fanout, n_requests=incast.n_requests,
+            total_bytes=incast.total_bytes,
         )
-        tel.events.emit("run.start", sim.now, scheme=scheme, fanout=fanout,
-                        seed=seed)
+        tel.events.emit("run.start", sim.now, scheme=config.scheme,
+                        fanout=incast.fanout, seed=seed)
 
-    workload = IncastWorkload(
-        sim, built.rng, client, servers,
-        IncastConfig(
-            total_bytes=total_bytes,
-            fanout=fanout,
-            n_requests=n_requests,
-            start_time=0.02,
-        ),
-        factory,
-    )
+    workload = IncastWorkload(sim, built.rng, client, servers, incast, factory)
     finished = []
     wall_start = time.perf_counter()
     workload.start(lambda: finished.append(sim.now))

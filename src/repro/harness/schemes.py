@@ -12,7 +12,7 @@ from typing import TYPE_CHECKING, Any, NamedTuple, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.clove import CloveParams
-    from repro.harness.experiment import ExperimentConfig
+    from repro.harness.config import ExperimentConfig
     from repro.sim.rng import RngRegistry
     from repro.topology.network import Network
 

@@ -10,9 +10,8 @@ Each link owns:
 * a virtual-clock transmitter (one packet in flight at a time —
   store-and-forward),
 * when some reader asked for one (:meth:`Link.track_utilization`), a
-  :class:`~repro.net.dre.DiscountingRateEstimator` — CONGA's switches, INT
-  stamping and the time-series sampler read it; no other run pays for
-  it — and
+  :class:`~repro.net.dre.DiscountingRateEstimator` — CONGA's switches and
+  INT stamping read it; no other run pays for it — and
 * an up/down flag so experiments can fail links to create asymmetry.
 
 The transmitter keeps a *virtual serializer clock* (``_free_at``) instead of

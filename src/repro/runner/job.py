@@ -1,7 +1,7 @@
 """The runner's job model: what one unit of work is and how it is keyed.
 
 A :class:`JobSpec` wraps either an
-:class:`~repro.harness.experiment.ExperimentConfig` (``kind="experiment"``)
+:class:`~repro.harness.config.ExperimentConfig` (``kind="experiment"``)
 or a set of :func:`~repro.harness.incast.run_incast` keyword arguments
 (``kind="incast"``) and derives a **content fingerprint**: a stable hash of
 the canonicalized config fields plus :data:`SCHEMA_VERSION`.  The

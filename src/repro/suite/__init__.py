@@ -6,7 +6,7 @@ executed:
 
 * :mod:`repro.suite.spec` — typed, JSON/TOML-loadable
   :class:`SuiteSpec`/:class:`ScenarioSpec` whose axis matrices expand to
-  :class:`~repro.harness.experiment.ExperimentConfig` grids (with
+  :class:`~repro.harness.config.ExperimentConfig` grids (with
   ``exclude``/``pin`` rules and ``chaos``/``topology`` sugar axes);
 * :mod:`repro.suite.execute` — :func:`run_suite`, lowering a spec onto
   the cached parallel runner and collecting per-seed metric payloads into

@@ -2,7 +2,7 @@
 
 A *suite* is a named set of scenario matrices plus the protocol they run
 under (seeds, gated metrics, tolerance).  Each :class:`ScenarioSpec`
-declares a ``base`` of :class:`~repro.harness.experiment.ExperimentConfig`
+declares a ``base`` of :class:`~repro.harness.config.ExperimentConfig`
 overrides and a ``matrix`` of axes — the cross-product of the axis values,
 minus ``exclude`` rules, plus ``pin`` overrides, lowers to one concrete
 :class:`Scenario` (and per-seed ``ExperimentConfig``) per combination::
@@ -26,13 +26,14 @@ Axes are ``ExperimentConfig`` field names, plus two sugar axes:
 
 A scenario of ``"kind": "incast"`` runs the Figure 7 fan-in experiment
 instead: its axes are the :func:`~repro.harness.incast.run_incast`
-keywords (:data:`INCAST_AXES`), each point lowers to
+keywords (:data:`~repro.workloads.incast.INCAST_AXES`), each point lowers to
 :meth:`JobSpec.incast <repro.runner.job.JobSpec.incast>` and its one
 metric is ``goodput_bps``.
 
-Unknown axes, scheme names, workload names, topology/chaos references and
-exclude keys are all rejected at load time with descriptive errors — a
-suite that parses will run.
+Every point's configs are built at load time, so unknown axes, a value
+outside its knob's declared bound (an unknown scheme or workload name
+included), topology/chaos references and exclude keys are all rejected
+then with descriptive errors — a suite that parses will run.
 
 Specs load from JSON or TOML files (:func:`load_suite`); the bundled
 suites in :mod:`repro.suite.bundles` are plain ``SuiteSpec`` values built
@@ -49,11 +50,12 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.chaos.plan import PRESETS, FaultPlan, preset
-from repro.harness.experiment import ExperimentConfig, SCHEMES, default_topology
+from repro.harness.config import ExperimentConfig, incast_configs
+from repro.harness.experiment import default_topology
 from repro.harness.metrics import METRIC_KEYS
 from repro.runner.job import JobSpec
 from repro.topology.leafspine import LeafSpineConfig
-from repro.workloads.distributions import validate_workload
+from repro.workloads.incast import INCAST_AXES
 
 #: named topology presets a ``topology`` axis value may reference
 TOPOLOGIES: Dict[str, Optional[LeafSpineConfig]] = {
@@ -68,9 +70,6 @@ TOPOLOGIES: Dict[str, Optional[LeafSpineConfig]] = {
 _CONFIG_FIELDS = {f.name for f in dataclasses.fields(ExperimentConfig)}
 #: axes resolved specially before ExperimentConfig construction
 _SUGAR_AXES = ("chaos", "topology")
-#: the ``run_incast`` keywords an incast scenario may set (seed excepted)
-INCAST_AXES = ("scheme", "fanout", "n_requests", "total_bytes",
-               "mptcp_subflows", "min_rto")
 #: scenario kind -> the payload metrics its runs produce
 KIND_METRICS: Dict[str, Tuple[str, ...]] = {
     "experiment": METRIC_KEYS, "incast": ("goodput_bps",)}
@@ -147,32 +146,20 @@ def _check_params(params: Dict[str, Any], where: str,
         )
 
 
-def _check_scheme(scheme: Any, where: str) -> None:
-    if scheme not in SCHEMES:
-        raise ValueError(
-            f"{where}: unknown scheme {scheme!r} "
-            f"(valid schemes: {', '.join(SCHEMES)})"
-        )
-
-
 def build_config(params: Dict[str, Any], where: str = "scenario") -> ExperimentConfig:
     """Lower one expanded parameter dict to an :class:`ExperimentConfig`.
 
-    Validates axis names, the scheme and the workload; resolves the
-    ``chaos`` and ``topology`` sugar axes.
+    Validates axis names and resolves the ``chaos`` and ``topology`` sugar
+    axes; the config checks every other value against its knob's bound.
     """
     _check_params(params, where)
     params = dict(params)
-    chaos = _resolve_chaos(params.pop("chaos", None), where)
-    topology = _resolve_topology(params.pop("topology", None), where)
-    config = ExperimentConfig(**params)
-    _check_scheme(config.scheme, where)
-    validate_workload(config.workload)
-    if chaos is not None:
-        config = dataclasses.replace(config, chaos=chaos)
-    if topology is not None:
-        config = dataclasses.replace(config, topology=topology)
-    return config
+    params["chaos"] = _resolve_chaos(params.get("chaos"), where)
+    params["topology"] = _resolve_topology(params.get("topology"), where)
+    try:
+        return ExperimentConfig(**params)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from exc
 
 
 def _axis_token(value: Any) -> str:
@@ -229,7 +216,7 @@ class ScenarioSpec:
     #: overrides applied after expansion (they never appear in the id)
     pin: Dict[str, Any] = field(default_factory=dict)
     #: ``"experiment"`` (ExperimentConfig axes) or ``"incast"``
-    #: (:data:`INCAST_AXES`)
+    #: (:data:`~repro.workloads.incast.INCAST_AXES`)
     kind: str = "experiment"
 
     def validate(self) -> None:
@@ -285,9 +272,13 @@ class ScenarioSpec:
             scenario_id = self.name + (f"/{suffix}" if suffix else "")
             where = f"scenario {scenario_id!r}"
             if self.kind == "incast":
-                # the keywords as given: defaults filled in here would
-                # change the job fingerprint
-                _check_scheme(params.get("scheme", "clove-ecn"), where)
+                # built to check the point, which keeps the keywords as
+                # given: defaults filled in here would change the job
+                # fingerprint
+                try:
+                    incast_configs(**params)
+                except ValueError as exc:
+                    raise ValueError(f"{where}: {exc}") from exc
                 scenarios.append(Scenario(scenario_id, params, None, "incast"))
                 continue
             config = build_config(params, where=where)

@@ -43,6 +43,8 @@ class MptcpSubflowSender(TcpSender):
         self.connection = connection
         #: (subflow_seq_start, dsn_start, length) in subflow-seq order.
         self._mappings: List[Tuple[int, int, int]] = []
+        #: the mappings' subflow_seq_start column, bisected per segment
+        self._starts: List[int] = []
 
     # -- scheduling hooks ------------------------------------------------
     def _try_send(self) -> None:
@@ -52,6 +54,7 @@ class MptcpSubflowSender(TcpSender):
     def assign(self, dsn: int, length: int) -> None:
         """Scheduler grants this subflow ``length`` bytes starting at ``dsn``."""
         self._mappings.append((self.app_bytes, dsn, length))
+        self._starts.append(self.app_bytes)
         self.app_bytes += length
 
     def _spans_for(self, seq: int, length: int) -> List[Tuple[int, int]]:
@@ -63,7 +66,7 @@ class MptcpSubflowSender(TcpSender):
         subflow's receiver can read them here when the segment arrives.
         """
         spans: List[Tuple[int, int]] = []
-        index = bisect.bisect_right([m[0] for m in self._mappings], seq) - 1
+        index = bisect.bisect_right(self._starts, seq) - 1
         if index < 0:
             raise KeyError(f"no DSN mapping for subflow seq {seq}")
         remaining = length

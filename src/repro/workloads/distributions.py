@@ -17,9 +17,8 @@ how Clove behaves when the elephant/mice mix shifts:
   between elephants persist for a very long time, favouring flowlet schemes.
 * **enterprise** — milder mix, most flows small, tail ends near 30MB.
 
-Every named workload is registered in :data:`WORKLOADS`;
-:func:`flow_size_distribution` resolves a name to a sampler and rejects
-unknown names with the full list of valid ones.
+Every named workload is registered in :data:`WORKLOADS`, the choices of
+``ExperimentConfig.workload``.
 """
 
 from __future__ import annotations
@@ -148,7 +147,7 @@ def enterprise_distribution(scale: float = 1.0) -> EmpiricalCdf:
     return EmpiricalCdf(_ENTERPRISE_KNOTS, scale=scale)
 
 
-#: every named workload an :class:`~repro.harness.experiment.ExperimentConfig`
+#: every named workload an :class:`~repro.harness.config.ExperimentConfig`
 #: (and a suite spec's ``workload`` axis) may reference
 WORKLOADS: Dict[str, Callable[..., EmpiricalCdf]] = {
     "web-search": web_search_distribution,
@@ -156,22 +155,3 @@ WORKLOADS: Dict[str, Callable[..., EmpiricalCdf]] = {
     "enterprise": enterprise_distribution,
 }
 
-
-def flow_size_distribution(name: str, scale: float = 1.0) -> EmpiricalCdf:
-    """Resolve a workload name to its (rescaled) flow-size sampler.
-
-    Raises :class:`ValueError` naming the valid workloads on an unknown
-    name, so a mistyped ``ExperimentConfig.workload`` fails fast instead of
-    surfacing as a late import error mid-run.
-    """
-    validate_workload(name)
-    return WORKLOADS[name](scale=scale)
-
-
-def validate_workload(name: str) -> None:
-    """Raise a descriptive :class:`ValueError` unless ``name`` is known."""
-    if name not in WORKLOADS:
-        valid = ", ".join(sorted(WORKLOADS))
-        raise ValueError(
-            f"unknown workload {name!r} (valid workloads: {valid})"
-        )

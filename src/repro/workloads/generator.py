@@ -13,8 +13,7 @@ the paper's flow completion time for 50K jobs/connection runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, List, Sequence
 
 from repro.hypervisor.host import Host
 from repro.metrics.collector import MetricsCollector
@@ -22,22 +21,8 @@ from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
 from repro.workloads.distributions import EmpiricalCdf
 
-
-@dataclass
-class WorkloadConfig:
-    """Parameters of the Poisson client-server workload."""
-
-    load: float = 0.5                 # fraction of bisection bandwidth
-    jobs_per_client: int = 100
-    connections_per_client: int = 1
-    start_time: float = 0.0
-    #: "random": each connection picks a uniformly random server (the
-    #: paper's protocol — creates destination hotspots whose effect only
-    #: averages out over very long runs); "permutation": connection c of
-    #: client i goes to server (i + c) mod n — balanced, low-variance.
-    pairing: str = "permutation"
-    #: cap on concurrently outstanding jobs per connection; None = open loop
-    max_outstanding: Optional[int] = None
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.harness.config import ExperimentConfig
 
 
 class PoissonWorkload:
@@ -51,16 +36,16 @@ class PoissonWorkload:
         servers: Sequence[Host],
         size_dist: EmpiricalCdf,
         bisection_bps: float,
-        config: WorkloadConfig,
+        config: ExperimentConfig,
         collector: MetricsCollector,
         connection_factory: Callable[[Host, Host, int], object],
     ) -> None:
-        """``connection_factory(client, server, index)`` must return an
+        """``config`` is the run's, whose ``load``, ``jobs_per_client``,
+        ``connections_per_client``, ``pairing`` and ``warmup`` this reads.
+        ``connection_factory(client, server, index)`` must return an
         object with ``start_flow(nbytes, on_complete)`` (a TCP
         :class:`~repro.transport.tcp.Connection` or an
         :class:`~repro.transport.mptcp.MptcpConnection`)."""
-        if not 0.0 < config.load:
-            raise ValueError("load must be positive")
         if not clients or not servers:
             raise ValueError("need at least one client and one server")
         self.sim = sim
@@ -81,22 +66,17 @@ class PoissonWorkload:
         per_connection_bps = config.load * bisection_bps / n_connections
         self.mean_interarrival = mean_size * 8.0 / per_connection_bps
 
-        if config.pairing not in ("random", "permutation"):
-            raise ValueError(f"unknown pairing {config.pairing!r}")
         self._connections: List[object] = []
-        self._outstanding: List[int] = []
-        self._deferred: List[int] = []
         servers = list(servers)
         for i, client in enumerate(clients):
             for c in range(config.connections_per_client):
                 if config.pairing == "random":
                     server = self._pair_rng.choice(servers)
                 else:
+                    # connection c of client i: balanced, low variance
                     server = servers[(i + c) % len(servers)]
                 connection = connection_factory(client, server, c)
                 self._connections.append(connection)
-                self._outstanding.append(0)
-                self._deferred.append(0)
         # Causal tracing: tracer plus each connection's forward 5-tuple
         # (filled in by attach_telemetry; stays off for NULL_TELEMETRY).
         self._tel_trace = None
@@ -122,22 +102,15 @@ class PoissonWorkload:
     def _schedule_arrival(self, index: int, first: bool = False) -> None:
         delay = self._arrival_rng.expovariate(1.0 / self.mean_interarrival)
         if first:
-            delay += self.config.start_time
-        self.sim.schedule(delay, self._submit_job, index, 0)
+            delay += self.config.warmup
+        self.sim.schedule(delay, self._submit_job, index)
 
-    def _submit_job(self, index: int, jobs_done_on_connection: int) -> None:
+    def _submit_job(self, index: int) -> None:
         if self.jobs_submitted >= self.total_jobs:
-            return
-        if (
-            self.config.max_outstanding is not None
-            and self._outstanding[index] >= self.config.max_outstanding
-        ):
-            self._deferred[index] += 1
             return
         size = self.size_dist.sample(self._size_rng)
         arrival = self.sim.now
         self.jobs_submitted += 1
-        self._outstanding[index] += 1
         record = self.collector.job_started(size, arrival)
         trace = self._tel_trace
         key = self._flow_keys[index] if trace is not None else None
@@ -149,10 +122,6 @@ class PoissonWorkload:
             if trace is not None and key is not None:
                 trace.flow_end(key, self.sim.now, status="completed")
             self.jobs_completed += 1
-            self._outstanding[index] -= 1
-            if self._deferred[index] > 0:
-                self._deferred[index] -= 1
-                self._submit_job(index, 0)
 
         self._connections[index].start_flow(size, _on_complete)
         self._schedule_next(index)
@@ -161,7 +130,7 @@ class PoissonWorkload:
         if self.jobs_submitted >= self.total_jobs:
             return
         delay = self._arrival_rng.expovariate(1.0 / self.mean_interarrival)
-        self.sim.schedule(delay, self._submit_job, index, 0)
+        self.sim.schedule(delay, self._submit_job, index)
 
     @property
     def total_jobs(self) -> int:

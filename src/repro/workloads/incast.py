@@ -9,22 +9,39 @@ metric is the client's average goodput over many such requests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, Sequence
 
-from repro.hypervisor.host import Host
-from repro.sim.engine import Simulator
-from repro.sim.rng import RngRegistry
+from repro.knobs import COUNT, check, knob, knobs
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.hypervisor.host import Host
+    from repro.sim.engine import Simulator
+    from repro.sim.rng import RngRegistry
 
 
 @dataclass
 class IncastConfig:
     """Parameters of the incast workload."""
 
-    total_bytes: int = 10_000_000      # 10 MB per request, as in the paper
-    fanout: int = 8                    # servers per request
-    n_requests: int = 50
+    total_bytes: int = knob(
+        10_000_000, "bytes per request, split evenly over its servers",
+        COUNT, flag="--bytes")
+    fanout: int = knob(8, "servers per request (at most the servers of "
+                          "leaf 2)", COUNT)
+    n_requests: int = knob(50, "requests, one after another", COUNT,
+                           flag="--requests")
     start_time: float = 0.0
     request_overhead: float = 0.0      # think time between requests
+
+    def __post_init__(self) -> None:
+        check(self)
+
+
+#: the knobs of one incast point (``run_incast``'s keywords besides the
+#: seed, a suite incast scenario's axes): the ExperimentConfig knobs it sets,
+#: its fabric being otherwise the default, then the workload's own
+INCAST_AXES = ("scheme", "mptcp_subflows", "min_rto") + tuple(
+    f.name for f in knobs(IncastConfig))
 
 
 class IncastWorkload:
@@ -39,8 +56,8 @@ class IncastWorkload:
         config: IncastConfig,
         connection_factory: Callable[[Host, Host, int], object],
     ) -> None:
-        if config.fanout < 1 or config.fanout > len(servers):
-            raise ValueError("fanout must be between 1 and the number of servers")
+        if config.fanout > len(servers):
+            raise ValueError("fanout must be at most the number of servers")
         self.sim = sim
         self.config = config
         self.client = client

@@ -292,7 +292,22 @@ def test_sweep_rejects_a_grid_it_cannot_run(flags, capsys):
     assert _assert_clean_stderr(capsys).startswith("invalid sweep: ")
 
 
+@pytest.mark.parametrize("flags", [
+    ["--fanouts", "0"],
+    ["--bytes", "0"],
+    ["--requests", "0"],
+], ids=" ".join)
+def test_incast_rejects_a_point_it_cannot_run(flags, capsys):
+    # checked before any point runs
+    assert main(["incast", "--fanouts", "2", "--requests", "2",
+                 "--bytes", "200000", *flags]) == 2
+    assert _assert_clean_stderr(capsys).startswith("invalid incast: ")
+
+
 _MPTCP = {"scheme": "mptcp", "jobs_per_client": 2}
+_CLOVE = {"scheme": "clove-ecn", "jobs_per_client": 2, "clients_per_leaf": 2}
+#: an incast scenario (``kind`` is the scenario's, the rest its base)
+_INCAST = {"kind": "incast", "n_requests": 1, "total_bytes": 100_000}
 
 
 @pytest.mark.parametrize("base", [
@@ -305,15 +320,32 @@ _MPTCP = {"scheme": "mptcp", "jobs_per_client": 2}
     {**_MPTCP, "min_rto": -1},
     {**_MPTCP, "warmup": -1},
     {**_MPTCP, "max_sim_time": 0},
+    {**_CLOVE, "flowlet_gap_rtt": -1},
+    {**_CLOVE, "weight_reduction": 5},
+    {**_CLOVE, "pairing": "bogus"},
+    {**_CLOVE, "audit": "bogus"},
+    {**_CLOVE, "congestion_expiry_rtt": -1},
+    {**_CLOVE, "ecn_relay_interval_rtt": -1},
+    {**_CLOVE, "flowlet_gap_rtt": float("nan")},
+    {**_INCAST, "scheme": "mptcp", "fanout": 2, "mptcp_subflows": 0},
+    {**_INCAST, "fanout": 0},
 ], ids=["unknown-scheme", "jobs-per-client-zero", "load-negative",
         "mptcp-subflows-zero", "connections-per-client-zero",
         "clients-per-leaf-zero", "min-rto-negative", "warmup-negative",
-        "max-sim-time-zero"])
+        "max-sim-time-zero", "flowlet-gap-negative",
+        "weight-reduction-above-one", "unknown-pairing", "unknown-audit-mode",
+        "congestion-expiry-negative", "ecn-relay-interval-negative",
+        "flowlet-gap-nan", "incast-mptcp-subflows-zero", "incast-fanout-zero"])
 def test_suite_spec_with_a_point_it_cannot_run_exits_2(base, tmp_path,
                                                        capsys):
+    base = dict(base)
+    kind = base.pop("kind", "experiment")
     spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps({"name": "bad", "seeds": [1], "scenarios": [
-        {"name": "s", "base": base}]}))
+    # an incast-only suite gates the one metric its points produce
+    metrics = {"metrics": ["goodput_bps"]} if kind == "incast" else {}
+    spec.write_text(json.dumps({"name": "bad", "seeds": [1], **metrics,
+                                "scenarios": [
+        {"name": "s", "kind": kind, "base": base}]}))
     assert main(["suite", "run", "--spec", str(spec)]) == 2
     assert "cannot load suite spec" in _assert_clean_stderr(capsys)
 

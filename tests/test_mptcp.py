@@ -1,5 +1,7 @@
 """Tests for the MPTCP model (subflows, LIA coupling, DSN reassembly)."""
 
+import tracemalloc
+
 import pytest
 
 from repro.net.packet import MSS
@@ -99,6 +101,23 @@ class TestDsnReassembly:
                 if length > 1:
                     assert sender._spans_for(sf_start + length - 1, 1) == [
                         (dsn_start + length - 1, 1)]
+
+    def test_span_lookup_does_not_copy_the_mappings(self, fabric):
+        # the receiver looks spans up once per data segment: a lookup that
+        # builds a list of every mapping start makes a long subflow quadratic
+        sim, net, hosts = fabric
+        sender = _open(hosts).senders[0]
+        for i in range(50_000):
+            sender.assign(2 * i * MSS, MSS)
+        tracemalloc.start()
+        try:
+            for i in range(1000):
+                assert sender._spans_for(i * 50 * MSS, MSS) == [
+                    (100 * i * MSS, MSS)]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024, peak
 
 
 class TestLia:

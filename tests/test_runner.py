@@ -53,6 +53,14 @@ def _quick(scheme="ecmp", **overrides) -> ExperimentConfig:
     return ExperimentConfig(**defaults)
 
 
+def _failing_config(**overrides) -> ExperimentConfig:
+    """A config whose run raises in the worker: its scheme is set past
+    the field's check."""
+    config = ExperimentConfig(**overrides)
+    config.scheme = "bogus"
+    return config
+
+
 class TestFingerprint:
     def test_identical_configs_hash_identically(self):
         a = JobSpec.experiment(_quick())
@@ -194,7 +202,7 @@ class TestRunJobsSerial:
         assert _metrics_equal(first.metrics, second.metrics)
 
     def test_deterministic_error_is_not_retried(self):
-        bad = ExperimentConfig(scheme="bogus")
+        bad = _failing_config()
         (result,) = run_jobs([JobSpec.experiment(bad)], runner=RunnerConfig(retries=5))
         assert not result.ok
         assert result.attempts == 1
@@ -202,7 +210,7 @@ class TestRunJobsSerial:
 
     def test_failed_jobs_are_not_cached(self, tmp_path):
         runner = RunnerConfig(cache_dir=str(tmp_path))
-        run_jobs([JobSpec.experiment(ExperimentConfig(scheme="bogus"))], runner=runner)
+        run_jobs([JobSpec.experiment(_failing_config())], runner=runner)
         assert len(ResultCache(tmp_path)) == 0
 
     def test_results_preserve_input_order(self, tmp_path):

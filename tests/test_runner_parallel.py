@@ -164,10 +164,9 @@ def test_stuck_worker_times_out(monkeypatch):
 
 def test_ordinary_exception_in_worker_not_retried():
     """Deterministic failures surface once, even on the pooled path."""
-    specs = [
-        JobSpec.experiment(ExperimentConfig(scheme="bogus", seed=seed))
-        for seed in (1, 2)
-    ]
+    specs = [JobSpec.experiment(ExperimentConfig(seed=seed)) for seed in (1, 2)]
+    for spec in specs:
+        spec.config.scheme = "bogus"    # past the field's check
     results = run_jobs(specs, runner=RunnerConfig(jobs=2, retries=5))
     assert all(not r.ok for r in results)
     for result in results:
