@@ -584,6 +584,7 @@ def _run_suite(args) -> Tuple[SuiteSpec, SuiteResult]:
     tel = _make_telemetry(args)
     result = suite.run_suite(spec, runner=_make_runner(args), telemetry=tel)
     _finish_telemetry(tel, args)
+    print(f"suite {spec.name}: {result.run_summary()}", file=sys.stderr)
     if args.out:
         result.save(args.out)
         print(f"suite result written to {args.out}", file=sys.stderr)

@@ -100,10 +100,6 @@ class ExperimentConfig:
         return plan if plan else None
 
 
-#: an incast point's own defaults: 20 requests of 1 MB, not 50 of 10 MB
-INCAST_POINT_DEFAULTS = {"n_requests": 20, "total_bytes": 1_000_000}
-
-
 def incast_configs(seed: int = 1, **params: Any
                    ) -> Tuple[ExperimentConfig, IncastConfig]:
     """The fabric and workload configs of one incast point, ``params``
@@ -116,7 +112,6 @@ def incast_configs(seed: int = 1, **params: Any
     if unknown:
         raise ValueError(f"unknown incast knob(s) {sorted(unknown)} "
                          f"(valid: {', '.join(INCAST_AXES)})")
-    params = {**INCAST_POINT_DEFAULTS, **params}
     workload = {f.name: params.pop(f.name) for f in knobs(IncastConfig)
                 if f.name in params}
     return (ExperimentConfig(seed=seed, **params),

@@ -124,14 +124,27 @@ class JobSpec:
 
     @property
     def fingerprint(self) -> str:
-        """The content fingerprint this spec is cached under."""
+        """The content fingerprint this spec is cached under.
+
+        Hashed on the first read and kept on the instance (a
+        ``dataclasses.replace`` copy hashes its own); a plain property,
+        not ``functools.cached_property``, so it stays a property to code
+        that wraps it by class.
+        """
+        cached = self.__dict__.get("_fingerprint")
+        if cached is not None:
+            return cached
         if self.kind == "experiment":
             if self.config is None:
                 raise ValueError("experiment JobSpec needs a config")
-            return fingerprint_payload(self.kind, self.config)
-        if self.kind == "incast":
-            return fingerprint_payload(self.kind, dict(self.params))
-        raise ValueError(f"unknown job kind {self.kind!r} (expected {JOB_KINDS})")
+            cached = fingerprint_payload(self.kind, self.config)
+        elif self.kind == "incast":
+            cached = fingerprint_payload(self.kind, dict(self.params))
+        else:
+            raise ValueError(
+                f"unknown job kind {self.kind!r} (expected {JOB_KINDS})")
+        object.__setattr__(self, "_fingerprint", cached)
+        return cached
 
     def describe(self) -> Dict[str, Any]:
         """A short summary dict stored alongside cached results."""

@@ -10,8 +10,14 @@ The execution policy, in order:
 2. ``jobs <= 1``, or a platform without ``fork``, runs the misses serially
    in-process (the parent telemetry scope is threaded straight through,
    exactly like the pre-runner code path);
-3. otherwise misses run on a ``ProcessPoolExecutor`` with at most ``jobs``
-   workers.  Each in-flight job has a deadline (``timeout``); a job that
+3. otherwise the misses are put in dispatch order, longest job first:
+   descending bytes offered (:func:`offered_bytes`, read from each job's
+   config alone), input order kept between ties, so the longest jobs do
+   not start last and leave a worker idle at the end of the batch.
+   Results do not depend on this order;
+4. they then run on a ``ProcessPoolExecutor`` with at most ``jobs``
+   workers, forked after :func:`load_before_fork` has imported what they
+   will run.  Each in-flight job has a deadline (``timeout``); a job that
    exceeds it is failed-and-retried and the pool is rebuilt so the stuck
    worker actually dies.  A worker crash (``BrokenProcessPool``) likewise
    retries every in-flight job up to ``retries`` extra attempts.  A job
@@ -25,6 +31,7 @@ flight; the next invocation resumes from the cached prefix.
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
 import time
 import warnings
@@ -32,6 +39,7 @@ from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
+from importlib import import_module
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.runner.cache import ResultCache
@@ -233,26 +241,80 @@ def _teardown_pool(pool: ProcessPoolExecutor) -> None:
             pass
 
 
+def load_before_fork(specs: Sequence[JobSpec]) -> None:
+    """Import what ``specs`` will run, here in the parent: forked workers
+    inherit the modules instead of each compiling them inside its first
+    job."""
+    configs = [spec.config for spec in specs if spec.kind == "experiment"]
+    incasts = [dict(spec.params) for spec in specs if spec.kind == "incast"]
+    if configs:
+        import repro.chaos.metrics  # noqa: F401  (standard_metrics' reports)
+        import repro.harness.experiment  # noqa: F401
+        import repro.harness.metrics  # noqa: F401
+    if incasts:
+        import repro.harness.incast  # noqa: F401
+    if any(config.asymmetric or config.chaos for config in configs):
+        import repro.chaos.engine  # noqa: F401  (and repro.chaos.plan)
+    if any(config.health for config in configs):
+        import repro.core.health  # noqa: F401
+    if any(config.audit for config in configs):
+        import repro.audit.auditor  # noqa: F401
+    # each selected scheme's row names its code by "module:attr"
+    from repro.harness.schemes import SCHEMES
+
+    schemes = [config.scheme for config in configs] + [
+        params.get("scheme") for params in incasts]
+    for name in dict.fromkeys(schemes):
+        row = SCHEMES.get(name)
+        if row is None:     # the default, or a name the worker refuses
+            continue
+        for ref in (row.policy, row.leaf_switch, row.spine_switch,
+                    row.fabric_hook, row.opener):
+            if ref is not None:
+                import_module(ref.partition(":")[0])
+
+
+def offered_bytes(spec: JobSpec) -> float:
+    """The bytes a job's workload offers, from its config alone: how the
+    pool ranks jobs by length.
+
+    An experiment offers ``jobs_per_client`` jobs from each client (the
+    leaf's hosts, or ``clients_per_leaf`` of them) at the workload's mean
+    flow size; an incast point offers ``n_requests`` requests of
+    ``total_bytes``.  A spec it cannot read ranks last: its error is
+    reported from the worker that runs it.
+    """
+    from repro.harness.config import incast_configs
+    from repro.harness.experiment import default_topology
+    from repro.workloads.distributions import WORKLOADS
+
+    try:
+        if spec.kind == "incast":
+            _, incast = incast_configs(**dict(spec.params))
+            return float(incast.n_requests * incast.total_bytes)
+        config = spec.config
+        hosts = (config.topology or default_topology()).hosts_per_leaf
+        clients = min(hosts, config.clients_per_leaf or hosts)
+        mean = WORKLOADS[config.workload](config.flow_scale).analytic_mean()
+        return config.jobs_per_client * clients * mean
+    except Exception:  # the worker that runs it reports the error
+        return 0.0
+
+
 def _run_pooled(specs, pending, results, cache, telemetry, cfg, progress) -> None:
     tel_enabled = telemetry is not None and getattr(telemetry, "enabled", False)
+    load_before_fork([specs[index] for index in pending])
     state = _PoolState(
         max_workers=min(cfg.jobs, len(pending)),
         want_telemetry=tel_enabled,
         profile=tel_enabled and getattr(telemetry, "profiler", None) is not None,
         trace=tel_enabled and getattr(telemetry, "trace", None) is not None
         and telemetry.trace.enabled,
-        queue=deque(pending),
+        # longest job first; sorted() is stable, so ties keep input order
+        queue=deque(sorted(
+            pending, key=lambda index: -offered_bytes(specs[index]))),
         attempts={index: 0 for index in pending},
     )
-    # Load what the jobs will run here, before the fork: workers inherit the
-    # modules instead of each importing them inside its first job.
-    kinds = {specs[index].kind for index in pending}
-    if "experiment" in kinds:
-        import repro.chaos.metrics  # noqa: F401  (standard_metrics' reports)
-        import repro.harness.experiment  # noqa: F401
-        import repro.harness.metrics  # noqa: F401
-    if "incast" in kinds:
-        import repro.harness.incast  # noqa: F401
     pool = _make_pool(state.max_workers)
 
     def submit(index: int) -> None:
@@ -289,6 +351,10 @@ def _run_pooled(specs, pending, results, cache, telemetry, cfg, progress) -> Non
             telemetry.absorb(payload["telemetry"])
         progress.job_done()
 
+    # The workers fork from this heap (at the first submit).  Frozen, it is
+    # out of reach of their collector, which would otherwise walk, and so
+    # copy, every inherited object on each full collection.
+    gc.freeze()
     try:
         while state.queue or state.inflight:
             try:
@@ -363,3 +429,4 @@ def _run_pooled(specs, pending, results, cache, telemetry, cfg, progress) -> Non
                     pool = _make_pool(state.max_workers)
     finally:
         _teardown_pool(pool)
+        gc.unfreeze()

@@ -6,9 +6,9 @@ the result cache, a warm ``repro suite check`` whose every point is a cache
 hit — reaches this module through :mod:`repro.runner.pool` and must not
 load the simulator for it; and a batch of one kind never loads the other
 kind's harness.  The pooled path does not leave these imports to the
-workers: :func:`repro.runner.pool.run_jobs` imports the harness in the
-parent before it forks, so workers inherit the loaded modules instead of
-importing them inside their first job.
+workers: :func:`repro.runner.pool.load_before_fork` imports what a batch
+will run in the parent before it forks, so workers inherit the loaded
+modules instead of importing them inside their first job.
 """
 
 from __future__ import annotations

@@ -90,6 +90,21 @@ class SuiteResult:
     def failed_runs(self) -> int:
         return sum(len(r.errors) for r in self.results.values())
 
+    def run_summary(self) -> str:
+        """The run context in one line: wall time, workers, the share of
+        the workers' time spent in jobs, cache hits."""
+        meta = self.meta
+        detail = []
+        if meta.get("wall_s") is not None:
+            detail.append(f"wall {meta['wall_s']:g}s")
+        if meta.get("jobs"):
+            detail.append(f"jobs {meta['jobs']}")
+        if meta.get("busy_share") is not None:
+            detail.append(f"busy {meta['busy_share']:.2f}")
+        if meta.get("cached_points"):
+            detail.append(f"{meta['cached_points']} cached point(s)")
+        return ", ".join(detail)
+
     def comparable(self) -> Dict[str, Any]:
         """The deterministic portion — what serial-vs-parallel identity is
         stated over (and what ``suite diff`` compares)."""
@@ -196,6 +211,12 @@ def run_suite(
         results[scenario.scenario_id] = record
 
     cfg = runner if runner is not None else RunnerConfig()
+    # the executed jobs' time over the time the workers had: 1 - busy_share
+    # is the idle tail a batch leaves (None when every point was cached)
+    executed = [r for r in job_results if r.attempts]
+    workers = max(1, min(cfg.jobs, len(executed)))
+    busy_share = (round(sum(r.wall_s for r in executed) / (workers * wall_s), 3)
+                  if executed else None)
     return SuiteResult(
         suite=spec.name,
         spec=spec.to_dict(),
@@ -206,6 +227,7 @@ def run_suite(
             "git_rev": git_revision(),
             "wall_s": round(wall_s, 3),
             "jobs": cfg.jobs,
+            "busy_share": busy_share,
             "cache_dir": cfg.cache_dir,
             "cached_points": sum(1 for r in job_results if r.cached),
             "failed_points": sum(1 for r in job_results if not r.ok),

@@ -103,18 +103,11 @@ def render_markdown(result: SuiteResult, alpha: float = 0.05) -> str:
         f"- scenarios: {len(result.results)}"
         f" ({result.failed_runs} failed run(s))",
     ]
-    if meta:
-        detail = []
-        if meta.get("git_rev"):
-            detail.append(f"rev `{str(meta['git_rev'])[:10]}`")
-        if meta.get("wall_s") is not None:
-            detail.append(f"wall {meta['wall_s']:g}s")
-        if meta.get("jobs"):
-            detail.append(f"jobs {meta['jobs']}")
-        if meta.get("cached_points"):
-            detail.append(f"{meta['cached_points']} cached point(s)")
-        if detail:
-            lines.append(f"- run: {', '.join(detail)}")
+    rev = meta.get("git_rev")
+    run = ", ".join(part for part in (
+        rev and f"rev `{str(rev)[:10]}`", result.run_summary()) if part)
+    if run:
+        lines.append(f"- run: {run}")
     lines += ["", "## Scenarios", ""]
     header = "| scenario | seeds | " + " | ".join(
         f"{m} (mean [95% CI])" for m in metrics

@@ -17,7 +17,9 @@ minus ``exclude`` rules, plus ``pin`` overrides, lowers to one concrete
         "exclude": [{"scheme": "ecmp", "load": 0.5}],
         "pin": {"connections_per_client": 2}}]}
 
-Axes are ``ExperimentConfig`` field names, plus two sugar axes:
+Axes are ``ExperimentConfig`` field names (but not ``discovery`` or
+``health_config``, whose tuning objects declare no bounds), plus two sugar
+axes:
 
 * ``chaos`` — a preset name (``repro chaos presets``) or a serialized
   :class:`~repro.chaos.plan.FaultPlan` dict;
@@ -70,6 +72,9 @@ TOPOLOGIES: Dict[str, Optional[LeafSpineConfig]] = {
 _CONFIG_FIELDS = {f.name for f in dataclasses.fields(ExperimentConfig)}
 #: axes resolved specially before ExperimentConfig construction
 _SUGAR_AXES = ("chaos", "topology")
+#: config fields a spec cannot set: their tuning objects declare no
+#: bounds, so a spec file's value for one could not be checked at load
+_CODE_ONLY = ("discovery", "health_config")
 #: scenario kind -> the payload metrics its runs produce
 KIND_METRICS: Dict[str, Tuple[str, ...]] = {
     "experiment": METRIC_KEYS, "incast": ("goodput_bps",)}
@@ -134,6 +139,13 @@ def _check_params(params: Dict[str, Any], where: str,
         raise ValueError(
             f"{where}: 'seed' is not an axis — seeds are the suite-level "
             f"pairing protocol (SuiteSpec.seeds)"
+        )
+    refused = [name for name in _CODE_ONLY if name in params]
+    if kind == "experiment" and refused:
+        raise ValueError(
+            f"{where}: {refused} cannot be set from a suite spec (no "
+            f"declared bounds to check it against); build the "
+            f"ExperimentConfig in code"
         )
     names = (set(INCAST_AXES) if kind == "incast"
              else _CONFIG_FIELDS | set(_SUGAR_AXES))

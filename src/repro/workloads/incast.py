@@ -23,12 +23,13 @@ if TYPE_CHECKING:  # pragma: no cover
 class IncastConfig:
     """Parameters of the incast workload."""
 
+    # an incast point's defaults (the paper's requests are 10 MB)
     total_bytes: int = knob(
-        10_000_000, "bytes per request, split evenly over its servers",
+        1_000_000, "bytes per request, split evenly over its servers",
         COUNT, flag="--bytes")
     fanout: int = knob(8, "servers per request (at most the servers of "
                           "leaf 2)", COUNT)
-    n_requests: int = knob(50, "requests, one after another", COUNT,
+    n_requests: int = knob(20, "requests, one after another", COUNT,
                            flag="--requests")
     start_time: float = 0.0
     request_overhead: float = 0.0      # think time between requests

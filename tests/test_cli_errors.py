@@ -329,13 +329,16 @@ _INCAST = {"kind": "incast", "n_requests": 1, "total_bytes": 100_000}
     {**_CLOVE, "flowlet_gap_rtt": float("nan")},
     {**_INCAST, "scheme": "mptcp", "fanout": 2, "mptcp_subflows": 0},
     {**_INCAST, "fanout": 0},
+    {**_CLOVE, "discovery": {"k_paths": 0}},
+    {**_CLOVE, "health": True, "health_config": {"dead_after": 0}},
 ], ids=["unknown-scheme", "jobs-per-client-zero", "load-negative",
         "mptcp-subflows-zero", "connections-per-client-zero",
         "clients-per-leaf-zero", "min-rto-negative", "warmup-negative",
         "max-sim-time-zero", "flowlet-gap-negative",
         "weight-reduction-above-one", "unknown-pairing", "unknown-audit-mode",
         "congestion-expiry-negative", "ecn-relay-interval-negative",
-        "flowlet-gap-nan", "incast-mptcp-subflows-zero", "incast-fanout-zero"])
+        "flowlet-gap-nan", "incast-mptcp-subflows-zero", "incast-fanout-zero",
+        "discovery-dict", "health-config-dict"])
 def test_suite_spec_with_a_point_it_cannot_run_exits_2(base, tmp_path,
                                                        capsys):
     base = dict(base)

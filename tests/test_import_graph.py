@@ -205,6 +205,38 @@ def test_no_import_lands_in_the_timed_region(overrides):
         assert seen["injections"] > 0   # the cable failure went through chaos
 
 
+_IN_A_WORKER = """
+args = json.loads(sys.argv[1])
+from repro.harness.config import ExperimentConfig
+from repro.runner.job import JobSpec
+from repro.runner.pool import load_before_fork
+from repro.runner.worker import pool_worker
+
+spec = (JobSpec.incast(**args) if args.pop("incast", False)
+        else JobSpec.experiment(ExperimentConfig(**args)))
+load_before_fork([spec])        # what the parent imports before it forks
+before = set(sys.modules)
+pool_worker(spec, False, False)
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+_TINY = {"jobs_per_client": 2, "clients_per_leaf": 2}
+
+
+@pytest.mark.parametrize("args", [
+    pytest.param({**_TINY, "scheme": "clove-ecn", "asymmetric": True},
+                 id="clove-ecn-asymmetric"),
+    pytest.param({**_TINY, "scheme": "mptcp", "health": True,
+                  "audit": "report"}, id="mptcp-health-audit"),
+    pytest.param({"incast": True, "scheme": "conga", "fanout": 2,
+                  "n_requests": 1, "total_bytes": 100_000}, id="incast-conga"),
+])
+def test_a_pooled_job_loads_nothing_its_parent_did_not(args):
+    # a module a worker imports itself is compiled again in every worker
+    proc = _python("import sys, json\n" + _IN_A_WORKER, json.dumps(args))
+    assert _repro(json.loads(proc.stdout.strip().splitlines()[-1])) == set()
+
+
 #: modules that no import reaches by design, each with its reason
 UNREACHED_BY_DESIGN = {
     # the ``python -m repro`` entry point: the interpreter runs it, nothing

@@ -107,6 +107,23 @@ class TestFingerprint:
         )
         assert JobSpec.incast(x=1).fingerprint != JobSpec.incast(x=2).fingerprint
 
+    def test_hashed_once_per_spec(self, monkeypatch):
+        calls = []
+        real = job_module.fingerprint_payload
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(job_module, "fingerprint_payload", counting)
+        spec = JobSpec.experiment(_quick())
+        assert spec.fingerprint == spec.fingerprint == spec.fingerprint
+        assert len(calls) == 1
+        # a replace() copy hashes its own fields, not the original's
+        copy = dataclasses.replace(spec, config=_quick(seed=6))
+        assert copy.fingerprint == JobSpec.experiment(_quick(seed=6)).fingerprint
+        assert copy.fingerprint != spec.fingerprint
+
     def test_labels_do_not_affect_fingerprint(self):
         a = JobSpec.experiment(_quick(), label="one")
         b = JobSpec.experiment(_quick(), label="two")

@@ -10,12 +10,16 @@ import dataclasses
 import json
 import os
 import time
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
 from repro.harness.experiment import ExperimentConfig
 from repro.runner import JobSpec, RunnerConfig, run_jobs
+from repro.runner.pool import offered_bytes
 from repro.telemetry import Telemetry
+from repro.workloads.distributions import WORKLOADS
 
 SCHEMES = ("ecmp", "clove-ecn")
 LOADS = (0.3, 0.5, 0.7)
@@ -188,3 +192,102 @@ def test_incast_jobs_run_through_runner(jobs):
     assert all(r.ok for r in results)
     for result in results:
         assert result.metrics["goodput_bps"] > 0
+
+
+# ----------------------------------------------------------------------
+# Dispatch order: longest job (most bytes offered) first
+# ----------------------------------------------------------------------
+def _job(label, **fields):
+    return JobSpec.experiment(
+        dataclasses.replace(_base(), **fields), label=label)
+
+
+def test_offered_bytes_reads_the_config_alone():
+    mean = WORKLOADS["web-search"](0.1).analytic_mean()
+    assert offered_bytes(_job("a", jobs_per_client=3)) == 3 * 2 * mean
+    # clients default to the leaf's hosts: 8 in the default fabric
+    assert offered_bytes(_job("b", clients_per_leaf=None)) == 4 * 8 * mean
+    assert offered_bytes(JobSpec.incast(
+        fanout=2, n_requests=3, total_bytes=1000)) == 3000
+    # an incast point's defaults are IncastConfig's: 20 requests of 1 MB
+    assert offered_bytes(JobSpec.incast(fanout=2)) == 20 * 1_000_000
+    # a spec the worker will refuse ranks last instead of failing here
+    assert offered_bytes(JobSpec.incast(bogus=1)) == 0.0
+
+
+class _FakePool:
+    """A stand-in process pool: logs each submitted label, in order, and
+    finishes the job at once, except a label in ``crash`` (its worker
+    dies) or in ``hold`` (left in flight)."""
+
+    def __init__(self, log, crash=(), hold=()):
+        self.log, self.crash, self.hold = log, crash, hold
+
+    def submit(self, fn, spec, *args):
+        self.log.append(spec.label)
+        future = Future()
+        if spec.label in self.crash:
+            future.set_exception(BrokenProcessPool("worker died"))
+        elif spec.label not in self.hold:
+            future.set_result({"metrics": {"label": spec.label}, "wall_s": 0.0})
+        return future
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
+
+def _fake_pools(monkeypatch, log, **first):
+    """The first pool built gets ``first``; a rebuilt one runs all."""
+    pools = []
+
+    def make(max_workers):
+        pools.append(_FakePool(log, **(first if not pools else {})))
+        return pools[-1]
+
+    monkeypatch.setattr("repro.runner.pool._make_pool", make)
+
+
+def test_pooled_dispatch_is_longest_first_and_stable(monkeypatch):
+    specs = [
+        _job("light-1", jobs_per_client=2, seed=1),
+        _job("heavy", jobs_per_client=6),
+        _job("light-2", jobs_per_client=2, seed=2),     # ties light-1
+        _job("all-hosts", jobs_per_client=2, clients_per_leaf=None),
+        JobSpec.incast(label="incast", fanout=2, n_requests=1,
+                       total_bytes=1000),
+        _job("big-flows", jobs_per_client=2, flow_scale=0.5),
+    ]
+    log = []
+    _fake_pools(monkeypatch, log)
+    results = run_jobs(specs, runner=RunnerConfig(jobs=2))
+    # bytes, not flows: 4 flows at 5x the size outrank 16 and 12 flows
+    assert log == ["big-flows", "all-hosts", "heavy", "light-1", "light-2",
+                   "incast"]
+    assert [r.spec.label for r in results] == [s.label for s in specs]
+    assert [r.metrics["label"] for r in results] == [s.label for s in specs]
+
+
+def test_a_crash_requeues_the_innocent_first_and_retries_the_culprit(
+        monkeypatch):
+    specs = [_job("light", jobs_per_client=2), _job("mid", jobs_per_client=3),
+             _job("heavy", jobs_per_client=6)]
+    log = []
+    _fake_pools(monkeypatch, log, crash=("heavy",), hold=("mid",))
+    results = run_jobs(specs, runner=RunnerConfig(jobs=2))
+    # heavy and mid start; heavy's worker dies while mid is in flight: mid
+    # goes back to the front, heavy to the back, on a rebuilt pool
+    assert log == ["heavy", "mid", "mid", "light", "heavy"]
+    assert all(r.ok for r in results)
+    assert [r.attempts for r in results] == [1, 1, 2]
+
+
+def test_heaviest_job_last_in_input_order_matches_serial():
+    specs = [JobSpec.experiment(dataclasses.replace(
+        _base(), seed=seed)) for seed in (1, 2, 3)]
+    specs.append(JobSpec.experiment(dataclasses.replace(
+        _base(), jobs_per_client=12, seed=4)))
+    serial = run_jobs(specs, runner=RunnerConfig(jobs=1))
+    pooled = run_jobs(specs, runner=RunnerConfig(jobs=2))
+    assert [r.spec for r in pooled] == specs
+    assert all(r.ok for r in pooled)
+    assert _payloads(serial) == _payloads(pooled)

@@ -420,6 +420,17 @@ def test_suite_results_bit_identical_serial_vs_parallel(micro_run, suite_cache):
     assert serial.meta != {} and parallel.meta != {}
 
 
+def test_busy_share_is_the_share_of_worker_time_spent_in_jobs(
+        micro_run, suite_cache):
+    _, executed = micro_run     # ran every point, on one worker
+    assert 0 < executed.meta["busy_share"] <= 1
+    assert f"busy {executed.meta['busy_share']:.2f}" in executed.run_summary()
+    cached = run_suite(_micro_suite(), runner=RunnerConfig(
+        jobs=2, cache_dir=suite_cache, progress=False))
+    assert cached.meta["busy_share"] is None     # no job ran
+    assert "busy" not in render_markdown(cached)
+
+
 def test_result_artifact_round_trips(micro_run, tmp_path):
     _, result = micro_run
     path = tmp_path / "result.json"
@@ -578,7 +589,9 @@ def test_cli_run_writes_artifact_and_report(tmp_path, suite_cache, capsys):
         "--cache-dir", suite_cache,
     ])
     assert code == 0
-    assert "# Suite report: micro" in capsys.readouterr().out
+    captured = capsys.readouterr()
+    assert "# Suite report: micro" in captured.out
+    assert "suite micro: wall " in captured.err
     assert load_result(out_file).suite == "micro"
     assert "# Suite report: micro" in report_file.read_text()
 
